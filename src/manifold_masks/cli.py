@@ -6,18 +6,15 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import data as data_mod
-from .data import DataMatrix, knn_graph, load_dataset, synth_dataset
+from .data import DataMatrix, knn_graph, load_dataset, read_key_values, synth_dataset
 from .embeddings import (
-    Embedding,
     GeodesicDistances,
     LleWeights,
     classical_mds,
@@ -52,9 +49,9 @@ from .metrics import (
     residual_variance,
 )
 from .oose import leave_one_out
+from .secants import build_clique_array, build_secants
 
 SELECTORS = ("maps_global", "maps_local", "pcoa", "random", "exact_global", "exact_local")
-NESTED_SELECTORS = ("maps_global", "maps_local", "pcoa", "random")
 
 
 @dataclass
@@ -78,26 +75,13 @@ class RunConfig:
     methods: tuple[str, ...] = ("isomap",)
     out_dir: str = "."
     results: str | None = None
-    largest_component: bool = False
     exact_folds: bool = False
 
     def __post_init__(self):
         if self.sizes and list(self.sizes) != sorted(set(self.sizes)):
             raise ParameterError(f"mask sizes must be strictly increasing, got {self.sizes}")
-
-
-def _parse_config_file(path) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        if self.trials < 1:
+            raise ParameterError(f"trials must be at least 1, got {self.trials}")
 
 
 def _coerce(key: str, value):
@@ -112,7 +96,7 @@ def _coerce(key: str, value):
         return int(value)
     if key == "reg":
         return float(value)
-    if key in ("largest_component", "exact_folds"):
+    if key == "exact_folds":
         return value.lower() in ("1", "true", "yes", "on")
     return value
 
@@ -121,7 +105,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Config-file values overridden by explicit command-line flags."""
     merged = {}
     if getattr(args, "config", None):
-        for key, value in _parse_config_file(args.config).items():
+        for _, key, value in read_key_values(args.config):
+            key = key.replace("-", "_")
             if key not in RunConfig.__dataclass_fields__:
                 raise ParameterError(f"unknown config key {key!r}")
             merged[key] = _coerce(key, value)
@@ -132,7 +117,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _parse_synth_spec(spec: str) -> tuple[str, dict]:
+def _synth_from_spec(spec: str, n: int, seed: int) -> DataMatrix:
+    """The dataset a spec such as ``swiss_roll:n=500,seed=7`` names; its
+    ``n`` and ``seed`` options override the arguments."""
     kind, _, rest = spec.partition(":")
     options = {}
     if rest:
@@ -141,53 +128,71 @@ def _parse_synth_spec(spec: str) -> tuple[str, dict]:
             if not value:
                 raise ParameterError(f"bad synth option {item!r} in {spec!r}")
             options[key.strip()] = float(value) if "." in value else int(value)
-    return kind, options
+    n = int(options.pop("n", n))
+    seed = int(options.pop("seed", seed))
+    return synth_dataset(kind, n, seed, **options)
 
 
 def load_input(cfg: RunConfig) -> tuple[DataMatrix, str]:
     """Resolve the dataset source to (data, dataset id)."""
     if cfg.synth:
-        kind, options = _parse_synth_spec(cfg.synth)
-        n = int(options.pop("n", 200))
-        seed = int(options.pop("seed", cfg.seed))
-        return synth_dataset(kind, n, seed, **options), cfg.synth
+        return _synth_from_spec(cfg.synth, 200, cfg.seed), cfg.synth
     if not cfg.data:
         raise ParameterError("no dataset: provide data= or synth=")
     X = load_dataset(cfg.data, format=cfg.format, meta=cfg.meta)
     return X, os.path.basename(cfg.data)
 
 
-def select_mask(cfg: RunConfig, algorithm: str, X: DataMatrix, m: int) -> Mask:
-    """Run one selector at size m."""
-    if algorithm == "pcoa":
-        return pcoa(X, m)
+def _load_for_masks(cfg: RunConfig) -> tuple[DataMatrix, str]:
+    """Load the dataset of ``mask``, ``evaluate`` or ``oose``, check that
+    mask sizes were given, and create the out-dir."""
+    X, dataset_id = load_input(cfg)
+    if not cfg.sizes:
+        raise ParameterError("no mask sizes requested")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    return X, dataset_id
+
+
+def mask_plan(cfg: RunConfig, X: DataMatrix, algorithm: str) -> list[tuple[int, list[Mask]]]:
+    """The masks to use at each of ``cfg.sizes``, as ``(m, masks)`` pairs.
+
+    The greedy selectors, ``pcoa`` and ``random`` are nested, so each runs
+    once at the largest size and every size takes prefixes: ``random`` makes
+    ``cfg.trials`` draws seeded ``cfg.seed + trial``, the others one mask.
+    The exhaustive oracles search once per size. A list, not a generator, so
+    every selector has run (or raised) before a caller writes anything.
+    """
+    top = max(cfg.sizes)
     if algorithm == "random":
-        return random_mask(X.d, m, cfg.seed)
-    G = knn_graph(X, cfg.k)
-    if algorithm == "maps_global":
-        from .secants import build_secants
+        full = [random_mask(X.d, top, cfg.seed + trial) for trial in range(cfg.trials)]
+    elif algorithm == "pcoa":
+        full = [pcoa(X, top)]
+    elif algorithm == "maps_global":
+        full = [maps_global(build_secants(X, knn_graph(X, cfg.k)), top, cfg.p)]
+    elif algorithm == "maps_local":
+        full = [maps_local(build_clique_array(X, knn_graph(X, cfg.k)), top)]
+    elif algorithm == "exact_global":
+        A = build_secants(X, knn_graph(X, cfg.k))
+        return [(m, [exact_mask_global(A, m, cfg.p)[0]]) for m in cfg.sizes]
+    elif algorithm == "exact_local":
+        B = build_clique_array(X, knn_graph(X, cfg.k))
+        return [(m, [exact_mask_local(B, m)[0]]) for m in cfg.sizes]
+    else:
+        raise ParameterError(f"unknown algorithm {algorithm!r}; choose from {SELECTORS}")
+    return [(m, [mask.prefix(m) for mask in full]) for m in cfg.sizes]
 
-        return maps_global(build_secants(X, G), m, cfg.p)
-    if algorithm == "maps_local":
-        from .secants import build_clique_array
 
-        return maps_local(build_clique_array(X, G), m)
-    if algorithm == "exact_global":
-        from .secants import build_secants
-
-        return exact_mask_global(build_secants(X, G), m, cfg.p)[0]
-    if algorithm == "exact_local":
-        from .secants import build_clique_array
-
-        return exact_mask_local(build_clique_array(X, G), m)[0]
-    raise ParameterError(f"unknown algorithm {algorithm!r}; choose from {SELECTORS}")
+def _summary(metric: str, values: list[float], context: dict) -> EvalReport:
+    """One results row for the values a metric took over a plan's masks at
+    one size: their mean, with their spread when the masks are random draws."""
+    context = {**context, "trials": len(values)}
+    if context["algorithm"] == "random":
+        context["stddev"] = float(np.std(values))
+    return EvalReport(metric=metric, value=float(np.mean(values)), context=context)
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
-    kind, options = _parse_synth_spec(cfg.synth or args.kind)
-    n = int(options.pop("n", args.n or 200))
-    seed = int(options.pop("seed", cfg.seed))
-    X = synth_dataset(kind, n, seed, **options)
+    X = _synth_from_spec(cfg.synth or args.kind, args.n or 200, cfg.seed)
     base = args.out
     table = X.points if X.params is None else np.hstack([X.points, X.params])
     with open(base + ".csv", "w", newline="", encoding="utf-8") as fh:
@@ -204,18 +209,11 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_mask(cfg: RunConfig, args) -> int:
-    X, _ = load_input(cfg)
-    if not cfg.sizes:
-        raise ParameterError("no mask sizes requested")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    algorithm = cfg.algorithms[0]
-    if algorithm in NESTED_SELECTORS:
-        # one run at max size; smaller masks are its prefixes
-        full = select_mask(cfg, algorithm, X, max(cfg.sizes))
-        masks = {m: full.prefix(m) for m in cfg.sizes}
-    else:
-        masks = {m: select_mask(cfg, algorithm, X, m) for m in cfg.sizes}
-    for m, mask in masks.items():
+    if len(cfg.algorithms) != 1:
+        raise ParameterError(f"mask takes one algorithm, got {','.join(cfg.algorithms)!r}")
+    X, _ = _load_for_masks(cfg)
+    # one draw: a random mask file is the one seeded cfg.seed
+    for m, [mask] in mask_plan(replace(cfg, trials=1), X, cfg.algorithms[0]):
         path = os.path.join(cfg.out_dir, f"mask_{m}.json")
         save_mask(path, mask)
         print(f"wrote {path}")
@@ -284,103 +282,39 @@ def _masked_metrics(
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
-    X, dataset_id = load_input(cfg)
-    if not cfg.sizes:
-        raise ParameterError("no mask sizes requested")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    X, dataset_id = _load_for_masks(cfg)
     results = cfg.results or os.path.join(cfg.out_dir, "results.csv")
     D_full, W_full = full_references(cfg, X, os.path.join(cfg.out_dir, ".cache"))
     base_ctx = {"dataset": dataset_id, "k": cfg.k, "l": cfg.l, "seed": cfg.seed}
 
     for algorithm in cfg.algorithms:
-        if algorithm == "random":
-            for m in cfg.sizes:
-                per_metric: dict[str, list[float]] = {}
-                for trial in range(cfg.trials):
-                    mask = random_mask(X.d, m, cfg.seed + trial)
-                    for name, value in _masked_metrics(cfg, X, mask, D_full, W_full).items():
-                        per_metric.setdefault(name, []).append(value)
-                reports = [
-                    EvalReport(
-                        metric=name,
-                        value=float(np.mean(values)),
-                        context={
-                            **base_ctx,
-                            "algorithm": algorithm,
-                            "m": m,
-                            "trials": cfg.trials,
-                            "stddev": float(np.std(values)),
-                        },
-                    )
-                    for name, values in per_metric.items()
-                ]
-                append_results(results, reports)
-            continue
-        if algorithm in NESTED_SELECTORS:
-            full = select_mask(cfg, algorithm, X, max(cfg.sizes))
-            masks = {m: full.prefix(m) for m in cfg.sizes}
-        else:
-            masks = {m: select_mask(cfg, algorithm, X, m) for m in cfg.sizes}
-        for m in cfg.sizes:
-            reports = [
-                EvalReport(
-                    metric=name,
-                    value=value,
-                    context={**base_ctx, "algorithm": algorithm, "m": m, "trials": 1},
-                )
-                for name, value in _masked_metrics(cfg, X, masks[m], D_full, W_full).items()
-            ]
-            append_results(results, reports)
+        for m, masks in mask_plan(cfg, X, algorithm):
+            scores = [_masked_metrics(cfg, X, mask, D_full, W_full) for mask in masks]
+            context = {**base_ctx, "algorithm": algorithm, "m": m}
+            append_results(
+                results,
+                [_summary(name, [score[name] for score in scores], context) for name in scores[0]],
+            )
     print(f"wrote {results}")
     return 0
 
 
 def cmd_oose(cfg: RunConfig, args) -> int:
-    X, dataset_id = load_input(cfg)
-    if not cfg.sizes:
-        raise ParameterError("no mask sizes requested")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    X, dataset_id = _load_for_masks(cfg)
     results = cfg.results or os.path.join(cfg.out_dir, "oose_results.csv")
     base_ctx = {"dataset": dataset_id, "seed": cfg.seed}
 
     for algorithm in cfg.algorithms:
-        for m in cfg.sizes:
+        for m, masks in mask_plan(cfg, X, algorithm):
             for method in cfg.methods:
-                if algorithm == "random":
-                    values = []
-                    for trial in range(cfg.trials):
-                        mask = random_mask(X.d, m, cfg.seed + trial)
-                        rep = leave_one_out(
-                            X, mask, method, cfg.k, cfg.l, cfg.reg, cfg.exact_folds
-                        )
-                        values.append(rep.value)
-                    report = EvalReport(
-                        metric=rep.metric,
-                        value=float(np.mean(values)),
-                        context={
-                            **base_ctx,
-                            **rep.context,
-                            "algorithm": algorithm,
-                            "trials": cfg.trials,
-                            "stddev": float(np.std(values)),
-                        },
-                    )
-                else:
-                    mask = select_mask(cfg, algorithm, X, m)
-                    rep = leave_one_out(
-                        X, mask, method, cfg.k, cfg.l, cfg.reg, cfg.exact_folds
-                    )
-                    report = EvalReport(
-                        metric=rep.metric,
-                        value=rep.value,
-                        context={
-                            **base_ctx,
-                            **rep.context,
-                            "algorithm": algorithm,
-                            "trials": 1,
-                        },
-                    )
-                append_results(results, [report])
+                reps = [
+                    leave_one_out(X, mask, method, cfg.k, cfg.l, cfg.reg, cfg.exact_folds)
+                    for mask in masks
+                ]
+                context = {**base_ctx, **reps[0].context, "algorithm": algorithm}
+                append_results(
+                    results, [_summary(reps[0].metric, [r.value for r in reps], context)]
+                )
     print(f"wrote {results}")
     return 0
 
@@ -412,9 +346,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--methods", help="comma-separated OoSE methods (isomap,lle,gaze)")
     parser.add_argument("--out-dir", dest="out_dir")
     parser.add_argument("--results", help="results CSV path")
-    parser.add_argument(
-        "--largest-component", dest="largest_component", action="store_const", const=True
-    )
     parser.add_argument(
         "--exact-folds", dest="exact_folds", action="store_const", const=True
     )

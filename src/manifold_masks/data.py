@@ -92,9 +92,10 @@ class NeighborGraph:
         return self.neighbors.shape[0]
 
 
-def _parse_sidecar(path) -> dict:
-    """Parse a key=value sidecar; values are JSON fragments."""
-    meta = {}
+def read_key_values(path) -> list[tuple[int, str, str]]:
+    """``(line number, key, value)`` for every ``key=value`` line of a text
+    file, both sides stripped; blank lines and ``#`` comments are skipped."""
+    entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -103,10 +104,18 @@ def _parse_sidecar(path) -> dict:
             if "=" not in line:
                 raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            try:
-                meta[key.strip()] = json.loads(value.strip())
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: bad value {value!r}") from exc
+            entries.append((lineno, key.strip(), value.strip()))
+    return entries
+
+
+def _parse_sidecar(path) -> dict:
+    """Parse a key=value sidecar; values are JSON fragments."""
+    meta = {}
+    for lineno, key, value in read_key_values(path):
+        try:
+            meta[key] = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: bad value {value!r}") from exc
     return meta
 
 

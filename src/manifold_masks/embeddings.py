@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, csgraph_from_dense, shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .data import DataMatrix, NeighborGraph, knn_graph
 from .errors import DisconnectedGraphError, NumericalError, ParameterError
@@ -67,6 +67,28 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _symmetric_adjacency(G: NeighborGraph) -> sp.csr_matrix:
+    """The OR-symmetrized k-NN graph as a sparse matrix of edge lengths.
+
+    An edge joins i and j when either lists the other as a neighbor. The
+    edge between duplicate points has length zero and stays an explicit
+    entry, since a sparse graph reads a missing entry as no edge.
+    """
+    n, k = G.neighbors.shape
+    rows = np.repeat(np.arange(n), k)
+    cols = G.neighbors.ravel()
+    # one length per pair, the one listed last (by the later row when both
+    # points list each other): the two can differ in the last bit
+    pair = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    _, last = np.unique(pair[::-1], return_index=True)
+    keep = len(pair) - 1 - last
+    i, j, dist = rows[keep], cols[keep], G.distances.ravel()[keep]
+    return sp.csr_matrix(
+        (np.concatenate([dist, dist]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(n, n),
+    )
+
+
 def geodesics(X: DataMatrix, G: NeighborGraph) -> GeodesicDistances:
     """Shortest-path distances over the OR-symmetrized k-NN graph.
 
@@ -74,29 +96,13 @@ def geodesics(X: DataMatrix, G: NeighborGraph) -> GeodesicDistances:
     weight is the Euclidean distance. Disconnection is reported via the
     ``connected`` flag, not raised.
     """
-    n = X.n
-    dense = np.full((n, n), np.inf)
-    for i in range(n):
-        for j, dist in zip(G.neighbors[i], G.distances[i]):
-            j = int(j)
-            dense[i, j] = dist
-            dense[j, i] = dist
-    np.fill_diagonal(dense, 0.0)
-    graph = csgraph_from_dense(dense, null_value=np.inf)
-    D = shortest_path(graph, method="D", directed=False)
+    D = shortest_path(_symmetric_adjacency(G), method="D", directed=False)
     return GeodesicDistances(D=D, connected=bool(np.all(np.isfinite(D))))
 
 
 def largest_component(X: DataMatrix, G: NeighborGraph) -> np.ndarray:
     """Indices of the largest connected component of the symmetrized graph."""
-    n = X.n
-    rows, cols = [], []
-    for i in range(n):
-        for j in G.neighbors[i]:
-            rows.append(i)
-            cols.append(int(j))
-    adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    _, labels = connected_components(adj, directed=False)
+    _, labels = connected_components(_symmetric_adjacency(G), directed=False)
     counts = np.bincount(labels)
     return np.flatnonzero(labels == int(np.argmax(counts)))
 

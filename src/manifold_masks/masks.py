@@ -67,27 +67,43 @@ def _lp_norm(residual: np.ndarray, p: str, axis=None) -> np.ndarray:
     raise ParameterError(f"p must be 'L1' or 'Linf', got {p!r}")
 
 
+def _global_cost(A: SecantMatrix, cols, p: str) -> float:
+    """The global objective of the columns ``cols`` of A."""
+    return float(_lp_norm(A.A[:, cols].sum(axis=1) - len(cols) / A.d, p))
+
+
 def global_objective(A: SecantMatrix, mask: Mask, p: str = "L1") -> float:
     """Distortion of masked squared secant norms from their m/d expectation."""
-    target = mask.m / mask.d
-    masked_norms = A.A[:, list(mask.selected)].sum(axis=1) if mask.m else np.zeros(A.A.shape[0])
-    return float(_lp_norm(masked_norms - target, p))
+    return _global_cost(A, list(mask.selected), p)
 
 
-def local_objective(B: CliqueSecantArray, mask: Mask) -> float:
-    """Sum over points of cosine similarity between masked and full
-    clique secant-norm vectors."""
-    alpha = B.B.sum(axis=1)  # (c, n) full squared norms
+def _clique_alpha(B: CliqueSecantArray) -> tuple[np.ndarray, np.ndarray]:
+    """Full clique secant-norm vectors, (c, n), and their norms, (n,).
+
+    A point whose vector is all zero has no defined cosine similarity.
+    """
+    alpha = B.B.sum(axis=1)
     alpha_norm = np.linalg.norm(alpha, axis=0)
     if np.any(alpha_norm == 0.0):
         bad = int(np.argmin(alpha_norm))
         raise DegenerateDataError(f"all-zero clique secant norms at point {bad}")
-    beta = B.B[:, list(mask.selected), :].sum(axis=1)
+    return alpha, alpha_norm
+
+
+def _local_score(B: CliqueSecantArray, cols, alpha: np.ndarray, alpha_norm: np.ndarray) -> float:
+    """The local objective of the columns ``cols`` of B, given _clique_alpha(B)."""
+    beta = B.B[:, cols, :].sum(axis=1)
     beta_norm = np.linalg.norm(beta, axis=0)
     num = np.sum(beta * alpha, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         sims = np.where(beta_norm > 0.0, num / (beta_norm * alpha_norm), 0.0)
     return float(sims.sum())
+
+
+def local_objective(B: CliqueSecantArray, mask: Mask) -> float:
+    """Sum over points of cosine similarity between masked and full
+    clique secant-norm vectors."""
+    return _local_score(B, list(mask.selected), *_clique_alpha(B))
 
 
 def maps_global(A: SecantMatrix, m: int, p: str = "L1") -> Mask:
@@ -127,11 +143,7 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     """
     c, d, n = B.B.shape
     _check_m(m, d)
-    alpha = B.B.sum(axis=1)  # (c, n)
-    alpha_norm = np.linalg.norm(alpha, axis=0)
-    if np.any(alpha_norm == 0.0):
-        bad = int(np.argmin(alpha_norm))
-        raise DegenerateDataError(f"all-zero clique secant norms at point {bad}")
+    alpha, alpha_norm = _clique_alpha(B)
 
     # per-candidate constants: <B_j, alpha> and ||B_j||^2, both (d, n)
     cross_alpha = np.einsum("cjn,cn->jn", B.B, alpha)
@@ -192,14 +204,9 @@ def exact_mask_global(A: SecantMatrix, m: int, p: str = "L1") -> tuple[Mask, flo
     d = A.d
     _check_m(m, d)
     _guard_subsets(d, m)
-    target = m / d
-    best_cost = np.inf
-    best: tuple[int, ...] | None = None
-    for subset in combinations(range(d), m):
-        cost = float(_lp_norm(A.A[:, subset].sum(axis=1) - target, p))
-        if cost < best_cost:  # strict: first (lexicographic) winner kept
-            best_cost, best = cost, subset
-    return Mask(selected=best, d=d), best_cost
+    # min keeps the first (lexicographic) of equal costs
+    best = min(combinations(range(d), m), key=lambda cols: _global_cost(A, cols, p))
+    return Mask(selected=best, d=d), _global_cost(A, best, p)
 
 
 def exact_mask_local(B: CliqueSecantArray, m: int) -> tuple[Mask, float]:
@@ -207,23 +214,12 @@ def exact_mask_local(B: CliqueSecantArray, m: int) -> tuple[Mask, float]:
     d = B.d
     _check_m(m, d)
     _guard_subsets(d, m)
-    alpha = B.B.sum(axis=1)
-    alpha_norm = np.linalg.norm(alpha, axis=0)
-    if np.any(alpha_norm == 0.0):
-        bad = int(np.argmin(alpha_norm))
-        raise DegenerateDataError(f"all-zero clique secant norms at point {bad}")
-    best_score = -np.inf
-    best: tuple[int, ...] | None = None
-    for subset in combinations(range(d), m):
-        beta = B.B[:, subset, :].sum(axis=1)
-        beta_norm = np.linalg.norm(beta, axis=0)
-        num = np.sum(beta * alpha, axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(beta_norm > 0.0, num / (beta_norm * alpha_norm), 0.0)
-        score = float(sims.sum())
-        if score > best_score:
-            best_score, best = score, subset
-    return Mask(selected=best, d=d), best_score
+    alpha, alpha_norm = _clique_alpha(B)
+    # max keeps the first (lexicographic) of equal scores
+    best = max(
+        combinations(range(d), m), key=lambda cols: _local_score(B, cols, alpha, alpha_norm)
+    )
+    return Mask(selected=best, d=d), _local_score(B, best, alpha, alpha_norm)
 
 
 def apply_mask(X: DataMatrix, mask: Mask) -> DataMatrix:

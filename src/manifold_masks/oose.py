@@ -21,7 +21,6 @@ from .errors import DisconnectedGraphError, ParameterError
 from .masks import Mask, apply_mask
 from .metrics import (
     EvalReport,
-    affected_set,
     oose_embedding_error,
     oose_error_isomap,
     procrustes_align,
@@ -203,10 +202,7 @@ def leave_one_out(
         Y_oose = np.empty((n, ell))
         for i, Y_train, D_fold, train in _isomap_folds(masked, k, ell, exact_folds):
             res = isomap_oose(train, D_fold, Y_train, masked.points[i], k)
-            Z = np.empty((n, ell))
-            keep = np.delete(np.arange(n), i)
-            Z[keep] = Y_train.Y
-            Z[i] = res.y
+            Z = np.insert(Y_train.Y, i, res.y, axis=0)
             aligned, _ = procrustes_align(Y_ref, Embedding(Y=Z, eigenvalues=Y_train.eigenvalues))
             Y_oose[i] = aligned.Y[i]
         value = oose_error_isomap(Y_ref, Embedding(Y=Y_oose, eigenvalues=Y_ref.eigenvalues))
@@ -221,11 +217,7 @@ def leave_one_out(
             G_t = knn_graph(train, k)
             Y_train = lle_embed(lle_weights(train, G_t, reg), ell)
             res = lle_oose(train, Y_train, masked.points[i], k, reg)
-            Z = np.empty((n, ell))
-            keep = np.delete(np.arange(n), i)
-            Z[keep] = Y_train.Y
-            Z[i] = res.y
-            folds.append(Z)
+            folds.append(np.insert(Y_train.Y, i, res.y, axis=0))
         value = oose_embedding_error(W_full, folds, G_full)
         return EvalReport(metric="oose_embedding_error", value=value, context=context)
 

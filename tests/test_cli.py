@@ -5,9 +5,26 @@ import numpy as np
 import pytest
 
 from manifold_masks.cli import build_config, main, make_parser
-from manifold_masks.data import load_dataset
-from manifold_masks.masks import Mask, load_mask, random_mask, save_mask
-from manifold_masks.metrics import RESULTS_HEADER
+from manifold_masks.data import knn_graph, load_dataset, synth_dataset
+from manifold_masks.embeddings import classical_mds, geodesics, lle_embed, lle_weights
+from manifold_masks.masks import (
+    Mask,
+    apply_mask,
+    exact_mask_global,
+    load_mask,
+    maps_global,
+    pcoa,
+    random_mask,
+    save_mask,
+)
+from manifold_masks.metrics import (
+    RESULTS_HEADER,
+    embedding_error,
+    neighbor_preservation,
+    residual_variance,
+)
+from manifold_masks.oose import leave_one_out
+from manifold_masks.secants import build_secants
 
 
 def run(*argv):
@@ -93,6 +110,18 @@ class TestMaskCommand:
     def test_missing_dataset_exit_code(self, tmp_path):
         assert run("mask", "--data", tmp_path / "nope.csv", "--sizes", "2") == 1
 
+    def test_more_than_one_algorithm_rejected(self, tmp_path):
+        code = run(
+            "mask",
+            "--synth", "translating_blob:n=20,g=8,seed=1",
+            "--algorithms", "maps_global,maps_local",
+            "--sizes", "2",
+            "--k", "4",
+            "--out-dir", tmp_path,
+        )
+        assert code == 1
+        assert not list(tmp_path.iterdir())
+
 
 class TestEvaluateCommand:
     def test_results_schema(self, tmp_path):
@@ -128,6 +157,99 @@ class TestEvaluateCommand:
             else:
                 assert row[idx["trials"]] == "1"
                 assert row[idx["stddev"]] == ""
+
+
+class TestPlanValues:
+    """evaluate and oose rows equal the values the library computes for each
+    selector at each size, one branch of the mask plan per algorithm."""
+
+    SYNTH = "translating_blob:n=40,g=5,seed=3"
+    SIZES = (3, 4)
+    K = 6
+    SEED = 4
+    TRIALS = 2
+
+    @pytest.fixture(scope="class")
+    def X(self):
+        return synth_dataset("translating_blob", 40, seed=3, g=5)
+
+    @pytest.fixture(scope="class")
+    def library_masks(self, X):
+        A = build_secants(X, knn_graph(X, self.K))
+        return {
+            "maps_global": {m: [maps_global(A, m)] for m in self.SIZES},
+            "pcoa": {m: [pcoa(X, m)] for m in self.SIZES},
+            "random": {
+                m: [random_mask(X.d, m, self.SEED + t) for t in range(self.TRIALS)]
+                for m in self.SIZES
+            },
+            "exact_global": {m: [exact_mask_global(A, m)[0]] for m in self.SIZES},
+        }
+
+    def run_command(self, command, tmp_path, *extra):
+        results = tmp_path / "results.csv"
+        code = run(
+            command,
+            "--synth", self.SYNTH,
+            "--algorithms", "maps_global,pcoa,random,exact_global",
+            "--sizes", ",".join(map(str, self.SIZES)),
+            "--k", self.K, "--l", "2",
+            "--trials", self.TRIALS,
+            "--seed", self.SEED,
+            "--out-dir", tmp_path,
+            "--results", results,
+            *extra,
+        )
+        assert code == 0
+        with open(results, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        return {(r["algorithm"], int(r["m"]), r["metric"], r["method"]): r for r in rows}
+
+    @staticmethod
+    def check_row(row, values, algorithm):
+        assert float(row["value"]) == float(np.mean(values))
+        assert row["trials"] == str(len(values))
+        if algorithm == "random":
+            assert float(row["stddev"]) == float(np.std(values))
+        else:
+            assert row["stddev"] == ""
+
+    def test_evaluate_rows(self, tmp_path, X, library_masks):
+        rows = self.run_command("evaluate", tmp_path, "--k-lle", self.K, "--np-k", "5")
+        D_full = geodesics(X, knn_graph(X, self.K))
+        W_full = lle_weights(X, knn_graph(X, self.K), 1e-3)
+        checked = 0
+        for algorithm, plan in library_masks.items():
+            for m, masks in plan.items():
+                scores = []
+                for mask in masks:
+                    Xm = apply_mask(X, mask)
+                    G = knn_graph(Xm, self.K)
+                    Y_iso = classical_mds(geodesics(Xm, G), 2)
+                    Y_lle = lle_embed(lle_weights(Xm, G, 1e-3), 2)
+                    scores.append({
+                        "residual_variance": residual_variance(D_full, Y_iso),
+                        "neighbor_preservation": neighbor_preservation(X, Y_iso, 5),
+                        "embedding_error": embedding_error(W_full, Y_lle),
+                    })
+                for metric in scores[0]:
+                    values = [s[metric] for s in scores]
+                    self.check_row(rows[(algorithm, m, metric, "")], values, algorithm)
+                    checked += 1
+        assert checked == len(rows) == 4 * len(self.SIZES) * 3
+
+    def test_oose_rows(self, tmp_path, X, library_masks):
+        methods = ("isomap", "gaze")
+        rows = self.run_command("oose", tmp_path, "--methods", ",".join(methods))
+        checked = 0
+        for algorithm, plan in library_masks.items():
+            for m, masks in plan.items():
+                for method in methods:
+                    reports = [leave_one_out(X, mask, method, self.K, 2) for mask in masks]
+                    row = rows[(algorithm, m, reports[0].metric, method)]
+                    self.check_row(row, [r.value for r in reports], algorithm)
+                    checked += 1
+        assert checked == len(rows) == 4 * len(self.SIZES) * len(methods)
 
 
 class TestOoseCommand:
@@ -203,6 +325,19 @@ class TestConfigMerging:
         cfg_file.write_text("banana=1\n")
         with pytest.raises(ParameterError):
             build_config(self.parse("mask", "--config", cfg_file))
+
+    @pytest.mark.parametrize("command", ["evaluate", "oose"])
+    def test_zero_trials_rejected(self, tmp_path, command):
+        code = run(
+            command,
+            "--synth", "translating_blob:n=20,g=8,seed=1",
+            "--algorithms", "random",
+            "--sizes", "2",
+            "--trials", "0",
+            "--out-dir", tmp_path,
+        )
+        assert code == 1
+        assert not list(tmp_path.iterdir())
 
     def test_unsorted_sizes_rejected(self):
         from manifold_masks.errors import ParameterError

@@ -8,6 +8,7 @@ from manifold_masks.embeddings import (
     classical_mds,
     geodesics,
     isomap,
+    largest_component,
     lle_embed,
     lle_weights,
     pca_embed,
@@ -45,6 +46,20 @@ class TestGeodesics:
         D = geodesics(X, knn_graph(X, 4))
         np.testing.assert_allclose(D.D, D.D.T)
         np.testing.assert_array_equal(np.diag(D.D), 0.0)
+
+    def test_duplicate_points_keep_zero_weight_edge(self):
+        X = DataMatrix(points=np.array([[0.0], [0.0], [1.0], [2.0], [3.0]]))
+        D = geodesics(X, knn_graph(X, 2))
+        assert D.connected
+        assert D.D[0, 1] == 0.0 and D.D[1, 0] == 0.0
+        assert D.D[1, 4] == pytest.approx(3.0)
+
+    def test_largest_component_joined_by_zero_distance_edge(self):
+        # point 1 reaches the rest only through its duplicate, point 0
+        X = DataMatrix(points=np.array([[0.0], [0.0], [0.5], [100.0], [101.0]]))
+        G = knn_graph(X, 1)
+        assert G.has_duplicates
+        np.testing.assert_array_equal(largest_component(X, G), [0, 1, 2])
 
 
 class TestClassicalMds:
