@@ -48,7 +48,7 @@ from .metrics import (
     neighbor_preservation,
     residual_variance,
 )
-from .oose import leave_one_out
+from .oose import METHODS, leave_one_out
 from .secants import build_clique_array, build_secants
 
 SELECTORS = ("maps_global", "maps_local", "pcoa", "random", "exact_global", "exact_local")
@@ -82,6 +82,14 @@ class RunConfig:
             raise ParameterError(f"mask sizes must be strictly increasing, got {self.sizes}")
         if self.trials < 1:
             raise ParameterError(f"trials must be at least 1, got {self.trials}")
+        for name in self.algorithms:
+            if name not in SELECTORS:
+                raise ParameterError(f"unknown algorithm {name!r}; choose from {SELECTORS}")
+        for name in self.methods:
+            if name not in METHODS:
+                raise ParameterError(
+                    f"unknown leave-one-out method {name!r}; choose from {METHODS}"
+                )
 
 
 def _coerce(key: str, value):
@@ -174,11 +182,9 @@ def mask_plan(cfg: RunConfig, X: DataMatrix, algorithm: str) -> list[tuple[int, 
     elif algorithm == "exact_global":
         A = build_secants(X, knn_graph(X, cfg.k))
         return [(m, [exact_mask_global(A, m, cfg.p)[0]]) for m in cfg.sizes]
-    elif algorithm == "exact_local":
+    else:  # exact_local
         B = build_clique_array(X, knn_graph(X, cfg.k))
         return [(m, [exact_mask_local(B, m)[0]]) for m in cfg.sizes]
-    else:
-        raise ParameterError(f"unknown algorithm {algorithm!r}; choose from {SELECTORS}")
     return [(m, [mask.prefix(m) for mask in full]) for m in cfg.sizes]
 
 

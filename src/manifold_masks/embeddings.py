@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -165,23 +163,25 @@ def isomap(
     return classical_mds(D, ell), D
 
 
-def _solve_weights(neighborhood: np.ndarray, point: np.ndarray, reg: float) -> np.ndarray:
-    """Constrained least-squares weights reconstructing ``point`` from the
-    rows of ``neighborhood``; weights sum to 1."""
-    diffs = neighborhood - point
-    C = diffs @ diffs.T
-    k = C.shape[0]
-    trace = np.trace(C)
-    ridge = reg * (trace / k) if trace > 0 else reg
-    C = C + ridge * np.eye(k)
+def _solve_weights(neighborhoods: np.ndarray, points: np.ndarray, reg: float) -> np.ndarray:
+    """Constrained least-squares weights reconstructing each of the ``(b, d)``
+    ``points`` from the rows of its ``(b, k, d)`` neighborhood; each row of
+    the ``(b, k)`` result sums to 1. ``neighborhoods`` is overwritten."""
+    diffs = np.subtract(neighborhoods, points[:, None, :], out=neighborhoods)
+    C = diffs @ diffs.transpose(0, 2, 1)
+    k = C.shape[1]
+    trace = np.trace(C, axis1=1, axis2=2)
+    ridge = np.where(trace > 0, reg * (trace / k), reg)
+    C = C + ridge[:, None, None] * np.eye(k)
     try:
-        w = np.linalg.solve(C, np.ones(k))
+        # (b, k, 1) right-hand sides: NumPy < 2 reads a 1-D one as a matrix
+        w = np.linalg.solve(C, np.ones((len(C), k, 1)))[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular local Gram system: {exc}") from exc
-    total = w.sum()
-    if total == 0:
+    total = w.sum(axis=1)
+    if np.any(total == 0):
         raise NumericalError("local weights sum to zero; cannot normalize")
-    return w / total
+    return w / total[:, None]
 
 
 def lle_weights(X: DataMatrix, G: NeighborGraph, reg: float = 1e-3) -> LleWeights:
@@ -193,22 +193,18 @@ def lle_weights(X: DataMatrix, G: NeighborGraph, reg: float = 1e-3) -> LleWeight
     if reg < 0:
         raise ParameterError(f"reg must be >= 0, got {reg}")
     n, k = X.n, G.k
-    rows = np.repeat(np.arange(n), k)
-    cols = G.neighbors.ravel()
-    vals = np.empty(n * k)
-    for i in range(n):
-        w = _solve_weights(X.points[G.neighbors[i]], X.points[i], reg)
-        vals[i * k : (i + 1) * k] = w
-    W = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    vals = _solve_weights(X.points[G.neighbors], X.points, reg).ravel()
+    W = sp.csr_matrix((vals, (np.repeat(np.arange(n), k), G.neighbors.ravel())), shape=(n, n))
     return LleWeights(W=W, k=k)
 
 
 def lle_embed(W: LleWeights, ell: int) -> Embedding:
     """Spectral embedding minimizing the local reconstruction error.
 
-    Takes the eigenvectors of (I-W)'(I-W) at the smallest nonzero
-    eigenvalues, discarding the constant bottom eigenvector, and scales by
-    sqrt(n) so the embedding has identity covariance.
+    Takes the eigenvectors of (I-W)'(I-W) at its ``ell`` smallest eigenvalues
+    other than the zero of the constant vector, which a spectral shift moves
+    to the top, and scales by sqrt(n) so the embedding has identity
+    covariance.
     """
     n = W.n
     if not (1 <= ell <= n - 2):
@@ -217,31 +213,18 @@ def lle_embed(W: LleWeights, ell: int) -> Embedding:
     M = IW.T @ IW
     M = 0.5 * (M + M.T)
     # Row-stochastic W makes the constant vector an exact null mode of M.
-    # Shift it to the top of the spectrum so it cannot mix with the tiny
-    # nonzero eigenvalues we keep; on its orthogonal complement the
-    # spectrum is unchanged.
+    # Adding (shift/n)*11' moves it to eigenvalue shift >= ||M||_2, the top
+    # of the spectrum, so it cannot mix with the tiny eigenvalues we keep;
+    # on its orthogonal complement the spectrum is unchanged, and the bottom
+    # ell eigenpairs are the answer.
     shift = max(float(np.linalg.norm(M, ord=2)), 1.0)
     M = M + (shift / n) * np.ones((n, n))
     try:
         evals, evecs = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    max_ev = float(evals[-1])
-    keep = []
-    for idx in range(n):
-        v = evecs[:, idx]
-        near_zero = evals[idx] < 1e-10 * max(max_ev, 1.0)
-        constant = np.all(np.abs(v - v.mean()) < 1e-6)
-        if near_zero and constant:
-            continue  # the trivial translation mode
-        keep.append(idx)
-        if len(keep) == ell:
-            break
-    if len(keep) < ell:
-        raise NumericalError(f"only {len(keep)} usable eigenvectors for ell={ell}")
-    sel_vals = evals[keep]
-    Y = _fix_signs(evecs[:, keep]) * np.sqrt(n)
-    return Embedding(Y=Y, eigenvalues=sel_vals)
+    Y = _fix_signs(evecs[:, :ell]) * np.sqrt(n)
+    return Embedding(Y=Y, eigenvalues=evals[:ell])
 
 
 def pca_embed(X: DataMatrix, m: int) -> Embedding:
@@ -256,15 +239,3 @@ def pca_embed(X: DataMatrix, m: int) -> Embedding:
     components = _fix_signs(evecs[:, order])
     return Embedding(Y=centered @ components, eigenvalues=np.maximum(evals[order], 0.0))
 
-
-def save_embedding(csv_path, sidecar_path, emb: Embedding, **meta) -> None:
-    """Write coordinates as CSV plus a JSON sidecar with eigenvalues and
-    the algorithm parameters passed as keyword arguments."""
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in emb.Y:
-            writer.writerow([f"{v:.17g}" for v in row])
-    payload = {"eigenvalues": [float(v) for v in emb.eigenvalues], **meta}
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

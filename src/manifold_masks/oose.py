@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, knn_graph, pairwise_distances
+from .data import DataMatrix, knn_graph
 from .embeddings import (
     Embedding,
     GeodesicDistances,
@@ -26,20 +26,17 @@ from .metrics import (
     procrustes_align,
 )
 
+METHODS = ("isomap", "lle", "gaze")
+
 
 @dataclass(frozen=True)
 class OoseResult:
-    """Embedding of a held-out point plus bookkeeping about the extension.
-
-    ``affected`` lists the indices of training points whose neighborhoods
-    would contain the test point, with ``n_train`` standing in for the test
-    point itself.
-    """
+    """Embedding of a held-out point, with the training points it was
+    extended from and, for LLE, their reconstruction weights."""
 
     y: np.ndarray  # (l,)
     weights: np.ndarray | None  # (k,) for LLE-style extensions
     neighbor_indices: np.ndarray  # (k,) training indices used
-    affected: np.ndarray
 
 
 def _test_neighbors(X_train: DataMatrix, x_test: np.ndarray, k: int):
@@ -50,17 +47,12 @@ def _test_neighbors(X_train: DataMatrix, x_test: np.ndarray, k: int):
     return order, dists
 
 
-def _affected_by_test(X_train: DataMatrix, x_test: np.ndarray, k: int) -> np.ndarray:
-    """Training points that would adopt the test point as a k-NN, plus the
-    test point itself (index n_train)."""
-    n = X_train.n
-    dist_train = pairwise_distances(X_train.points)
-    np.fill_diagonal(dist_train, np.inf)
-    kth = np.sort(dist_train, axis=1)[:, min(k, n - 1) - 1]
-    to_test = np.linalg.norm(X_train.points - x_test, axis=1)
-    # strict <: on exact ties the existing (lower-index) neighbor wins
-    affected = np.flatnonzero(to_test < kth)
-    return np.append(affected, n)
+def _test_weights(X_train: DataMatrix, x_test: np.ndarray, k: int, reg: float):
+    """The test point's k nearest training points and the constrained
+    weights that reconstruct it from them."""
+    x_test = np.asarray(x_test, dtype=np.float64)
+    nn, _ = _test_neighbors(X_train, x_test, k)
+    return nn, _solve_weights(X_train.points[nn][None], x_test[None], reg)[0]
 
 
 def lle_oose(
@@ -76,16 +68,8 @@ def lle_oose(
     point's k nearest training points and applies them to the training
     embedding coordinates.
     """
-    x_test = np.asarray(x_test, dtype=np.float64)
-    nn, _ = _test_neighbors(X_train, x_test, k)
-    w = _solve_weights(X_train.points[nn], x_test, reg)
-    y = w @ Y_train.Y[nn]
-    return OoseResult(
-        y=y,
-        weights=w,
-        neighbor_indices=nn,
-        affected=_affected_by_test(X_train, x_test, k),
-    )
+    nn, w = _test_weights(X_train, x_test, k, reg)
+    return OoseResult(y=w @ Y_train.Y[nn], weights=w, neighbor_indices=nn)
 
 
 def isomap_oose(
@@ -114,12 +98,7 @@ def isomap_oose(
     col_means = np.mean(D_geo.D**2, axis=0)
     vectors = emb.Y / np.sqrt(evals)[None, :]  # recover unit eigenvectors
     y = 0.5 / np.sqrt(evals) * ((col_means - d_test**2) @ vectors)
-    return OoseResult(
-        y=y,
-        weights=None,
-        neighbor_indices=nn,
-        affected=_affected_by_test(X_train, x_test, k),
-    )
+    return OoseResult(y=y, weights=None, neighbor_indices=nn)
 
 
 def estimate_parameters(
@@ -132,9 +111,7 @@ def estimate_parameters(
     """
     if X_train.params is None:
         raise ParameterError("training data carries no ground-truth params")
-    x_test = np.asarray(x_test, dtype=np.float64)
-    nn, _ = _test_neighbors(X_train, x_test, k)
-    w = _solve_weights(X_train.points[nn], x_test, reg)
+    nn, w = _test_weights(X_train, x_test, k, reg)
     return w @ X_train.params[nn]
 
 
@@ -144,27 +121,6 @@ def _drop_point(X: DataMatrix, i: int) -> DataMatrix:
         points=X.points[keep],
         params=None if X.params is None else X.params[keep],
     )
-
-
-def _isomap_folds(masked: DataMatrix, k: int, ell: int, exact_folds: bool):
-    """Yield (i, Y_train, D_fold, train_data) per left-out point."""
-    n = masked.n
-    G = knn_graph(masked, k)
-    D_full = geodesics(masked, G)
-    if not D_full.connected:
-        raise DisconnectedGraphError("masked dataset's neighbor graph is disconnected")
-    for i in range(n):
-        train = _drop_point(masked, i)
-        if exact_folds:
-            D_fold = geodesics(train, knn_graph(train, k))
-            if not D_fold.connected:
-                raise DisconnectedGraphError(f"fold {i}: training graph disconnected")
-        else:
-            keep = np.delete(np.arange(n), i)
-            D_fold = GeodesicDistances(
-                D=D_full.D[np.ix_(keep, keep)], connected=True
-            )
-        yield i, classical_mds(D_fold, ell), D_fold, train
 
 
 def leave_one_out(
@@ -199,8 +155,20 @@ def leave_one_out(
         if not D_ref.connected:
             raise DisconnectedGraphError("full dataset's neighbor graph is disconnected")
         Y_ref = classical_mds(D_ref, ell)
+        D_masked = geodesics(masked, knn_graph(masked, k))
+        if not D_masked.connected:
+            raise DisconnectedGraphError("masked dataset's neighbor graph is disconnected")
         Y_oose = np.empty((n, ell))
-        for i, Y_train, D_fold, train in _isomap_folds(masked, k, ell, exact_folds):
+        for i in range(n):
+            train = _drop_point(masked, i)
+            if exact_folds:
+                D_fold = geodesics(train, knn_graph(train, k))
+                if not D_fold.connected:
+                    raise DisconnectedGraphError(f"fold {i}: training graph disconnected")
+            else:
+                keep = np.delete(np.arange(n), i)
+                D_fold = GeodesicDistances(D=D_masked.D[np.ix_(keep, keep)], connected=True)
+            Y_train = classical_mds(D_fold, ell)
             res = isomap_oose(train, D_fold, Y_train, masked.points[i], k)
             Z = np.insert(Y_train.Y, i, res.y, axis=0)
             aligned, _ = procrustes_align(Y_ref, Embedding(Y=Z, eigenvalues=Y_train.eigenvalues))
@@ -231,4 +199,4 @@ def leave_one_out(
             errors[i] = np.linalg.norm(theta - X.params[i])
         return EvalReport(metric="gaze_error", value=float(np.mean(errors)), context=context)
 
-    raise ParameterError(f"unknown leave-one-out method {method!r}")
+    raise ParameterError(f"unknown leave-one-out method {method!r}; choose from {METHODS}")

@@ -339,6 +339,22 @@ class TestConfigMerging:
         assert code == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "command, flag, names",
+        [("evaluate", "--algorithms", "pcoa,bogus"), ("oose", "--methods", "isomap,bogus")],
+    )
+    def test_unknown_name_rejected_before_any_work(self, tmp_path, command, flag, names):
+        code = run(
+            command,
+            "--synth", "translating_blob:n=20,g=8,seed=1",
+            "--algorithms", "pcoa",
+            "--sizes", "2",
+            flag, names,
+            "--out-dir", tmp_path,
+        )
+        assert code == 1
+        assert not list(tmp_path.iterdir())
+
     def test_unsorted_sizes_rejected(self):
         from manifold_masks.errors import ParameterError
 

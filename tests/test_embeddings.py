@@ -13,7 +13,7 @@ from manifold_masks.embeddings import (
     lle_weights,
     pca_embed,
 )
-from manifold_masks.errors import DisconnectedGraphError, ParameterError
+from manifold_masks.errors import DisconnectedGraphError, NumericalError, ParameterError
 from manifold_masks.metrics import residual_variance
 
 
@@ -188,6 +188,25 @@ class TestLleWeights:
         X = DataMatrix(points=rng.random((10, 3)))
         with pytest.raises(ParameterError):
             lle_weights(X, knn_graph(X, 2), reg=-1.0)
+
+    @pytest.mark.parametrize("k, d", [(8, 3), (4, 10)])
+    def test_rows_match_per_row_solve(self, rng, k, d):
+        # with k > d the local Gram is singular and the ridge sets the weights
+        reg = 1e-3
+        X = DataMatrix(points=rng.random((30, d)))
+        G = knn_graph(X, k)
+        W = lle_weights(X, G, reg).W.toarray()
+        for i in range(X.n):
+            diffs = X.points[G.neighbors[i]] - X.points[i]
+            C = diffs @ diffs.T
+            w = np.linalg.solve(C + reg * np.trace(C) / k * np.eye(k), np.ones(k))
+            np.testing.assert_allclose(W[i, G.neighbors[i]], w / w.sum(), rtol=1e-12)
+
+    def test_unregularized_duplicates_raise(self):
+        # both neighbors of point 0 coincide with it, so its local Gram is zero
+        X = DataMatrix(points=np.array([[0.0, 0.0]] * 3 + [[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NumericalError):
+            lle_weights(X, knn_graph(X, 2), reg=0.0)
 
 
 class TestLleEmbed:

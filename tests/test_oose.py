@@ -40,29 +40,6 @@ class TestLleOose:
         res = lle_oose(train, Y, rng.random(4), k=5)
         assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_affected_contains_test_sentinel(self, rng):
-        train = DataMatrix(points=rng.random((15, 3)))
-        Y = Embedding(Y=rng.random((15, 1)), eigenvalues=np.ones(1))
-        res = lle_oose(train, Y, rng.random(3), k=3)
-        assert res.affected[-1] == 15
-
-    def test_affected_matches_brute_force(self, rng):
-        k = 3
-        train = DataMatrix(points=rng.random((20, 3)))
-        x_test = rng.random(3)
-        Y = Embedding(Y=rng.random((20, 1)), eigenvalues=np.ones(1))
-        res = lle_oose(train, Y, x_test, k=k)
-        # a training point is affected iff the test point displaces one of
-        # its current k nearest neighbors (existing neighbors win exact ties)
-        expected = set()
-        for i in range(20):
-            others = [np.linalg.norm(train.points[i] - train.points[j]) for j in range(20) if j != i]
-            kth = sorted(others)[k - 1]
-            if np.linalg.norm(train.points[i] - x_test) < kth:
-                expected.add(i)
-        expected.add(20)
-        assert set(int(v) for v in res.affected) == expected
-
 
 class TestIsomapOose:
     def test_training_point_self_consistency(self, rng):
@@ -111,6 +88,15 @@ class TestEstimateParameters:
         true_center = np.array([5.4, 6.8])
         theta = estimate_parameters(train, blob_image(g, true_center, radius=2.0), k=5)
         assert np.linalg.norm(theta - true_center) < 0.1 * step
+
+    def test_matches_lle_extension(self, rng):
+        # the same weights carry parameters and embedding coordinates
+        Y = rng.random((25, 2))
+        train = DataMatrix(points=rng.random((25, 4)), params=Y)
+        x_test = rng.random(4)
+        theta = estimate_parameters(train, x_test, k=6, reg=1e-3)
+        res = lle_oose(train, Embedding(Y=Y, eigenvalues=np.ones(2)), x_test, k=6, reg=1e-3)
+        np.testing.assert_array_equal(theta, res.y)
 
     def test_requires_params(self, rng):
         train = DataMatrix(points=rng.random((10, 3)))
