@@ -5,15 +5,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import os
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .data import DataMatrix, knn_graph, load_dataset, read_key_values, synth_dataset
+from .data import DataMatrix, NeighborGraph, knn_graph, load_dataset, read_key_values, synth_dataset
 from .embeddings import (
     GeodesicDistances,
     LleWeights,
@@ -105,7 +103,10 @@ def _coerce(key: str, value):
     if key == "reg":
         return float(value)
     if key == "exact_folds":
-        return value.lower() in ("1", "true", "yes", "on")
+        flag = value.lower()
+        if flag not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ParameterError(f"exact_folds must be true or false, got {value!r}")
+        return flag in ("1", "true", "yes", "on")
     return value
 
 
@@ -230,43 +231,15 @@ def cmd_mask(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _data_hash(X: DataMatrix, *params) -> str:
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(X.points).tobytes())
-    digest.update(repr(params).encode())
-    return digest.hexdigest()[:16]
-
-
 def full_references(
-    cfg: RunConfig, X: DataMatrix, cache_dir: str | None
-) -> tuple[GeodesicDistances, LleWeights]:
-    """Full-data geodesics and LLE weights, cached by content hash."""
-    key = _data_hash(X, cfg.k, cfg.k_lle, cfg.reg)
-    cache_path = os.path.join(cache_dir, f"refs_{key}.npz") if cache_dir else None
-    if cache_path and os.path.exists(cache_path):
-        payload = np.load(cache_path)
-        D = GeodesicDistances(D=payload["D"], connected=bool(payload["connected"]))
-        W = LleWeights(
-            W=sp.csr_matrix(
-                (payload["w_data"], payload["w_indices"], payload["w_indptr"]),
-                shape=(X.n, X.n),
-            ),
-            k=cfg.k_lle,
-        )
-        return D, W
+    cfg: RunConfig, X: DataMatrix
+) -> tuple[GeodesicDistances, LleWeights, NeighborGraph]:
+    """The full-data references every mask of a run is scored against:
+    geodesics (residual variance), LLE weights (embedding error) and the
+    ``np_k`` graph (neighbor preservation)."""
     D = geodesics(X, knn_graph(X, cfg.k))
     W = lle_weights(X, knn_graph(X, cfg.k_lle), cfg.reg)
-    if cache_path:
-        os.makedirs(cache_dir, exist_ok=True)
-        np.savez_compressed(
-            cache_path,
-            D=D.D,
-            connected=D.connected,
-            w_data=W.W.data,
-            w_indices=W.W.indices,
-            w_indptr=W.W.indptr,
-        )
-    return D, W
+    return D, W, knn_graph(X, cfg.np_k)
 
 
 def _masked_metrics(
@@ -275,6 +248,7 @@ def _masked_metrics(
     mask: Mask,
     D_full: GeodesicDistances,
     W_full: LleWeights,
+    G_full: NeighborGraph,
 ) -> dict[str, float]:
     Xm = apply_mask(X, mask)
     D_m = geodesics(Xm, knn_graph(Xm, cfg.k))
@@ -282,7 +256,7 @@ def _masked_metrics(
     Y_lle = lle_embed(lle_weights(Xm, knn_graph(Xm, cfg.k_lle), cfg.reg), cfg.l)
     return {
         "residual_variance": residual_variance(D_full, Y_iso),
-        "neighbor_preservation": neighbor_preservation(X, Y_iso, cfg.np_k),
+        "neighbor_preservation": neighbor_preservation(G_full, Y_iso),
         "embedding_error": embedding_error(W_full, Y_lle),
     }
 
@@ -290,12 +264,12 @@ def _masked_metrics(
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     X, dataset_id = _load_for_masks(cfg)
     results = cfg.results or os.path.join(cfg.out_dir, "results.csv")
-    D_full, W_full = full_references(cfg, X, os.path.join(cfg.out_dir, ".cache"))
+    refs = full_references(cfg, X)
     base_ctx = {"dataset": dataset_id, "k": cfg.k, "l": cfg.l, "seed": cfg.seed}
 
     for algorithm in cfg.algorithms:
         for m, masks in mask_plan(cfg, X, algorithm):
-            scores = [_masked_metrics(cfg, X, mask, D_full, W_full) for mask in masks]
+            scores = [_masked_metrics(cfg, X, mask, *refs) for mask in masks]
             context = {**base_ctx, "algorithm": algorithm, "m": m}
             append_results(
                 results,
@@ -307,6 +281,8 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
 def cmd_oose(cfg: RunConfig, args) -> int:
     X, dataset_id = _load_for_masks(cfg)
+    if "gaze" in cfg.methods and X.params is None:
+        raise ParameterError("gaze evaluation needs ground-truth params")
     results = cfg.results or os.path.join(cfg.out_dir, "oose_results.csv")
     base_ctx = {"dataset": dataset_id, "seed": cfg.seed}
 

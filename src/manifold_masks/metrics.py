@@ -85,18 +85,15 @@ def residual_variance(D_geo: GeodesicDistances, Y: Embedding) -> float:
     return max(0.0, 1.0 - r * r)
 
 
-def neighbor_preservation(X_full: DataMatrix, Y: Embedding, k: int) -> float:
-    """Mean percentage of each point's k-NN in the full ambient data that
-    survive as k-NN of the embedded coordinates."""
-    if X_full.n != Y.n:
-        raise ParameterError(f"size mismatch: {X_full.n} vs {Y.n}")
-    full_graph = knn_graph(X_full, k)
-    emb_graph = knn_graph(DataMatrix(points=Y.Y), k)
-    overlaps = [
-        len(set(full_graph.neighbors[i]) & set(emb_graph.neighbors[i]))
-        for i in range(X_full.n)
-    ]
-    return 100.0 * float(np.mean(overlaps)) / k
+def neighbor_preservation(G_full: NeighborGraph, Y: Embedding) -> float:
+    """Mean percentage of each point's ``G_full.k`` nearest neighbors in the
+    full-data graph ``G_full`` that survive as nearest neighbors of the
+    embedded coordinates."""
+    if G_full.n != Y.n:
+        raise ParameterError(f"size mismatch: {G_full.n} vs {Y.n}")
+    emb_graph = knn_graph(DataMatrix(points=Y.Y), G_full.k)
+    overlaps = [len(set(a) & set(b)) for a, b in zip(G_full.neighbors, emb_graph.neighbors)]
+    return 100.0 * float(np.mean(overlaps)) / G_full.k
 
 
 def embedding_error(W_full: LleWeights, Y: Embedding) -> float:

@@ -204,7 +204,7 @@ def _blob_scores():
         Y_lle = lle_embed(lle_weights(Xm, knn_graph(Xm, k), reg), ell)
         return {
             "rv": residual_variance(D_full, Y_iso),
-            "np": neighbor_preservation(X, Y_iso, np_k),
+            "np": neighbor_preservation(knn_graph(X, np_k), Y_iso),
             "ee": embedding_error(W_full, Y_lle),
         }
 

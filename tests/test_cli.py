@@ -158,6 +158,20 @@ class TestEvaluateCommand:
                 assert row[idx["trials"]] == "1"
                 assert row[idx["stddev"]] == ""
 
+    def test_out_dir_holds_only_results(self, tmp_path):
+        # the full-data references live in memory; nothing else is written
+        out = tmp_path / "out"
+        code = run(
+            "evaluate",
+            "--synth", "translating_blob:n=40,g=5,seed=3",
+            "--algorithms", "pcoa",
+            "--sizes", "3",
+            "--k", "6", "--k-lle", "6", "--np-k", "5", "--l", "2",
+            "--out-dir", out,
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["results.csv"]
+
 
 class TestPlanValues:
     """evaluate and oose rows equal the values the library computes for each
@@ -229,7 +243,7 @@ class TestPlanValues:
                     Y_lle = lle_embed(lle_weights(Xm, G, 1e-3), 2)
                     scores.append({
                         "residual_variance": residual_variance(D_full, Y_iso),
-                        "neighbor_preservation": neighbor_preservation(X, Y_iso, 5),
+                        "neighbor_preservation": neighbor_preservation(knn_graph(X, 5), Y_iso),
                         "embedding_error": embedding_error(W_full, Y_lle),
                     })
                 for metric in scores[0]:
@@ -288,6 +302,20 @@ class TestOoseCommand:
         assert set(by_method) == {"isomap", "gaze"}
         assert by_method["isomap"][idx["metric"]] == "oose_error"
         assert by_method["gaze"][idx["metric"]] == "gaze_error"
+
+    def test_gaze_without_params_rejected_before_any_work(self, tmp_path, line_files):
+        data, _ = line_files  # without the sidecar, no column holds params
+        code = run(
+            "oose",
+            "--data", data,
+            "--algorithms", "pcoa",
+            "--sizes", "2",
+            "--methods", "isomap,gaze",
+            "--k", "3", "--l", "1",
+            "--out-dir", tmp_path,
+        )
+        assert code == 1
+        assert not (tmp_path / "oose_results.csv").exists()
 
 
 class TestRenderMaskCommand:
@@ -354,6 +382,29 @@ class TestConfigMerging:
         )
         assert code == 1
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "value, expected", [("false", False), ("OFF", False), ("0", False), ("True", True), ("yes", True)]
+    )
+    def test_exact_folds_spellings(self, tmp_path, value, expected):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"exact_folds={value}\n")
+        assert build_config(self.parse("oose", "--config", cfg_file)).exact_folds is expected
+
+    def test_exact_folds_typo_rejected(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("exact_folds=ture\n")
+        out = tmp_path / "out"
+        code = run(
+            "oose",
+            "--config", cfg_file,
+            "--synth", "translating_blob:n=20,g=8,seed=1",
+            "--algorithms", "pcoa",
+            "--sizes", "2",
+            "--out-dir", out,
+        )
+        assert code == 1
+        assert not out.exists()
 
     def test_unsorted_sizes_rejected(self):
         from manifold_masks.errors import ParameterError

@@ -81,13 +81,13 @@ class TestNeighborPreservation:
     def test_identity_embedding_full_score(self, rng):
         pts = rng.random((30, 4))
         X = DataMatrix(points=pts)
-        assert neighbor_preservation(X, emb(pts), 5) == pytest.approx(100.0)
+        assert neighbor_preservation(knn_graph(X, 5), emb(pts)) == pytest.approx(100.0)
 
     def test_isometry_full_score(self, rng):
         pts = rng.random((25, 3))
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         X = DataMatrix(points=pts)
-        assert neighbor_preservation(X, emb(pts @ Q + 7.0), 4) == pytest.approx(100.0)
+        assert neighbor_preservation(knn_graph(X, 4), emb(pts @ Q + 7.0)) == pytest.approx(100.0)
 
     def test_random_embedding_matches_hypergeometric_mean(self):
         # a random embedding turns each k-NN set into a uniform k-subset of
@@ -97,14 +97,16 @@ class TestNeighborPreservation:
         X = DataMatrix(points=pts)
         rng = np.random.default_rng(2)
         scores = [
-            neighbor_preservation(X, emb(rng.random((n, 2))), k) for _ in range(trials)
+            neighbor_preservation(knn_graph(X, k), emb(rng.random((n, 2)))) for _ in range(trials)
         ]
         expected = 100.0 * k / (n - 1)
         assert np.mean(scores) == pytest.approx(expected, abs=1.0)
 
     def test_size_mismatch(self, rng):
         with pytest.raises(ParameterError):
-            neighbor_preservation(DataMatrix(points=rng.random((5, 2))), emb(rng.random((6, 2))), 2)
+            neighbor_preservation(
+                knn_graph(DataMatrix(points=rng.random((5, 2))), 2), emb(rng.random((6, 2)))
+            )
 
 
 class TestEmbeddingError:
