@@ -10,7 +10,6 @@ from .embeddings import (
     isomap,
     lle_embed,
     lle_weights,
-    pca_embed,
 )
 from .masks import (
     Mask,

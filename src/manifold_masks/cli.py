@@ -31,7 +31,6 @@ from .masks import (
     apply_mask,
     exact_mask_global,
     exact_mask_local,
-    load_mask,
     maps_global,
     maps_local,
     mask_to_pgm,
@@ -236,10 +235,9 @@ def full_references(
 ) -> tuple[GeodesicDistances, LleWeights, NeighborGraph]:
     """The full-data references every mask of a run is scored against:
     geodesics (residual variance), LLE weights (embedding error) and the
-    ``np_k`` graph (neighbor preservation)."""
-    D = geodesics(X, knn_graph(X, cfg.k))
-    W = lle_weights(X, knn_graph(X, cfg.k_lle), cfg.reg)
-    return D, W, knn_graph(X, cfg.np_k)
+    ``np_k`` graph (neighbor preservation), each distinct graph built once."""
+    G = {k: knn_graph(X, k) for k in {cfg.k, cfg.k_lle, cfg.np_k}}
+    return geodesics(G[cfg.k]), lle_weights(X, G[cfg.k_lle], cfg.reg), G[cfg.np_k]
 
 
 def _masked_metrics(
@@ -251,9 +249,9 @@ def _masked_metrics(
     G_full: NeighborGraph,
 ) -> dict[str, float]:
     Xm = apply_mask(X, mask)
-    D_m = geodesics(Xm, knn_graph(Xm, cfg.k))
-    Y_iso = classical_mds(D_m, cfg.l)
-    Y_lle = lle_embed(lle_weights(Xm, knn_graph(Xm, cfg.k_lle), cfg.reg), cfg.l)
+    G = {k: knn_graph(Xm, k) for k in {cfg.k, cfg.k_lle}}
+    Y_iso = classical_mds(geodesics(G[cfg.k]), cfg.l)
+    Y_lle = lle_embed(lle_weights(Xm, G[cfg.k_lle], cfg.reg), cfg.l)
     return {
         "residual_variance": residual_variance(D_full, Y_iso),
         "neighbor_preservation": neighbor_preservation(G_full, Y_iso),
@@ -298,14 +296,6 @@ def cmd_oose(cfg: RunConfig, args) -> int:
                     results, [_summary(reps[0].metric, [r.value for r in reps], context)]
                 )
     print(f"wrote {results}")
-    return 0
-
-
-def cmd_render_mask(cfg: RunConfig, args) -> int:
-    mask = load_mask(args.mask)
-    h, w = (int(v) for v in args.image_shape.split(","))
-    mask_to_pgm(args.out, mask, (h, w))
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -358,13 +348,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_oose = sub.add_parser("oose", help="leave-one-out out-of-sample evaluation")
     _add_common(p_oose)
     p_oose.set_defaults(handler=cmd_oose)
-
-    p_render = sub.add_parser("render-mask", help="render a mask JSON as a PGM raster")
-    _add_common(p_render)
-    p_render.add_argument("--mask", required=True)
-    p_render.add_argument("--image-shape", dest="image_shape", required=True, help="h,w")
-    p_render.add_argument("--out", required=True)
-    p_render.set_defaults(handler=cmd_render_mask)
     return parser
 
 

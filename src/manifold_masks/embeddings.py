@@ -1,4 +1,4 @@
-"""Manifold learning and linear embeddings: Isomap, LLE, PCA."""
+"""Manifold learning: Isomap and LLE."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import shortest_path
 
 from .data import DataMatrix, NeighborGraph, knn_graph
 from .errors import DisconnectedGraphError, NumericalError, ParameterError
@@ -36,10 +36,6 @@ class Embedding:
     def n(self) -> int:
         return self.Y.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.Y.shape[1]
-
 
 @dataclass(frozen=True)
 class LleWeights:
@@ -47,7 +43,6 @@ class LleWeights:
     point's neighbor list."""
 
     W: sp.csr_matrix  # (n, n), row i supported on neighbors of i
-    k: int
 
     @property
     def n(self) -> int:
@@ -87,7 +82,7 @@ def _symmetric_adjacency(G: NeighborGraph) -> sp.csr_matrix:
     )
 
 
-def geodesics(X: DataMatrix, G: NeighborGraph) -> GeodesicDistances:
+def geodesics(G: NeighborGraph) -> GeodesicDistances:
     """Shortest-path distances over the OR-symmetrized k-NN graph.
 
     An edge exists when either endpoint lists the other as a neighbor; edge
@@ -96,13 +91,6 @@ def geodesics(X: DataMatrix, G: NeighborGraph) -> GeodesicDistances:
     """
     D = shortest_path(_symmetric_adjacency(G), method="D", directed=False)
     return GeodesicDistances(D=D, connected=bool(np.all(np.isfinite(D))))
-
-
-def largest_component(X: DataMatrix, G: NeighborGraph) -> np.ndarray:
-    """Indices of the largest connected component of the symmetrized graph."""
-    _, labels = connected_components(_symmetric_adjacency(G), directed=False)
-    counts = np.bincount(labels)
-    return np.flatnonzero(labels == int(np.argmax(counts)))
 
 
 def classical_mds(D: GeodesicDistances, ell: int) -> Embedding:
@@ -115,8 +103,8 @@ def classical_mds(D: GeodesicDistances, ell: int) -> Embedding:
     n = D.n
     if not D.connected:
         raise DisconnectedGraphError(
-            "distance matrix has infinite entries; restrict to the largest "
-            "connected component first"
+            "distance matrix has infinite entries: the k-NN graph is "
+            "disconnected; increase k"
         )
     if not (1 <= ell < n):
         raise ParameterError(f"embedding dimension must be in [1, {n - 1}], got {ell}")
@@ -141,25 +129,10 @@ def classical_mds(D: GeodesicDistances, ell: int) -> Embedding:
     return Embedding(Y=Y, eigenvalues=evals)
 
 
-def isomap(
-    X: DataMatrix, k: int, ell: int, use_largest_component: bool = False
-) -> tuple[Embedding, GeodesicDistances]:
-    """k-NN graph -> geodesic distances -> classical MDS.
-
-    With ``use_largest_component`` the pipeline restricts a disconnected
-    dataset to its largest graph component (the embedding then covers only
-    those points); otherwise disconnection raises.
-    """
-    G = knn_graph(X, k)
-    D = geodesics(X, G)
-    if not D.connected and use_largest_component:
-        keep = largest_component(X, G)
-        sub = DataMatrix(
-            points=X.points[keep],
-            params=None if X.params is None else X.params[keep],
-        )
-        G = knn_graph(sub, min(k, sub.n - 1))
-        D = geodesics(sub, G)
+def isomap(X: DataMatrix, k: int, ell: int) -> tuple[Embedding, GeodesicDistances]:
+    """k-NN graph -> geodesic distances -> classical MDS; a disconnected
+    graph raises."""
+    D = geodesics(knn_graph(X, k))
     return classical_mds(D, ell), D
 
 
@@ -195,7 +168,7 @@ def lle_weights(X: DataMatrix, G: NeighborGraph, reg: float = 1e-3) -> LleWeight
     n, k = X.n, G.k
     vals = _solve_weights(X.points[G.neighbors], X.points, reg).ravel()
     W = sp.csr_matrix((vals, (np.repeat(np.arange(n), k), G.neighbors.ravel())), shape=(n, n))
-    return LleWeights(W=W, k=k)
+    return LleWeights(W=W)
 
 
 def lle_embed(W: LleWeights, ell: int) -> Embedding:
@@ -225,17 +198,3 @@ def lle_embed(W: LleWeights, ell: int) -> Embedding:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     Y = _fix_signs(evecs[:, :ell]) * np.sqrt(n)
     return Embedding(Y=Y, eigenvalues=evals[:ell])
-
-
-def pca_embed(X: DataMatrix, m: int) -> Embedding:
-    """Projection onto the top principal components of the data covariance."""
-    n, d = X.n, X.d
-    if not (1 <= m <= min(n - 1, d)):
-        raise ParameterError(f"m must be in [1, {min(n - 1, d)}], got {m}")
-    centered = X.points - X.points.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(-evals, kind="stable")[:m]
-    components = _fix_signs(evecs[:, order])
-    return Embedding(Y=centered @ components, eigenvalues=np.maximum(evals[order], 0.0))
-

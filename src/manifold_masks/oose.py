@@ -31,12 +31,9 @@ METHODS = ("isomap", "lle", "gaze")
 
 @dataclass(frozen=True)
 class OoseResult:
-    """Embedding of a held-out point, with the training points it was
-    extended from and, for LLE, their reconstruction weights."""
+    """Embedding of a held-out point."""
 
     y: np.ndarray  # (l,)
-    weights: np.ndarray | None  # (k,) for LLE-style extensions
-    neighbor_indices: np.ndarray  # (k,) training indices used
 
 
 def _test_neighbors(X_train: DataMatrix, x_test: np.ndarray, k: int):
@@ -69,7 +66,7 @@ def lle_oose(
     embedding coordinates.
     """
     nn, w = _test_weights(X_train, x_test, k, reg)
-    return OoseResult(y=w @ Y_train.Y[nn], weights=w, neighbor_indices=nn)
+    return OoseResult(y=w @ Y_train.Y[nn])
 
 
 def isomap_oose(
@@ -98,7 +95,7 @@ def isomap_oose(
     col_means = np.mean(D_geo.D**2, axis=0)
     vectors = emb.Y / np.sqrt(evals)[None, :]  # recover unit eigenvectors
     y = 0.5 / np.sqrt(evals) * ((col_means - d_test**2) @ vectors)
-    return OoseResult(y=y, weights=None, neighbor_indices=nn)
+    return OoseResult(y=y)
 
 
 def estimate_parameters(
@@ -151,18 +148,18 @@ def leave_one_out(
 
     if method == "isomap":
         G_full = knn_graph(X, k)
-        D_ref = geodesics(X, G_full)
+        D_ref = geodesics(G_full)
         if not D_ref.connected:
             raise DisconnectedGraphError("full dataset's neighbor graph is disconnected")
         Y_ref = classical_mds(D_ref, ell)
-        D_masked = geodesics(masked, knn_graph(masked, k))
+        D_masked = geodesics(knn_graph(masked, k))
         if not D_masked.connected:
             raise DisconnectedGraphError("masked dataset's neighbor graph is disconnected")
         Y_oose = np.empty((n, ell))
         for i in range(n):
             train = _drop_point(masked, i)
             if exact_folds:
-                D_fold = geodesics(train, knn_graph(train, k))
+                D_fold = geodesics(knn_graph(train, k))
                 if not D_fold.connected:
                     raise DisconnectedGraphError(f"fold {i}: training graph disconnected")
             else:

@@ -188,7 +188,7 @@ def _blob_scores():
     """Shared desk-scale blob comparison for the two ranking criteria."""
     k, reg, np_k, ell = 8, 1e-2, 20, 2
     X = synth_dataset("translating_blob", 200, seed=1, g=16)
-    D_full = geodesics(X, knn_graph(X, k))
+    D_full = geodesics(knn_graph(X, k))
     W_full = lle_weights(X, knn_graph(X, k), reg)
     G = knn_graph(X, k)
     A = build_secants(X, G)
@@ -199,7 +199,7 @@ def _blob_scores():
 
     def score(mask):
         Xm = apply_mask(X, mask)
-        D_m = geodesics(Xm, knn_graph(Xm, k))
+        D_m = geodesics(knn_graph(Xm, k))
         Y_iso = classical_mds(D_m, ell)
         Y_lle = lle_embed(lle_weights(Xm, knn_graph(Xm, k), reg), ell)
         return {
@@ -261,7 +261,7 @@ def test_criterion_09_oose_self_consistency():
     coordinates; the midpoint extension is exact."""
     rng = np.random.default_rng(909)
     train = DataMatrix(points=rng.random((100, 3)))
-    D = geodesics(train, knn_graph(train, 8))
+    D = geodesics(knn_graph(train, 8))
     emb = classical_mds(D, 2)
     worst = 0.0
     for i in range(100):

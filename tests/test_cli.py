@@ -229,28 +229,31 @@ class TestPlanValues:
             assert row["stddev"] == ""
 
     def test_evaluate_rows(self, tmp_path, X, library_masks):
-        rows = self.run_command("evaluate", tmp_path, "--k-lle", self.K, "--np-k", "5")
-        D_full = geodesics(X, knn_graph(X, self.K))
-        W_full = lle_weights(X, knn_graph(X, self.K), 1e-3)
-        checked = 0
-        for algorithm, plan in library_masks.items():
-            for m, masks in plan.items():
-                scores = []
-                for mask in masks:
-                    Xm = apply_mask(X, mask)
-                    G = knn_graph(Xm, self.K)
-                    Y_iso = classical_mds(geodesics(Xm, G), 2)
-                    Y_lle = lle_embed(lle_weights(Xm, G, 1e-3), 2)
-                    scores.append({
-                        "residual_variance": residual_variance(D_full, Y_iso),
-                        "neighbor_preservation": neighbor_preservation(knn_graph(X, 5), Y_iso),
-                        "embedding_error": embedding_error(W_full, Y_lle),
-                    })
-                for metric in scores[0]:
-                    values = [s[metric] for s in scores]
-                    self.check_row(rows[(algorithm, m, metric, "")], values, algorithm)
-                    checked += 1
-        assert checked == len(rows) == 4 * len(self.SIZES) * 3
+        # k_lle == k shares one masked graph between Isomap and LLE
+        for k_lle in (self.K, self.K + 2):
+            out = tmp_path / str(k_lle)
+            rows = self.run_command("evaluate", out, "--k-lle", k_lle, "--np-k", "5")
+            D_full = geodesics(knn_graph(X, self.K))
+            W_full = lle_weights(X, knn_graph(X, k_lle), 1e-3)
+            G_np = knn_graph(X, 5)
+            checked = 0
+            for algorithm, plan in library_masks.items():
+                for m, masks in plan.items():
+                    scores = []
+                    for mask in masks:
+                        Xm = apply_mask(X, mask)
+                        Y_iso = classical_mds(geodesics(knn_graph(Xm, self.K)), 2)
+                        Y_lle = lle_embed(lle_weights(Xm, knn_graph(Xm, k_lle), 1e-3), 2)
+                        scores.append({
+                            "residual_variance": residual_variance(D_full, Y_iso),
+                            "neighbor_preservation": neighbor_preservation(G_np, Y_iso),
+                            "embedding_error": embedding_error(W_full, Y_lle),
+                        })
+                    for metric in scores[0]:
+                        values = [s[metric] for s in scores]
+                        self.check_row(rows[(algorithm, m, metric, "")], values, algorithm)
+                        checked += 1
+            assert checked == len(rows) == 4 * len(self.SIZES) * 3
 
     def test_oose_rows(self, tmp_path, X, library_masks):
         methods = ("isomap", "gaze")
@@ -316,16 +319,6 @@ class TestOoseCommand:
         )
         assert code == 1
         assert not (tmp_path / "oose_results.csv").exists()
-
-
-class TestRenderMaskCommand:
-    def test_render(self, tmp_path):
-        mask_path = tmp_path / "m.json"
-        save_mask(mask_path, Mask(selected=(0, 3), d=4))
-        out = tmp_path / "m.pgm"
-        code = run("render-mask", "--mask", mask_path, "--image-shape", "2,2", "--out", out)
-        assert code == 0
-        assert out.read_text().splitlines() == ["P2", "2 2", "255", "255 0", "0 255"]
 
 
 class TestConfigMerging:

@@ -8,10 +8,8 @@ from manifold_masks.embeddings import (
     classical_mds,
     geodesics,
     isomap,
-    largest_component,
     lle_embed,
     lle_weights,
-    pca_embed,
 )
 from manifold_masks.errors import DisconnectedGraphError, NumericalError, ParameterError
 from manifold_masks.metrics import residual_variance
@@ -20,46 +18,39 @@ from manifold_masks.metrics import residual_variance
 class TestGeodesics:
     def test_collinear_path_sum(self):
         X = DataMatrix(points=np.array([[0.0], [1.0], [2.0]]))
-        D = geodesics(X, knn_graph(X, 1))
+        D = geodesics(knn_graph(X, 1))
         assert D.connected
         assert D.D[0, 2] == pytest.approx(2.0)
 
     def test_complete_graph_equals_euclidean(self, rng):
         X = DataMatrix(points=rng.random((12, 3)))
-        D = geodesics(X, knn_graph(X, 11))
+        D = geodesics(knn_graph(X, 11))
         np.testing.assert_allclose(D.D, pairwise_distances(X.points), atol=1e-12)
 
     def test_lower_bounded_by_euclidean(self):
         X = synth_dataset("swiss_roll", 300, seed=5)
-        D = geodesics(X, knn_graph(X, 8))
+        D = geodesics(knn_graph(X, 8))
         euclid = pairwise_distances(X.points)
         assert np.all(D.D >= euclid - 1e-9)
 
     def test_disconnection_reported_not_raised(self):
         X = DataMatrix(points=np.array([[0.0], [0.1], [100.0], [100.1]]))
-        D = geodesics(X, knn_graph(X, 1))
+        D = geodesics(knn_graph(X, 1))
         assert not D.connected
         assert np.isinf(D.D[0, 2])
 
     def test_symmetric_zero_diagonal(self, rng):
         X = DataMatrix(points=rng.random((20, 4)))
-        D = geodesics(X, knn_graph(X, 4))
+        D = geodesics(knn_graph(X, 4))
         np.testing.assert_allclose(D.D, D.D.T)
         np.testing.assert_array_equal(np.diag(D.D), 0.0)
 
     def test_duplicate_points_keep_zero_weight_edge(self):
         X = DataMatrix(points=np.array([[0.0], [0.0], [1.0], [2.0], [3.0]]))
-        D = geodesics(X, knn_graph(X, 2))
+        D = geodesics(knn_graph(X, 2))
         assert D.connected
         assert D.D[0, 1] == 0.0 and D.D[1, 0] == 0.0
         assert D.D[1, 4] == pytest.approx(3.0)
-
-    def test_largest_component_joined_by_zero_distance_edge(self):
-        # point 1 reaches the rest only through its duplicate, point 0
-        X = DataMatrix(points=np.array([[0.0], [0.0], [0.5], [100.0], [101.0]]))
-        G = knn_graph(X, 1)
-        assert G.has_duplicates
-        np.testing.assert_array_equal(largest_component(X, G), [0, 1, 2])
 
 
 class TestClassicalMds:
@@ -131,12 +122,12 @@ class TestIsomap:
         assert residual_variance(D, emb) < 0.1
 
     def test_largest_component_flag(self):
+        """isomap has no largest-component fallback: a disconnected graph
+        raises."""
         pts = np.concatenate([np.arange(8.0), [100.0, 101.0, 102.0]])[:, None]
         X = DataMatrix(points=pts)
         with pytest.raises(DisconnectedGraphError):
             isomap(X, 2, 1)
-        emb, D = isomap(X, 2, 1, use_largest_component=True)
-        assert emb.n == 8 and D.connected
 
 
 class TestLleWeights:
@@ -239,31 +230,3 @@ class TestLleEmbed:
         W = lle_weights(X, knn_graph(X, 3))
         with pytest.raises(ParameterError):
             lle_embed(W, 9)
-
-
-class TestPcaEmbed:
-    def test_rank_one_data(self, rng):
-        direction = np.array([1.0, 2.0, 3.0])
-        coords = rng.random(20)
-        X = DataMatrix(points=coords[:, None] * direction[None, :])
-        emb = pca_embed(X, 1)
-        total_var = np.var(X.points - X.points.mean(0), axis=0).sum()
-        assert np.var(emb.Y[:, 0]) == pytest.approx(total_var, rel=1e-9)
-
-    def test_full_rotation_preserves_distances(self, rng):
-        X = DataMatrix(points=rng.random((15, 4)))
-        emb = pca_embed(X, 4)
-        np.testing.assert_allclose(
-            pairwise_distances(emb.Y), pairwise_distances(X.points), atol=1e-9
-        )
-
-    def test_variance_ordering(self, rng):
-        X = DataMatrix(points=rng.random((30, 6)))
-        emb = pca_embed(X, 5)
-        variances = np.var(emb.Y, axis=0)
-        assert np.all(np.diff(variances) <= 1e-12)
-
-    def test_m_out_of_range(self, rng):
-        X = DataMatrix(points=rng.random((10, 3)))
-        with pytest.raises(ParameterError):
-            pca_embed(X, 4)

@@ -22,9 +22,9 @@ class TestLleOose:
         train = DataMatrix(points=np.array([[0.0, 0.0], [2.0, 2.0], [10.0, -3.0]]))
         Y = Embedding(Y=np.array([[0.0], [4.0], [50.0]]), eigenvalues=np.ones(1))
         res = lle_oose(train, Y, np.array([1.0, 1.0]), k=2, reg=1e-9)
-        np.testing.assert_allclose(res.weights, [0.5, 0.5], atol=1e-6)
+        # the midpoint of the first two embeddings; the far third point,
+        # embedded at 50, takes no part
         assert res.y[0] == pytest.approx(2.0, abs=1e-6)
-        np.testing.assert_array_equal(np.sort(res.neighbor_indices), [0, 1])
 
     def test_barycentric(self):
         t = 0.25
@@ -35,16 +35,20 @@ class TestLleOose:
         assert res.y[0] == pytest.approx((1 - t) * 1.0 + t * 9.0, abs=1e-5)
 
     def test_weights_sum_to_one(self, rng):
+        """Weights summing to one make the extension affine equivariant:
+        translating the training embedding translates the result."""
         train = DataMatrix(points=rng.random((20, 4)))
         Y = Embedding(Y=rng.random((20, 2)), eigenvalues=np.ones(2))
-        res = lle_oose(train, Y, rng.random(4), k=5)
-        assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        x, c = rng.random(4), np.array([3.0, -7.5])
+        res = lle_oose(train, Y, x, k=5)
+        shifted = lle_oose(train, Embedding(Y=Y.Y + c, eigenvalues=Y.eigenvalues), x, k=5)
+        np.testing.assert_allclose(shifted.y, res.y + c, rtol=0, atol=1e-12)
 
 
 class TestIsomapOose:
     def test_training_point_self_consistency(self, rng):
         train = DataMatrix(points=rng.random((40, 3)))
-        D = geodesics(train, knn_graph(train, 6))
+        D = geodesics(knn_graph(train, 6))
         emb = classical_mds(D, 2)
         for i in range(0, 40, 7):
             res = isomap_oose(train, D, emb, train.points[i], k=6)
@@ -53,7 +57,7 @@ class TestIsomapOose:
     def test_new_point_on_line(self):
         coords = np.linspace(0.0, 9.0, 10)
         train = DataMatrix(points=coords[:, None])
-        D = geodesics(train, knn_graph(train, 2))
+        D = geodesics(knn_graph(train, 2))
         emb = classical_mds(D, 1)
         res = isomap_oose(train, D, emb, np.array([4.3]), k=2)
         # training embedding is the centered coordinate up to sign
@@ -62,7 +66,7 @@ class TestIsomapOose:
 
     def test_nonpositive_eigenvalue_rejected(self, rng):
         train = DataMatrix(points=rng.random((10, 2)))
-        D = geodesics(train, knn_graph(train, 3))
+        D = geodesics(knn_graph(train, 3))
         bad = Embedding(Y=np.zeros((10, 1)), eigenvalues=np.array([0.0]))
         with pytest.raises(ParameterError):
             isomap_oose(train, D, bad, rng.random(2), k=3)
