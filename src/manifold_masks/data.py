@@ -272,6 +272,22 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     return np.sqrt(d2)
 
 
+def _k_smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of a 2-D array,
+    in increasing order with ties to the lower index: the first k columns of
+    a stable argsort, without sorting whole rows."""
+    rows = np.arange(len(values))[:, None]
+    part = np.argpartition(values, k - 1, axis=1)[:, :k]
+    kept = values[rows, part]
+    idx = part[rows, np.lexsort((part, kept), axis=1)]
+    # a row with more than k entries at or below its k-th value had a tie
+    # group cut by the partition, which may have kept a higher index
+    kth = kept.max(axis=1, keepdims=True)
+    for r in np.flatnonzero((values <= kth).sum(axis=1) > k):
+        idx[r] = np.argsort(values[r], kind="stable")[:k]
+    return idx
+
+
 def knn_graph(X: DataMatrix, k: int) -> NeighborGraph:
     """Exact k nearest neighbors by Euclidean distance.
 
@@ -283,10 +299,8 @@ def knn_graph(X: DataMatrix, k: int) -> NeighborGraph:
         raise ParameterError(f"k must be in [1, {n - 1}], got {k}")
     dist = pairwise_distances(X.points)
     # exclude self by pushing the diagonal past every finite distance
-    masked = dist.copy()
-    np.fill_diagonal(masked, np.inf)
-    # stable sort on distance keeps lower indices first on ties
-    order = np.argsort(masked, axis=1, kind="stable")[:, :k]
+    np.fill_diagonal(dist, np.inf)
+    order = _k_smallest(dist, k)
     neigh_dist = np.take_along_axis(dist, order, axis=1)
     has_dup = bool(np.any(neigh_dist == 0.0))
     return NeighborGraph(

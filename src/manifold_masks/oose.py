@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, knn_graph
+from .data import DataMatrix, _k_smallest, knn_graph
 from .embeddings import (
     Embedding,
     GeodesicDistances,
@@ -37,10 +37,10 @@ class OoseResult:
 
 
 def _test_neighbors(X_train: DataMatrix, x_test: np.ndarray, k: int):
-    if k > X_train.n:
-        raise ParameterError(f"k={k} exceeds training size {X_train.n}")
+    if not (1 <= k <= X_train.n):
+        raise ParameterError(f"k must be in [1, {X_train.n}] (the training size), got {k}")
     dists = np.linalg.norm(X_train.points - x_test, axis=1)
-    order = np.argsort(dists, kind="stable")[:k]
+    order = _k_smallest(dists[None], k)[0]
     return order, dists
 
 

@@ -2,15 +2,37 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from manifold_masks.data import (
     DataMatrix,
     knn_graph,
     load_dataset,
+    pairwise_distances,
     save_binary,
     synth_dataset,
 )
 from manifold_masks.errors import FormatError, MetadataError, ParameterError
+
+
+def stable_sort_knn(points, k):
+    """Reference k-NN table: the first k columns of a stable argsort of each
+    row of the distance matrix, self excluded."""
+    dist = pairwise_distances(points)
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+@st.composite
+def grid_points_and_k(draw):
+    """Points on a small integer grid, so that repeated points and ties at
+    the k-th distance are common, and a k that is often 1 or n - 1."""
+    n = draw(st.integers(2, 14))
+    dim = draw(st.integers(1, 3))
+    points = draw(arrays(np.int64, (n, dim), elements=st.integers(0, 3)))
+    k = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    return points.astype(np.float64), k
 
 
 def write(tmp_path, name, text):
@@ -162,9 +184,25 @@ class TestKnnGraph:
     def test_boundary_separation(self, rng):
         X = DataMatrix(points=rng.random((25, 3)))
         G = knn_graph(X, 5)
-        from manifold_masks.data import pairwise_distances
-
         D = pairwise_distances(X.points)
         for i in range(25):
             outside = sorted(set(range(25)) - set(G.neighbors[i]) - {i})
             assert G.distances[i].max() <= D[i, outside].min() + 1e-12
+
+    def test_tie_group_straddling_the_k_th_place(self):
+        # point 0 has one neighbor at 1, one at sqrt(2) and four at 2; with
+        # k = 3 only the lowest index of the four makes the table
+        pts = np.array([[0, 0], [2, 0], [0, 1], [0, -2], [-2, 0], [0, 2], [1, 1]], float)
+        G = knn_graph(DataMatrix(points=pts), 3)
+        assert G.neighbors[0].tolist() == [2, 6, 1]
+        np.testing.assert_array_equal(G.distances[0], [1.0, np.sqrt(2.0), 2.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=grid_points_and_k())
+    def test_matches_stable_sort_on_tie_heavy_grids(self, case):
+        points, k = case
+        G = knn_graph(DataMatrix(points=points), k)
+        neighbors, distances = stable_sort_knn(points, k)
+        np.testing.assert_array_equal(G.neighbors, neighbors)
+        np.testing.assert_array_equal(G.distances, distances)
+        assert G.has_duplicates == (len(np.unique(points, axis=0)) < len(points))

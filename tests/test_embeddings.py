@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from manifold_masks.data import DataMatrix, knn_graph, pairwise_distances, synth_dataset
 from manifold_masks.embeddings import (
@@ -13,6 +14,18 @@ from manifold_masks.embeddings import (
 )
 from manifold_masks.errors import DisconnectedGraphError, NumericalError, ParameterError
 from manifold_masks.metrics import residual_variance
+
+
+def sign_fixed(vectors):
+    """Columns flipped so that each one's largest-magnitude entry is positive."""
+    peak = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(peak < 0, -1.0, 1.0)
+
+
+@pytest.fixture(params=[119, 200], ids=lambda n: f"blob{n}")
+def blob_graph(request):
+    X = synth_dataset("translating_blob", request.param, seed=1, g=16)
+    return X, knn_graph(X, 8)
 
 
 class TestGeodesics:
@@ -84,8 +97,9 @@ class TestClassicalMds:
         D = GeodesicDistances(
             D=np.abs(coords[:, None] - coords[None, :]), connected=True
         )
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="only 1 positive eigenvalues"):
             emb = classical_mds(D, 2)
+        assert emb.eigenvalues[1] == 0.0
         np.testing.assert_allclose(emb.Y[:, 1], 0.0, atol=1e-9)
 
     def test_deterministic_sign(self, rng):
@@ -97,6 +111,18 @@ class TestClassicalMds:
         for c in range(3):
             col = a.Y[:, c]
             assert col[np.argmax(np.abs(col))] >= 0
+
+    def test_matches_full_eigendecomposition(self, blob_graph):
+        _, G = blob_graph
+        D = geodesics(G)
+        emb = classical_mds(D, 2)
+        n = D.n
+        J = np.eye(n) - np.full((n, n), 1.0 / n)
+        tau = -0.5 * J @ D.D**2 @ J
+        evals, evecs = np.linalg.eigh(0.5 * (tau + tau.T))
+        evals, evecs = evals[::-1][:2], sign_fixed(evecs[:, ::-1][:, :2])
+        np.testing.assert_allclose(emb.eigenvalues, evals, rtol=1e-12)
+        np.testing.assert_allclose(emb.Y, evecs * np.sqrt(evals), rtol=0, atol=1e-6)
 
 
 class TestIsomap:
@@ -230,3 +256,31 @@ class TestLleEmbed:
         W = lle_weights(X, knn_graph(X, 3))
         with pytest.raises(ParameterError):
             lle_embed(W, 9)
+
+    def test_matches_full_eigendecomposition(self, blob_graph):
+        X, G = blob_graph
+        W = lle_weights(X, G, reg=1e-2)
+        emb = lle_embed(W, 2)
+        n = X.n
+        IW = np.eye(n) - W.W.toarray()
+        M = IW.T @ IW
+        evals, evecs = np.linalg.eigh(0.5 * (M + M.T))
+        # drop the constant null mode; the graph is connected, so it is the
+        # only one
+        constant = int(np.argmax(np.abs(evecs.mean(axis=0))))
+        keep = [i for i in range(n) if i != constant][:2]
+        np.testing.assert_allclose(
+            emb.eigenvalues, evals[keep], rtol=0, atol=1e-12 * np.abs(M).sum(axis=0).max()
+        )
+        np.testing.assert_allclose(emb.Y, sign_fixed(evecs[:, keep]) * np.sqrt(n), rtol=0, atol=1e-6)
+
+    def test_eigensolver_failure_is_numerical_error(self, rng, monkeypatch):
+        X = DataMatrix(points=rng.random((20, 3)))
+        W = lle_weights(X, knn_graph(X, 4))
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+            lle_embed(W, 2)

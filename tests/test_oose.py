@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from manifold_masks.data import DataMatrix, blob_image, knn_graph
 from manifold_masks.embeddings import Embedding, classical_mds, geodesics, isomap
 from manifold_masks.errors import ParameterError
 from manifold_masks.masks import Mask
 from manifold_masks.oose import (
+    _test_neighbors,
     estimate_parameters,
     isomap_oose,
     leave_one_out,
@@ -15,6 +19,27 @@ from manifold_masks.oose import (
 
 def full_mask(d):
     return Mask(selected=tuple(range(d)), d=d)
+
+
+class TestNearestTrainingPoints:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_stable_sort_on_tie_heavy_grids(self, data):
+        # small integer grids make ties at the k-th distance common
+        n = data.draw(st.integers(2, 12))
+        train = data.draw(arrays(np.int64, (n, 2), elements=st.integers(0, 3)))
+        x_test = data.draw(arrays(np.int64, 2, elements=st.integers(0, 3)))
+        k = data.draw(st.integers(1, n))
+        order, dists = _test_neighbors(DataMatrix(points=train.astype(float)), x_test, k)
+        want = np.linalg.norm(train - x_test, axis=1)
+        np.testing.assert_array_equal(dists, want)
+        np.testing.assert_array_equal(order, np.argsort(want, kind="stable")[:k])
+
+    def test_k_out_of_range(self, rng):
+        train = DataMatrix(points=rng.random((5, 2)))
+        for k in (0, 6):
+            with pytest.raises(ParameterError):
+                _test_neighbors(train, np.zeros(2), k)
 
 
 class TestLleOose:
