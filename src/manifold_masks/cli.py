@@ -27,6 +27,7 @@ from .errors import (
     ParameterError,
 )
 from .masks import (
+    NORMS,
     Mask,
     apply_mask,
     exact_mask_global,
@@ -79,6 +80,8 @@ class RunConfig:
             raise ParameterError(f"mask sizes must be strictly increasing, got {self.sizes}")
         if self.trials < 1:
             raise ParameterError(f"trials must be at least 1, got {self.trials}")
+        if self.p not in NORMS:
+            raise ParameterError(f"unknown norm p={self.p!r}; choose from {NORMS}")
         for name in self.algorithms:
             if name not in SELECTORS:
                 raise ParameterError(f"unknown algorithm {name!r}; choose from {SELECTORS}")
@@ -310,7 +313,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, help="neighborhood size for the Isomap graph")
     parser.add_argument("--k-lle", dest="k_lle", type=int, help="neighborhood size for LLE")
     parser.add_argument("--l", type=int, help="embedding dimension")
-    parser.add_argument("--p", choices=["L1", "Linf"], help="norm for the global selector")
+    parser.add_argument("--p", choices=NORMS, help="norm for the global selector")
     parser.add_argument("--reg", type=float, help="LLE regularization")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--trials", type=int, help="random-mask trial count")

@@ -264,9 +264,12 @@ def synth_dataset(kind: str, n: int, seed: int, **options) -> DataMatrix:
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Dense Euclidean distance matrix with an exact zero diagonal."""
+    """Dense Euclidean distance matrix, exactly symmetric with an exact zero
+    diagonal."""
     sq = np.sum(points**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * points @ points.T
+    # P @ P.T on its own takes NumPy's symmetric product path; (2P) @ P.T
+    # would be a general product, whose mirrored entries can differ
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return np.sqrt(d2)

@@ -61,36 +61,20 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetric_adjacency(G: NeighborGraph) -> sp.csr_matrix:
-    """The OR-symmetrized k-NN graph as a sparse matrix of edge lengths.
-
-    An edge joins i and j when either lists the other as a neighbor. The
-    edge between duplicate points has length zero and stays an explicit
-    entry, since a sparse graph reads a missing entry as no edge.
-    """
-    n, k = G.neighbors.shape
-    rows = np.repeat(np.arange(n), k)
-    cols = G.neighbors.ravel()
-    # one length per pair, the one listed last (by the later row when both
-    # points list each other): the two can differ in the last bit
-    pair = np.minimum(rows, cols) * n + np.maximum(rows, cols)
-    _, last = np.unique(pair[::-1], return_index=True)
-    keep = len(pair) - 1 - last
-    i, j, dist = rows[keep], cols[keep], G.distances.ravel()[keep]
-    return sp.csr_matrix(
-        (np.concatenate([dist, dist]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(n, n),
-    )
-
-
 def geodesics(G: NeighborGraph) -> GeodesicDistances:
     """Shortest-path distances over the OR-symmetrized k-NN graph.
 
     An edge exists when either endpoint lists the other as a neighbor; edge
-    weight is the Euclidean distance. Disconnection is reported via the
-    ``connected`` flag, not raised.
+    weight is the Euclidean distance, the same from both ends. The edge
+    between duplicate points has length zero and stays an explicit entry,
+    since a sparse graph reads a missing entry as no edge. Disconnection is
+    reported via the ``connected`` flag, not raised.
     """
-    D = shortest_path(_symmetric_adjacency(G), method="D", directed=False)
+    n, k = G.neighbors.shape
+    table = sp.csr_matrix(
+        (G.distances.ravel(), G.neighbors.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n)
+    )
+    D = shortest_path(table, method="D", directed=False)
     return GeodesicDistances(D=D, connected=bool(np.all(np.isfinite(D))))
 
 

@@ -14,6 +14,7 @@ from .errors import CapacityError, DegenerateDataError, ParameterError
 from .secants import CliqueSecantArray, SecantMatrix
 
 ORACLE_SUBSET_LIMIT = 10**6
+NORMS = ("L1", "Linf")  # the norms of the global objective
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def _lp_norm(residual: np.ndarray, p: str, axis=None) -> np.ndarray:
         return np.abs(residual).sum(axis=axis)
     if p == "Linf":
         return np.abs(residual).max(axis=axis)
-    raise ParameterError(f"p must be 'L1' or 'Linf', got {p!r}")
+    raise ParameterError(f"p must be one of {NORMS}, got {p!r}")
 
 
 def _global_cost(A: SecantMatrix, cols, p: str) -> float:

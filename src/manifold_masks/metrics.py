@@ -92,7 +92,8 @@ def neighbor_preservation(G_full: NeighborGraph, Y: Embedding) -> float:
     if G_full.n != Y.n:
         raise ParameterError(f"size mismatch: {G_full.n} vs {Y.n}")
     emb_graph = knn_graph(DataMatrix(points=Y.Y), G_full.k)
-    overlaps = [len(set(a) & set(b)) for a, b in zip(G_full.neighbors, emb_graph.neighbors)]
+    # each row lists distinct indices, so matching entries count the overlap
+    overlaps = (G_full.neighbors[:, :, None] == emb_graph.neighbors[:, None, :]).sum(axis=(1, 2))
     return 100.0 * float(np.mean(overlaps)) / G_full.k
 
 

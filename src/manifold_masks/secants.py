@@ -53,13 +53,14 @@ class CliqueSecantArray:
         return self.B.shape[0]
 
 
-def neighbor_pairs(G: NeighborGraph) -> list[tuple[int, int]]:
-    """Distinct unordered neighbor pairs, lexicographically sorted."""
-    pairs = set()
-    for i in range(G.n):
-        for j in G.neighbors[i]:
-            pairs.add((min(i, int(j)), max(i, int(j))))
-    return sorted(pairs)
+def neighbor_pairs(G: NeighborGraph) -> np.ndarray:
+    """Distinct unordered neighbor pairs ``(i, j)``, i < j, as the rows of a
+    ``(P, 2)`` array in lexicographic order."""
+    n, k = G.neighbors.shape
+    rows = np.repeat(np.arange(n), k)
+    cols = G.neighbors.ravel()
+    codes = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    return np.column_stack(np.divmod(codes, n))
 
 
 def build_secants(X: DataMatrix, G: NeighborGraph) -> SecantMatrix:
@@ -69,7 +70,7 @@ def build_secants(X: DataMatrix, G: NeighborGraph) -> SecantMatrix:
     identical squared entries.
     """
     pairs = neighbor_pairs(G)
-    diffs = X.points[[p[0] for p in pairs]] - X.points[[p[1] for p in pairs]]
+    diffs = X.points[pairs[:, 0]] - X.points[pairs[:, 1]]
     norms = np.linalg.norm(diffs, axis=1)
     bad = np.where(norms == 0.0)[0]
     if bad.size:
@@ -78,7 +79,7 @@ def build_secants(X: DataMatrix, G: NeighborGraph) -> SecantMatrix:
             f"zero-norm secant for neighbor pair ({i}, {j}): duplicate points"
         )
     A = (diffs / norms[:, None]) ** 2
-    return SecantMatrix(A=A, pair_index=tuple(pairs))
+    return SecantMatrix(A=A, pair_index=tuple(map(tuple, pairs.tolist())))
 
 
 def build_clique_array(X: DataMatrix, G: NeighborGraph) -> CliqueSecantArray:
@@ -90,15 +91,20 @@ def build_clique_array(X: DataMatrix, G: NeighborGraph) -> CliqueSecantArray:
     n, d, k = X.n, X.d, G.k
     if n < k + 1:
         raise ParameterError(f"need n >= k+1 = {k + 1}, got n={n}")
-    c = (k + 1) * k // 2
-    B = np.empty((c, d, n), dtype=np.float64)
-    for i in range(n):
-        clique = np.sort(np.append(G.neighbors[i], i))
-        for ell, (a, b) in enumerate(combinations(clique, 2)):
-            diff = X.points[a] - X.points[b]
-            if not np.any(diff):
-                raise DegenerateDataError(
-                    f"zero-norm clique secant ({a}, {b}) in clique of point {i}"
-                )
-            B[ell, :, i] = diff**2
+    # positions within the sorted (n, k+1) clique table, lexicographic
+    pairs = list(combinations(range(k + 1), 2))
+    cliques = np.sort(np.column_stack([np.arange(n), G.neighbors]), axis=1)
+    B = np.empty((len(pairs), d, n), dtype=np.float64)
+    zero = np.empty((len(pairs), n), dtype=bool)
+    for ell, (a, b) in enumerate(pairs):
+        diff = X.points[cliques[:, a]] - X.points[cliques[:, b]]
+        zero[ell] = ~diff.any(axis=1)
+        B[ell] = np.square(diff, out=diff).T
+    if zero.any():
+        # the first point, then its first pair, with a zero secant
+        i, ell = np.argwhere(zero.T)[0]
+        a, b = cliques[i][list(pairs[ell])]
+        raise DegenerateDataError(
+            f"zero-norm clique secant ({a}, {b}) in clique of point {i}"
+        )
     return CliqueSecantArray(B=B, k=k)

@@ -399,6 +399,23 @@ class TestConfigMerging:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "oose"])
+    def test_bad_norm_in_config_rejected_before_any_work(self, tmp_path, command):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("p=L3\n")
+        out = tmp_path / "out"
+        code = run(
+            command,
+            "--config", cfg_file,
+            "--synth", "translating_blob:n=20,g=8,seed=1",
+            "--algorithms", "pcoa,maps_global",
+            "--sizes", "2",
+            "--k", "3",
+            "--out-dir", out,
+        )
+        assert code == 1
+        assert not out.exists()
+
     def test_unsorted_sizes_rejected(self):
         from manifold_masks.errors import ParameterError
 

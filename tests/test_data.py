@@ -124,6 +124,30 @@ class TestSynthDataset:
             synth_dataset("swiss_roll", 1, seed=0)
 
 
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_swiss_roll_exactly_symmetric(self, seed):
+        D = pairwise_distances(synth_dataset("swiss_roll", 300, seed=seed).points)
+        assert np.array_equal(D, D.T)
+        assert np.all(np.diag(D) == 0.0)
+
+    # generic points at sizes where the product is blocked: written as the
+    # general product (2P) @ P.T, mirrored entries differed (OpenBLAS) at
+    # some n from about 220 on
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 320),
+        dim=st.integers(1, 4),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_exactly_symmetric_in_low_dimensions(self, seed, n, dim, scale):
+        points = scale * np.random.default_rng(seed).standard_normal((n, dim))
+        D = pairwise_distances(points)
+        assert np.array_equal(D, D.T)
+        assert np.all(np.diag(D) == 0.0)
+
+
 class TestKnnGraph:
     def test_line_k1(self):
         X = DataMatrix(points=np.array([[0.0], [1.0], [3.0]]))

@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +16,33 @@ from manifold_masks.embeddings import (
 )
 from manifold_masks.errors import DisconnectedGraphError, NumericalError, ParameterError
 from manifold_masks.metrics import residual_variance
+
+
+def mirrored_dijkstra(G):
+    """Reference geodesics: every listed edge is added in both directions,
+    with the length its row lists, and each source runs a heap Dijkstra."""
+    n = G.n
+    adjacency = [[] for _ in range(n)]
+    for i in range(n):
+        for j, dist in zip(G.neighbors[i].tolist(), G.distances[i].tolist()):
+            adjacency[i].append((j, dist))
+            adjacency[j].append((i, dist))
+    D = np.full((n, n), np.inf)
+    for source in range(n):
+        row = D[source]
+        row[source] = 0.0
+        heap = [(0.0, source)]
+        done = np.zeros(n, dtype=bool)
+        while heap:
+            du, u = heapq.heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            for v, dist in adjacency[u]:
+                if du + dist < row[v]:
+                    row[v] = du + dist
+                    heapq.heappush(heap, (row[v], v))
+    return D
 
 
 def sign_fixed(vectors):
@@ -57,6 +86,19 @@ class TestGeodesics:
         D = geodesics(knn_graph(X, 4))
         np.testing.assert_allclose(D.D, D.D.T)
         np.testing.assert_array_equal(np.diag(D.D), 0.0)
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            synth_dataset("translating_blob", 119, seed=1, g=16),
+            synth_dataset("translating_blob", 200, seed=1, g=16),
+            synth_dataset("swiss_roll", 300, seed=0),
+        ],
+        ids=["blob119", "blob200", "swiss300"],
+    )
+    def test_matches_dijkstra_over_mirrored_table(self, X):
+        G = knn_graph(X, 8)
+        assert np.array_equal(geodesics(G).D, mirrored_dijkstra(G))
 
     def test_duplicate_points_keep_zero_weight_edge(self):
         X = DataMatrix(points=np.array([[0.0], [0.0], [1.0], [2.0], [3.0]]))

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from manifold_masks.data import DataMatrix, knn_graph, pairwise_distances
+from manifold_masks.data import DataMatrix, NeighborGraph, knn_graph, pairwise_distances
 from manifold_masks.embeddings import (
     Embedding,
     GeodesicDistances,
@@ -101,6 +101,18 @@ class TestNeighborPreservation:
         ]
         expected = 100.0 * k / (n - 1)
         assert np.mean(scores) == pytest.approx(expected, abs=1.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_set_intersection_on_random_tables(self, seed):
+        n, k = 40, 6
+        rng = np.random.default_rng(seed)
+        # each row: k distinct indices other than the row's own
+        neighbors = np.array([rng.permutation(np.delete(np.arange(n), i))[:k] for i in range(n)])
+        G = NeighborGraph(k=k, neighbors=neighbors, distances=np.ones((n, k)))
+        Y = rng.random((n, 2))
+        emb_neighbors = knn_graph(DataMatrix(points=Y), k).neighbors
+        overlaps = [len(set(a) & set(b)) for a, b in zip(neighbors.tolist(), emb_neighbors.tolist())]
+        assert neighbor_preservation(G, emb(Y)) == 100.0 * float(np.mean(overlaps)) / k
 
     def test_size_mismatch(self, rng):
         with pytest.raises(ParameterError):

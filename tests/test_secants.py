@@ -2,13 +2,29 @@ import numpy as np
 import pytest
 from itertools import combinations
 
-from manifold_masks.data import DataMatrix, knn_graph
+from manifold_masks.data import DataMatrix, knn_graph, synth_dataset
 from manifold_masks.errors import DegenerateDataError, ParameterError
 from manifold_masks.secants import build_clique_array, build_secants, neighbor_pairs
 
 
 def make(points):
     return DataMatrix(points=np.asarray(points, dtype=float))
+
+
+@pytest.fixture
+def blob_and_graph():
+    X = synth_dataset("translating_blob", 200, seed=1, g=16)
+    return X, knn_graph(X, 8)
+
+
+def loop_clique_array(X, G):
+    """Reference B: one clique at a time, one pair at a time."""
+    B = np.empty(((G.k + 1) * G.k // 2, X.d, X.n))
+    for i in range(X.n):
+        clique = np.sort(np.append(G.neighbors[i], i))
+        for ell, (a, b) in enumerate(combinations(clique, 2)):
+            B[ell, :, i] = (X.points[a] - X.points[b]) ** 2
+    return B
 
 
 class TestBuildSecants:
@@ -43,7 +59,7 @@ class TestBuildSecants:
 
     def test_duplicate_points_error(self):
         X = make([[1, 2], [1, 2], [5, 5]])
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(DegenerateDataError, match=r"pair \(0, 1\)"):
             build_secants(X, knn_graph(X, 1))
 
     def test_scale_invariance(self, rng):
@@ -70,12 +86,11 @@ class TestBuildCliqueArray:
     def test_rows_match_recomputation(self, rng):
         X = DataMatrix(points=rng.random((20, 6)))
         G = knn_graph(X, 3)
-        B = build_clique_array(X, G)
-        for i in range(20):
-            clique = np.sort(np.append(G.neighbors[i], i))
-            for ell, (a, b) in enumerate(combinations(clique, 2)):
-                expected = (X.points[a] - X.points[b]) ** 2
-                np.testing.assert_allclose(B.B[ell, :, i], expected)
+        assert np.array_equal(build_clique_array(X, G).B, loop_clique_array(X, G))
+
+    def test_matches_loop_reference(self, blob_and_graph):
+        X, G = blob_and_graph
+        assert np.array_equal(build_clique_array(X, G).B, loop_clique_array(X, G))
 
     def test_translation_invariance(self, rng):
         pts = rng.random((12, 5))
@@ -101,11 +116,27 @@ class TestBuildCliqueArray:
     def test_duplicate_in_clique_error(self):
         X = make([[0.0], [0.0], [9.0], [10.0]])
         G = knn_graph(X, 2)
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(DegenerateDataError, match=r"\(0, 1\) in clique of point 0"):
             build_clique_array(X, G)
+
+    def test_zero_secant_names_first_point_and_pair(self):
+        # points 1 and 2 coincide: point 0's clique {0, 1, 2} holds them as
+        # its last pair, point 1's clique {1, 2, 3} as its first
+        X = make([[0.0], [5.0], [5.0], [6.0]])
+        with pytest.raises(DegenerateDataError, match=r"\(1, 2\) in clique of point 0"):
+            build_clique_array(X, knn_graph(X, 2))
 
 
 def test_neighbor_pairs_matches_secant_rows(rng):
     X = DataMatrix(points=rng.random((25, 4)))
     G = knn_graph(X, 3)
-    assert build_secants(X, G).pair_index == tuple(neighbor_pairs(G))
+    assert np.array_equal(build_secants(X, G).pair_index, neighbor_pairs(G))
+
+
+def test_neighbor_pairs_match_loop_reference(blob_and_graph):
+    _, G = blob_and_graph
+    pairs = set()
+    for i in range(G.n):
+        for j in G.neighbors[i].tolist():
+            pairs.add((min(i, j), max(i, j)))
+    assert np.array_equal(neighbor_pairs(G), sorted(pairs))
