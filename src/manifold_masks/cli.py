@@ -128,9 +128,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _synth_from_spec(spec: str, n: int, seed: int) -> DataMatrix:
-    """The dataset a spec such as ``swiss_roll:n=500,seed=7`` names; its
-    ``n`` and ``seed`` options override the arguments."""
+def _synth_from_spec(spec: str, seed: int) -> DataMatrix:
+    """The dataset a spec such as ``swiss_roll:n=500,seed=7`` names; ``n``
+    defaults to 200, and a ``seed`` option overrides the argument."""
     kind, _, rest = spec.partition(":")
     options = {}
     if rest:
@@ -139,39 +139,37 @@ def _synth_from_spec(spec: str, n: int, seed: int) -> DataMatrix:
             if not value:
                 raise ParameterError(f"bad synth option {item!r} in {spec!r}")
             options[key.strip()] = float(value) if "." in value else int(value)
-    n = int(options.pop("n", n))
+    n = int(options.pop("n", 200))
     seed = int(options.pop("seed", seed))
     return synth_dataset(kind, n, seed, **options)
 
 
-def load_input(cfg: RunConfig) -> tuple[DataMatrix, str]:
-    """Resolve the dataset source to (data, dataset id)."""
-    if cfg.synth:
-        return _synth_from_spec(cfg.synth, 200, cfg.seed), cfg.synth
-    if not cfg.data:
-        raise ParameterError("no dataset: provide data= or synth=")
-    X = load_dataset(cfg.data, format=cfg.format, meta=cfg.meta)
-    return X, os.path.basename(cfg.data)
-
-
 def _load_for_masks(cfg: RunConfig) -> tuple[DataMatrix, str]:
-    """Load the dataset of ``mask``, ``evaluate`` or ``oose``, check that
-    mask sizes were given, and create the out-dir."""
-    X, dataset_id = load_input(cfg)
+    """Load the dataset of ``mask``, ``evaluate`` or ``oose`` as (data,
+    dataset id), check that mask sizes were given, and create the out-dir."""
+    if cfg.synth:
+        X, dataset_id = _synth_from_spec(cfg.synth, cfg.seed), cfg.synth
+    elif cfg.data:
+        X = load_dataset(cfg.data, format=cfg.format, meta=cfg.meta)
+        dataset_id = os.path.basename(cfg.data)
+    else:
+        raise ParameterError("no dataset: provide data= or synth=")
     if not cfg.sizes:
         raise ParameterError("no mask sizes requested")
     os.makedirs(cfg.out_dir, exist_ok=True)
     return X, dataset_id
 
 
-def mask_plan(cfg: RunConfig, X: DataMatrix, algorithm: str) -> list[tuple[int, list[Mask]]]:
-    """The masks to use at each of ``cfg.sizes``, as ``(m, masks)`` pairs.
+def mask_plan(
+    cfg: RunConfig, X: DataMatrix, G: NeighborGraph | None, algorithm: str
+) -> list[tuple[int, list[Mask]]]:
+    """The masks to use at each of ``cfg.sizes``, as ``(m, masks)`` pairs;
+    the secant selectors read ``G``, the run's full-data ``cfg.k`` graph.
 
     The greedy selectors, ``pcoa`` and ``random`` are nested, so each runs
     once at the largest size and every size takes prefixes: ``random`` makes
     ``cfg.trials`` draws seeded ``cfg.seed + trial``, the others one mask.
-    The exhaustive oracles search once per size. A list, not a generator, so
-    every selector has run (or raised) before a caller writes anything.
+    The exhaustive oracles search once per size.
     """
     top = max(cfg.sizes)
     if algorithm == "random":
@@ -179,29 +177,22 @@ def mask_plan(cfg: RunConfig, X: DataMatrix, algorithm: str) -> list[tuple[int, 
     elif algorithm == "pcoa":
         full = [pcoa(X, top)]
     elif algorithm == "maps_global":
-        full = [maps_global(build_secants(X, knn_graph(X, cfg.k)), top, cfg.p)]
+        full = [maps_global(build_secants(X, G), top, cfg.p)]
     elif algorithm == "maps_local":
-        full = [maps_local(build_clique_array(X, knn_graph(X, cfg.k)), top)]
+        full = [maps_local(build_clique_array(X, G), top)]
     elif algorithm == "exact_global":
-        A = build_secants(X, knn_graph(X, cfg.k))
+        A = build_secants(X, G)
         return [(m, [exact_mask_global(A, m, cfg.p)[0]]) for m in cfg.sizes]
     else:  # exact_local
-        B = build_clique_array(X, knn_graph(X, cfg.k))
+        B = build_clique_array(X, G)
         return [(m, [exact_mask_local(B, m)[0]]) for m in cfg.sizes]
     return [(m, [mask.prefix(m) for mask in full]) for m in cfg.sizes]
 
 
-def _summary(metric: str, values: list[float], context: dict) -> EvalReport:
-    """One results row for the values a metric took over a plan's masks at
-    one size: their mean, with their spread when the masks are random draws."""
-    context = {**context, "trials": len(values)}
-    if context["algorithm"] == "random":
-        context["stddev"] = float(np.std(values))
-    return EvalReport(metric=metric, value=float(np.mean(values)), context=context)
-
-
 def cmd_synth(cfg: RunConfig, args) -> int:
-    X = _synth_from_spec(cfg.synth or args.kind, args.n or 200, cfg.seed)
+    if not cfg.synth:
+        raise ParameterError("synth needs --synth, e.g. swiss_roll:n=500,seed=7")
+    X = _synth_from_spec(cfg.synth, cfg.seed)
     base = args.out
     table = X.points if X.params is None else np.hstack([X.points, X.params])
     with open(base + ".csv", "w", newline="", encoding="utf-8") as fh:
@@ -221,8 +212,10 @@ def cmd_mask(cfg: RunConfig, args) -> int:
     if len(cfg.algorithms) != 1:
         raise ParameterError(f"mask takes one algorithm, got {','.join(cfg.algorithms)!r}")
     X, _ = _load_for_masks(cfg)
+    algorithm = cfg.algorithms[0]
+    G = knn_graph(X, cfg.k) if algorithm.startswith(("maps_", "exact_")) else None
     # one draw: a random mask file is the one seeded cfg.seed
-    for m, [mask] in mask_plan(replace(cfg, trials=1), X, cfg.algorithms[0]):
+    for m, [mask] in mask_plan(replace(cfg, trials=1), X, G, algorithm):
         path = os.path.join(cfg.out_dir, f"mask_{m}.json")
         save_mask(path, mask)
         print(f"wrote {path}")
@@ -235,12 +228,12 @@ def cmd_mask(cfg: RunConfig, args) -> int:
 
 def full_references(
     cfg: RunConfig, X: DataMatrix
-) -> tuple[GeodesicDistances, LleWeights, NeighborGraph]:
-    """The full-data references every mask of a run is scored against:
-    geodesics (residual variance), LLE weights (embedding error) and the
-    ``np_k`` graph (neighbor preservation), each distinct graph built once."""
+) -> tuple[dict[int, NeighborGraph], GeodesicDistances, LleWeights]:
+    """The run's full-data k-NN graphs, one per distinct ``k``, ``k_lle`` and
+    ``np_k``, with the geodesics (residual variance) and LLE weights
+    (embedding error) every mask is scored against."""
     G = {k: knn_graph(X, k) for k in {cfg.k, cfg.k_lle, cfg.np_k}}
-    return geodesics(G[cfg.k]), lle_weights(X, G[cfg.k_lle], cfg.reg), G[cfg.np_k]
+    return G, geodesics(G[cfg.k]), lle_weights(X, G[cfg.k_lle], cfg.reg)
 
 
 def _masked_metrics(
@@ -250,56 +243,64 @@ def _masked_metrics(
     D_full: GeodesicDistances,
     W_full: LleWeights,
     G_full: NeighborGraph,
-) -> dict[str, float]:
+) -> dict[tuple[str, str], float]:
     Xm = apply_mask(X, mask)
     G = {k: knn_graph(Xm, k) for k in {cfg.k, cfg.k_lle}}
     Y_iso = classical_mds(geodesics(G[cfg.k]), cfg.l)
     Y_lle = lle_embed(lle_weights(Xm, G[cfg.k_lle], cfg.reg), cfg.l)
     return {
-        "residual_variance": residual_variance(D_full, Y_iso),
-        "neighbor_preservation": neighbor_preservation(G_full, Y_iso),
-        "embedding_error": embedding_error(W_full, Y_lle),
+        ("residual_variance", ""): residual_variance(D_full, Y_iso),
+        ("neighbor_preservation", ""): neighbor_preservation(G_full, Y_iso),
+        ("embedding_error", ""): embedding_error(W_full, Y_lle),
     }
+
+
+def _score_plans(
+    cfg: RunConfig, X: DataMatrix, G: NeighborGraph, dataset_id: str, score, results_name: str
+) -> int:
+    """Score every mask of every plan, then write all rows: a run that fails
+    writes none. ``score`` maps a mask to ``{(metric, method): value}``; each
+    key makes one row per size, the mean over the size's masks, with their
+    spread when they are random draws."""
+    base = {"dataset": dataset_id, "k": cfg.k, "l": cfg.l, "seed": cfg.seed}
+    rows = []
+    for algorithm in cfg.algorithms:
+        for m, masks in mask_plan(cfg, X, G, algorithm):
+            scores = [score(mask) for mask in masks]
+            context = {**base, "algorithm": algorithm, "m": m, "trials": len(masks)}
+            for metric, method in scores[0]:
+                values = [s[metric, method] for s in scores]
+                ctx = {**context, "method": method}
+                if algorithm == "random":
+                    ctx["stddev"] = float(np.std(values))
+                rows.append(EvalReport(metric, float(np.mean(values)), ctx))
+    results = cfg.results or os.path.join(cfg.out_dir, results_name)
+    append_results(results, rows)
+    print(f"wrote {results}")
+    return 0
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     X, dataset_id = _load_for_masks(cfg)
-    results = cfg.results or os.path.join(cfg.out_dir, "results.csv")
-    refs = full_references(cfg, X)
-    base_ctx = {"dataset": dataset_id, "k": cfg.k, "l": cfg.l, "seed": cfg.seed}
-
-    for algorithm in cfg.algorithms:
-        for m, masks in mask_plan(cfg, X, algorithm):
-            scores = [_masked_metrics(cfg, X, mask, *refs) for mask in masks]
-            context = {**base_ctx, "algorithm": algorithm, "m": m}
-            append_results(
-                results,
-                [_summary(name, [score[name] for score in scores], context) for name in scores[0]],
-            )
-    print(f"wrote {results}")
-    return 0
+    G, D_full, W_full = full_references(cfg, X)
+    score = lambda mask: _masked_metrics(cfg, X, mask, D_full, W_full, G[cfg.np_k])
+    return _score_plans(cfg, X, G[cfg.k], dataset_id, score, "results.csv")
 
 
 def cmd_oose(cfg: RunConfig, args) -> int:
     X, dataset_id = _load_for_masks(cfg)
     if "gaze" in cfg.methods and X.params is None:
         raise ParameterError("gaze evaluation needs ground-truth params")
-    results = cfg.results or os.path.join(cfg.out_dir, "oose_results.csv")
-    base_ctx = {"dataset": dataset_id, "seed": cfg.seed}
+    G = knn_graph(X, cfg.k)
 
-    for algorithm in cfg.algorithms:
-        for m, masks in mask_plan(cfg, X, algorithm):
-            for method in cfg.methods:
-                reps = [
-                    leave_one_out(X, mask, method, cfg.k, cfg.l, cfg.reg, cfg.exact_folds)
-                    for mask in masks
-                ]
-                context = {**base_ctx, **reps[0].context, "algorithm": algorithm}
-                append_results(
-                    results, [_summary(reps[0].metric, [r.value for r in reps], context)]
-                )
-    print(f"wrote {results}")
-    return 0
+    def score(mask: Mask) -> dict[tuple[str, str], float]:
+        scores = {}
+        for method in cfg.methods:
+            rep = leave_one_out(X, mask, method, G, cfg.l, cfg.reg, cfg.exact_folds)
+            scores[rep.metric, method] = rep.value
+        return scores
+
+    return _score_plans(cfg, X, G, dataset_id, score, "oose_results.csv")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -335,8 +336,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     _add_common(p_synth)
-    p_synth.add_argument("--kind", help="swiss_roll or translating_blob (or use --synth)")
-    p_synth.add_argument("--n", type=int)
     p_synth.add_argument("--out", required=True, help="output basename (.csv/.meta)")
     p_synth.set_defaults(handler=cmd_synth)
 

@@ -117,7 +117,6 @@ def maps_global(A: SecantMatrix, m: int, p: str = "L1") -> Mask:
     """
     d = A.d
     _check_m(m, d)
-    _lp_norm(np.zeros(1), p)  # validate p up front
     running = np.zeros(A.A.shape[0])
     selected: list[int] = []
     remaining = np.ones(d, dtype=bool)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, _k_smallest, knn_graph
+from .data import DataMatrix, NeighborGraph, _k_smallest, knn_graph
 from .embeddings import (
     Embedding,
     GeodesicDistances,
@@ -124,12 +124,14 @@ def leave_one_out(
     X: DataMatrix,
     mask: Mask,
     method: str,
-    k: int,
+    G: NeighborGraph,
     ell: int,
     reg: float = 1e-3,
     exact_folds: bool = False,
 ) -> EvalReport:
     """Score a mask by leave-one-out out-of-sample extension.
+
+    ``G`` is the full data's k-NN graph; its ``k`` sets the folds' graphs.
 
     ``isomap``: per fold, embed the masked training set, extend to the
     held-out masked point, align the assembled embedding to the full-data
@@ -143,12 +145,11 @@ def leave_one_out(
     masked training set and report the mean parameter-space error.
     """
     masked = apply_mask(X, mask)
-    n = X.n
+    n, k = X.n, G.k
     context = {"m": mask.m, "k": k, "l": ell, "method": method}
 
     if method == "isomap":
-        G_full = knn_graph(X, k)
-        D_ref = geodesics(G_full)
+        D_ref = geodesics(G)
         if not D_ref.connected:
             raise DisconnectedGraphError("full dataset's neighbor graph is disconnected")
         Y_ref = classical_mds(D_ref, ell)
@@ -174,8 +175,7 @@ def leave_one_out(
         return EvalReport(metric="oose_error", value=value, context=context)
 
     if method == "lle":
-        G_full = knn_graph(X, k)
-        W_full = lle_weights(X, G_full, reg)
+        W_full = lle_weights(X, G, reg)
         folds = []
         for i in range(n):
             train = _drop_point(masked, i)
@@ -183,7 +183,7 @@ def leave_one_out(
             Y_train = lle_embed(lle_weights(train, G_t, reg), ell)
             res = lle_oose(train, Y_train, masked.points[i], k, reg)
             folds.append(np.insert(Y_train.Y, i, res.y, axis=0))
-        value = oose_embedding_error(W_full, folds, G_full)
+        value = oose_embedding_error(W_full, folds, G)
         return EvalReport(metric="oose_embedding_error", value=value, context=context)
 
     if method == "gaze":

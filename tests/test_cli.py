@@ -52,6 +52,10 @@ class TestSynthCommand:
         run("synth", "--synth", "swiss_roll:n=25,seed=9", "--out", b)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_missing_spec_exit_code(self, tmp_path):
+        assert run("synth", "--out", tmp_path / "x") == 1
+        assert not list(tmp_path.iterdir())
+
 
 class TestMaskCommand:
     def test_nested_prefix_files(self, tmp_path):
@@ -262,7 +266,9 @@ class TestPlanValues:
         for algorithm, plan in library_masks.items():
             for m, masks in plan.items():
                 for method in methods:
-                    reports = [leave_one_out(X, mask, method, self.K, 2) for mask in masks]
+                    reports = [
+                        leave_one_out(X, mask, method, knn_graph(X, self.K), 2) for mask in masks
+                    ]
                     row = rows[(algorithm, m, reports[0].metric, method)]
                     self.check_row(row, [r.value for r in reports], algorithm)
                     checked += 1
@@ -319,6 +325,86 @@ class TestOoseCommand:
         )
         assert code == 1
         assert not (tmp_path / "oose_results.csv").exists()
+
+
+class TestOneRunOneGraph:
+    """Each run builds its full-data k-NN graphs once, shares the ``k`` graph
+    with the selectors and leave-one-out, and writes no row if it fails."""
+
+    SYNTH = "translating_blob:n=40,g=8,seed=1"  # d = 64, so masked data is narrower
+
+    @pytest.fixture
+    def full_graphs(self, monkeypatch):
+        """The k of every knn_graph call on the full 64-pixel data."""
+        calls = []
+
+        def counting(X, k):
+            if X.d == 64:
+                calls.append(k)
+            return knn_graph(X, k)
+
+        for module in ("cli", "embeddings", "metrics", "oose"):
+            monkeypatch.setattr(f"manifold_masks.{module}.knn_graph", counting)
+        return calls
+
+    def test_evaluate(self, tmp_path, full_graphs):
+        code = run(
+            "evaluate",
+            "--synth", self.SYNTH,
+            "--algorithms", "maps_global,maps_local,pcoa",
+            "--sizes", "4,8",
+            "--k", "6", "--k-lle", "6", "--np-k", "5",
+            "--out-dir", tmp_path,
+        )
+        assert code == 0
+        assert sorted(full_graphs) == [5, 6]
+
+    def test_oose(self, tmp_path, full_graphs):
+        code = run(
+            "oose",
+            "--synth", self.SYNTH,
+            "--algorithms", "maps_global,pcoa",
+            "--sizes", "4,8",
+            "--methods", "isomap,lle,gaze",
+            "--k", "6",
+            "--out-dir", tmp_path,
+        )
+        assert code == 0
+        assert full_graphs == [6]
+
+    @pytest.mark.parametrize("algorithm, graphs", [("pcoa", []), ("random", []), ("maps_global", [6])])
+    def test_mask(self, tmp_path, full_graphs, algorithm, graphs):
+        code = run(
+            "mask",
+            "--synth", self.SYNTH,
+            "--algorithms", algorithm,
+            "--sizes", "4",
+            "--k", "6",
+            "--out-dir", tmp_path,
+        )
+        assert code == 0
+        assert full_graphs == graphs
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("evaluate", ["--algorithms", "maps_global,pcoa"]),
+            ("oose", ["--algorithms", "pcoa", "--methods", "gaze,isomap"]),
+        ],
+    )
+    def test_failed_run_writes_no_row(self, tmp_path, command, names):
+        # the pcoa mask's k-NN graph is disconnected; the maps_global mask
+        # and the gaze method score before it does
+        code = run(
+            command,
+            "--synth", "swiss_roll:n=300,seed=2",
+            *names,
+            "--sizes", "2",
+            "--k", "10",
+            "--out-dir", tmp_path,
+        )
+        assert code == 1
+        assert not list(tmp_path.iterdir())
 
 
 class TestConfigMerging:

@@ -78,6 +78,28 @@ class TestMapsGlobal:
         for m in range(1, 7):
             assert maps_global(A, m).selected == big.selected[:m]
 
+    @pytest.mark.parametrize("p", ["L1", "Linf"])
+    def test_step_replay(self, p, rng):
+        """Each greedy choice is the argmin of global_objective over the
+        remaining columns."""
+        A = random_secant_matrix(rng, 15, 10)
+        mask = maps_global(A, 4, p)
+        chosen: list[int] = []
+        for step in range(4):
+            costs = []
+            for j in range(10):
+                if j in chosen:
+                    costs.append(np.inf)
+                else:
+                    costs.append(global_objective(A, Mask(selected=tuple(chosen) + (j,), d=10), p))
+            expected = int(np.argmin(costs))
+            assert mask.selected[step] == expected
+            chosen.append(expected)
+
+    def test_unknown_norm(self, rng):
+        with pytest.raises(ParameterError):
+            maps_global(random_secant_matrix(rng, 5, 4), 2, "L3")
+
     def test_m_out_of_range(self, rng):
         A = random_secant_matrix(rng, 5, 4)
         with pytest.raises(ParameterError):

@@ -136,7 +136,7 @@ class TestEstimateParameters:
 class TestLeaveOneOut:
     def test_isomap_line_near_exact(self, line_dataset):
         X, coords = line_dataset
-        rep = leave_one_out(X, full_mask(3), "isomap", k=2, ell=1)
+        rep = leave_one_out(X, full_mask(3), "isomap", knn_graph(X, 2), ell=1)
         diameter = coords.max() - coords.min()
         assert rep.metric == "oose_error"
         assert rep.value < 1e-3 * diameter
@@ -145,34 +145,35 @@ class TestLeaveOneOut:
     def test_isomap_exact_folds_agree_on_line(self, line_dataset):
         X, _ = line_dataset
         # k=3 keeps every fold's graph connected when a point is dropped
-        fast = leave_one_out(X, full_mask(3), "isomap", k=3, ell=1)
-        exact = leave_one_out(X, full_mask(3), "isomap", k=3, ell=1, exact_folds=True)
+        fast = leave_one_out(X, full_mask(3), "isomap", knn_graph(X, 3), ell=1)
+        exact = leave_one_out(X, full_mask(3), "isomap", knn_graph(X, 3), ell=1, exact_folds=True)
         assert exact.value == pytest.approx(fast.value, abs=1e-8)
 
     def test_lle_reports_nonnegative(self, rng):
         X = DataMatrix(points=rng.random((25, 4)))
-        rep = leave_one_out(X, full_mask(4), "lle", k=4, ell=2)
+        rep = leave_one_out(X, full_mask(4), "lle", knn_graph(X, 4), ell=2)
         assert rep.metric == "oose_embedding_error"
         assert np.isfinite(rep.value) and rep.value >= 0.0
 
     def test_gaze_identity_mask(self, small_blob):
-        rep = leave_one_out(small_blob, full_mask(small_blob.d), "gaze", k=6, ell=2)
+        G = knn_graph(small_blob, 6)
+        rep = leave_one_out(small_blob, full_mask(small_blob.d), "gaze", G, ell=2)
         assert rep.metric == "gaze_error"
         assert 0.0 <= rep.value < 8.0  # grid side bounds the center error
 
     def test_gaze_needs_params(self, rng):
         X = DataMatrix(points=rng.random((10, 3)))
         with pytest.raises(ParameterError):
-            leave_one_out(X, full_mask(3), "gaze", k=2, ell=1)
+            leave_one_out(X, full_mask(3), "gaze", knn_graph(X, 2), ell=1)
 
     def test_unknown_method(self, line_dataset):
         X, _ = line_dataset
         with pytest.raises(ParameterError):
-            leave_one_out(X, full_mask(3), "umap", k=2, ell=1)
+            leave_one_out(X, full_mask(3), "umap", knn_graph(X, 2), ell=1)
 
     def test_masked_isomap_still_accurate_on_line(self, line_dataset):
         # the line varies along every ambient axis, so a single coordinate
         # already determines geodesic order
         X, coords = line_dataset
-        rep = leave_one_out(X, Mask(selected=(0,), d=3), "isomap", k=2, ell=1)
+        rep = leave_one_out(X, Mask(selected=(0,), d=3), "isomap", knn_graph(X, 2), ell=1)
         assert rep.value < 1e-3 * (coords.max() - coords.min())
