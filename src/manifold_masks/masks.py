@@ -8,10 +8,11 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy import sparse
 
 from .data import DataMatrix
 from .errors import CapacityError, DegenerateDataError, ParameterError
-from .secants import CliqueSecantArray, SecantMatrix
+from .secants import CHUNK_ENTRIES, CliqueSecantArray, SecantMatrix
 
 ORACLE_SUBSET_LIMIT = 10**6
 NORMS = ("L1", "Linf")  # the norms of the global objective
@@ -60,17 +61,16 @@ def _check_m(m: int, d: int) -> None:
         raise ParameterError(f"mask size m must be in [1, {d}], got {m}")
 
 
-def _lp_norm(residual: np.ndarray, p: str, axis=None) -> np.ndarray:
-    if p == "L1":
-        return np.abs(residual).sum(axis=axis)
-    if p == "Linf":
-        return np.abs(residual).max(axis=axis)
-    raise ParameterError(f"p must be one of {NORMS}, got {p!r}")
+def _lp_reduce(p: str):
+    """The reduction that takes absolute residuals to their norm ``p``."""
+    if p not in NORMS:
+        raise ParameterError(f"p must be one of {NORMS}, got {p!r}")
+    return np.add.reduce if p == "L1" else np.maximum.reduce
 
 
 def _global_cost(A: SecantMatrix, cols, p: str) -> float:
     """The global objective of the columns ``cols`` of A."""
-    return float(_lp_norm(A.A[:, cols].sum(axis=1) - len(cols) / A.d, p))
+    return float(_lp_reduce(p)(np.abs(A.A[:, cols].sum(axis=1) - len(cols) / A.d)))
 
 
 def global_objective(A: SecantMatrix, mask: Mask, p: str = "L1") -> float:
@@ -78,12 +78,26 @@ def global_objective(A: SecantMatrix, mask: Mask, p: str = "L1") -> float:
     return _global_cost(A, list(mask.selected), p)
 
 
+def _clique_sum(rows: np.ndarray, w: np.ndarray, store: np.ndarray) -> np.ndarray:
+    """Weighted sums of each point's clique rows of a (P, d') store, as a
+    (d', n) array: column i is sum_l w[l, i] * store[rows[i, l]].
+
+    One CSR (n, P) product with the store, summing each point's pairs in
+    clique order.
+    """
+    n, c = rows.shape
+    S = sparse.csr_matrix(
+        (w.T.ravel(), rows.ravel(), np.arange(0, n * c + 1, c)), shape=(n, store.shape[0])
+    )
+    return np.ascontiguousarray((S @ store).T)
+
+
 def _clique_alpha(B: CliqueSecantArray) -> tuple[np.ndarray, np.ndarray]:
     """Full clique secant-norm vectors, (c, n), and their norms, (n,).
 
     A point whose vector is all zero has no defined cosine similarity.
     """
-    alpha = B.B.sum(axis=1)
+    alpha = B.B.sum(axis=1)[B.rows].T
     alpha_norm = np.linalg.norm(alpha, axis=0)
     if np.any(alpha_norm == 0.0):
         bad = int(np.argmin(alpha_norm))
@@ -93,7 +107,7 @@ def _clique_alpha(B: CliqueSecantArray) -> tuple[np.ndarray, np.ndarray]:
 
 def _local_score(B: CliqueSecantArray, cols, alpha: np.ndarray, alpha_norm: np.ndarray) -> float:
     """The local objective of the columns ``cols`` of B, given _clique_alpha(B)."""
-    beta = B.B[:, cols, :].sum(axis=1)
+    beta = B.B[:, cols].sum(axis=1)[B.rows].T
     beta_norm = np.linalg.norm(beta, axis=0)
     num = np.sum(beta * alpha, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -117,19 +131,18 @@ def maps_global(A: SecantMatrix, m: int, p: str = "L1") -> Mask:
     """
     d = A.d
     _check_m(m, d)
+    reduce = _lp_reduce(p)
     running = np.zeros(A.A.shape[0])
+    residual = np.empty(A.A.shape)  # every column's residual, (|S_k|, d)
+    costs = np.empty(d)
     selected: list[int] = []
-    remaining = np.ones(d, dtype=bool)
     for i in range(1, m + 1):
-        target = i / d
-        cand = np.flatnonzero(remaining)
-        # residuals for every candidate column at once: (|S_k|, #cand)
-        residual = A.A[:, cand] + (running - target)[:, None]
-        costs = _lp_norm(residual, p, axis=0)
-        choice = int(cand[np.argmin(costs)])  # argmin keeps lowest index on ties
+        np.add(A.A, (running - i / d)[:, None], out=residual)
+        reduce(np.abs(residual, out=residual), axis=0, out=costs)
+        costs[selected] = np.inf
+        choice = int(np.argmin(costs))  # argmin keeps lowest index on ties
         selected.append(choice)
-        remaining[choice] = False
-        running = running + A.A[:, choice]
+        running += A.A[:, choice]
     return Mask(selected=tuple(selected), d=d)
 
 
@@ -141,31 +154,34 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     against the full ones, so a per-point scale factor costs nothing. Ties
     go to the lowest index; masks are nested.
     """
-    c, d, n = B.B.shape
+    n, c, d = B.n, B.c, B.d
     _check_m(m, d)
     alpha, alpha_norm = _clique_alpha(B)
 
-    # per-candidate constants: <B_j, alpha> and ||B_j||^2, both (d, n)
-    cross_alpha = np.einsum("cjn,cn->jn", B.B, alpha)
-    b_sq = np.einsum("cjn,cjn->jn", B.B, B.B)
+    # per-candidate constants: <B_j, alpha> and ||B_j||^2, both (d, n);
+    # the squares go a column chunk at a time, never a second (P, d) array
+    cross_alpha = _clique_sum(B.rows, alpha, B.B)
+    b_sq = np.empty((d, n))
+    ones = np.ones((c, n))
+    step = max(1, CHUNK_ENTRIES // B.B.shape[0])
+    for j in range(0, d, step):
+        b_sq[j : j + step] = _clique_sum(B.rows, ones, np.square(B.B[:, j : j + step]))
 
     theta = np.zeros((c, n))
     selected: list[int] = []
-    remaining = np.ones(d, dtype=bool)
     for _ in range(m):
         theta_alpha = np.sum(theta * alpha, axis=0)  # (n,)
         theta_sq = np.sum(theta**2, axis=0)  # (n,)
-        cross_theta = np.einsum("cjn,cn->jn", B.B, theta)  # (d, n)
+        cross_theta = _clique_sum(B.rows, theta, B.B)  # (d, n)
         num = theta_alpha[None, :] + cross_alpha
         beta_norm = np.sqrt(np.maximum(theta_sq[None, :] + 2.0 * cross_theta + b_sq, 0.0))
         with np.errstate(invalid="ignore", divide="ignore"):
             sims = np.where(beta_norm > 0.0, num / (beta_norm * alpha_norm[None, :]), 0.0)
         scores = sims.sum(axis=1)
-        scores[~remaining] = -np.inf
+        scores[selected] = -np.inf
         choice = int(np.argmax(scores))  # first max = lowest index on ties
         selected.append(choice)
-        remaining[choice] = False
-        theta = theta + B.B[:, choice, :]
+        theta += B.B[B.rows, choice].T
     return Mask(selected=tuple(selected), d=d)
 
 

@@ -10,6 +10,8 @@ import numpy as np
 from .data import DataMatrix, NeighborGraph
 from .errors import DegenerateDataError, ParameterError
 
+CHUNK_ENTRIES = 1 << 20  # float64 entries (8 MB) per chunked temporary
+
 
 @dataclass(frozen=True)
 class SecantMatrix:
@@ -30,19 +32,22 @@ class SecantMatrix:
 
 @dataclass(frozen=True)
 class CliqueSecantArray:
-    """Unnormalized squared clique secants, one (c, d) slice per point.
+    """Unnormalized squared clique secants, each distinct pair stored once.
 
-    ``B[l, :, i]`` holds the squared entries of the l-th pairwise difference
-    within point i's neighborhood clique (the point plus its k neighbors),
-    pairs enumerated lexicographically over the sorted clique indices.
+    Point i's clique is the point plus its k neighbors; its c = C(k+1, 2)
+    pairs are enumerated lexicographically over the sorted clique indices.
+    ``B[rows[i, l]]`` holds the squared entries of the l-th pairwise
+    difference within point i's clique. Neighboring cliques share most of
+    their pairs, so the store has P <= n * c rows.
     """
 
-    B: np.ndarray  # (c, d, n)
+    B: np.ndarray  # (P, d)
+    rows: np.ndarray  # (n, c), indices into B
     k: int
 
     @property
     def n(self) -> int:
-        return self.B.shape[2]
+        return self.rows.shape[0]
 
     @property
     def d(self) -> int:
@@ -50,7 +55,7 @@ class CliqueSecantArray:
 
     @property
     def c(self) -> int:
-        return self.B.shape[0]
+        return self.rows.shape[1]
 
 
 def neighbor_pairs(G: NeighborGraph) -> np.ndarray:
@@ -70,7 +75,8 @@ def build_secants(X: DataMatrix, G: NeighborGraph) -> SecantMatrix:
     identical squared entries.
     """
     pairs = neighbor_pairs(G)
-    diffs = X.points[pairs[:, 0]] - X.points[pairs[:, 1]]
+    diffs = X.points[pairs[:, 0]]
+    diffs -= X.points[pairs[:, 1]]
     norms = np.linalg.norm(diffs, axis=1)
     bad = np.where(norms == 0.0)[0]
     if bad.size:
@@ -78,12 +84,13 @@ def build_secants(X: DataMatrix, G: NeighborGraph) -> SecantMatrix:
         raise DegenerateDataError(
             f"zero-norm secant for neighbor pair ({i}, {j}): duplicate points"
         )
-    A = (diffs / norms[:, None]) ** 2
+    diffs /= norms[:, None]
+    A = np.square(diffs, out=diffs)
     return SecantMatrix(A=A, pair_index=tuple(map(tuple, pairs.tolist())))
 
 
 def build_clique_array(X: DataMatrix, G: NeighborGraph) -> CliqueSecantArray:
-    """Squared clique secants for every point.
+    """Squared clique secants for every point, each distinct pair once.
 
     Point i's clique is itself plus its k neighbors; all C(k+1, 2) pairwise
     differences are squared entrywise, without normalization.
@@ -92,19 +99,25 @@ def build_clique_array(X: DataMatrix, G: NeighborGraph) -> CliqueSecantArray:
     if n < k + 1:
         raise ParameterError(f"need n >= k+1 = {k + 1}, got n={n}")
     # positions within the sorted (n, k+1) clique table, lexicographic
-    pairs = list(combinations(range(k + 1), 2))
+    a, b = np.array(list(combinations(range(k + 1), 2))).T
     cliques = np.sort(np.column_stack([np.arange(n), G.neighbors]), axis=1)
-    B = np.empty((len(pairs), d, n), dtype=np.float64)
-    zero = np.empty((len(pairs), n), dtype=bool)
-    for ell, (a, b) in enumerate(pairs):
-        diff = X.points[cliques[:, a]] - X.points[cliques[:, b]]
-        zero[ell] = ~diff.any(axis=1)
-        B[ell] = np.square(diff, out=diff).T
+    # each distinct pair (lo, hi), lo < hi, once, coded lo * n + hi
+    codes, rows = np.unique(cliques[:, a] * n + cliques[:, b], return_inverse=True)
+    rows = rows.reshape(n, len(a))
+    lo, hi = np.divmod(codes, n)
+    B = np.empty((codes.size, d), dtype=np.float64)
+    zero = np.empty(codes.size, dtype=bool)
+    step = max(1, CHUNK_ENTRIES // d)
+    for start in range(0, codes.size, step):
+        part = slice(start, start + step)
+        np.subtract(X.points[lo[part]], X.points[hi[part]], out=B[part])
+        zero[part] = ~B[part].any(axis=1)
+        np.square(B[part], out=B[part])
     if zero.any():
         # the first point, then its first pair, with a zero secant
-        i, ell = np.argwhere(zero.T)[0]
-        a, b = cliques[i][list(pairs[ell])]
+        i, ell = np.argwhere(zero[rows])[0]
         raise DegenerateDataError(
-            f"zero-norm clique secant ({a}, {b}) in clique of point {i}"
+            f"zero-norm clique secant ({lo[rows[i, ell]]}, {hi[rows[i, ell]]}) "
+            f"in clique of point {i}"
         )
-    return CliqueSecantArray(B=B, k=k)
+    return CliqueSecantArray(B=B, rows=rows, k=k)

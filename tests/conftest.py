@@ -33,4 +33,18 @@ def random_secant_matrix(rng, n_secants, d):
 
 
 def random_clique_array(rng, c, d, n, k=2):
-    return CliqueSecantArray(B=rng.random((c, d, n)), k=k)
+    """A store whose every (point, pair) has its own random row: store row
+    i * c + l is entry [l, :, i] of a random (c, d, n) draw."""
+    return store_from_dense(rng.random((c, d, n)), k)
+
+
+def store_from_dense(dense, k):
+    """The store with identity rows over a (c, d, n) clique array."""
+    c, d, n = dense.shape
+    store = np.ascontiguousarray(dense.transpose(2, 0, 1).reshape(n * c, d))
+    return CliqueSecantArray(B=store, rows=np.arange(n * c).reshape(n, c), k=k)
+
+
+def dense_clique_array(B):
+    """The (c, d, n) array with entry [l, :, i] = B.B[B.rows[i, l]]."""
+    return B.B[B.rows].transpose(1, 2, 0)

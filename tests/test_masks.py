@@ -3,12 +3,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from manifold_masks.data import DataMatrix, knn_graph
 from manifold_masks.errors import CapacityError, ParameterError
 from manifold_masks.masks import (
+    NORMS,
     Mask,
     apply_mask,
     exact_mask_global,
@@ -25,7 +26,42 @@ from manifold_masks.masks import (
 )
 from manifold_masks.secants import CliqueSecantArray, SecantMatrix, build_clique_array, build_secants
 
-from conftest import random_clique_array, random_secant_matrix
+from conftest import dense_clique_array, random_clique_array, random_secant_matrix, store_from_dense
+
+
+def dense_maps_local(dense, m):
+    """Reference greedy local selector over a dense (c, d, n) clique array,
+    scoring every candidate with einsum."""
+    c, d, n = dense.shape
+    alpha = dense.sum(axis=1)
+    alpha_norm = np.linalg.norm(alpha, axis=0)
+    cross_alpha = np.einsum("cjn,cn->jn", dense, alpha)
+    b_sq = np.einsum("cjn,cjn->jn", dense, dense)
+    theta = np.zeros((c, n))
+    selected = []
+    for _ in range(m):
+        num = np.sum(theta * alpha, axis=0)[None, :] + cross_alpha
+        cross_theta = np.einsum("cjn,cn->jn", dense, theta)
+        beta_sq = np.sum(theta**2, axis=0)[None, :] + 2.0 * cross_theta + b_sq
+        beta_norm = np.sqrt(np.maximum(beta_sq, 0.0))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sims = np.where(beta_norm > 0.0, num / (beta_norm * alpha_norm[None, :]), 0.0)
+        scores = sims.sum(axis=1)
+        scores[selected] = -np.inf
+        selected.append(int(np.argmax(scores)))
+        theta = theta + dense[:, selected[-1], :]
+    return tuple(selected)
+
+
+def greedy_gap(score, d, m):
+    """Smallest margin, over m greedy steps of ``score`` (higher is better),
+    between the best and the runner-up candidate."""
+    chosen, gap = [], np.inf
+    for _ in range(m):
+        ranked = sorted((score(chosen + [j]), j) for j in range(d) if j not in chosen)
+        gap = min(gap, ranked[-1][0] - ranked[-2][0])
+        chosen.append(ranked[-1][1])
+    return gap
 
 
 def two_block_secants():
@@ -115,16 +151,17 @@ class TestMapsGlobal:
 
 class TestMapsLocal:
     def test_single_pair_one_hot(self):
-        B = CliqueSecantArray(B=np.array([[[4.0, 4.0], [0.0, 0.0]]]), k=1)
+        # two points sharing their one clique pair, all energy in dim 0
+        B = CliqueSecantArray(B=np.array([[4.0, 0.0]]), rows=np.array([[0], [0]]), k=1)
         mask = maps_local(B, 1)
         assert mask.selected == (0,)
         assert local_objective(B, mask) == pytest.approx(2.0)  # cosine 1 per point
 
     def test_dominant_dimension_first(self, rng):
         B = random_clique_array(rng, 3, 6, 8)
-        arr = np.zeros_like(B.B)
+        arr = np.zeros_like(dense_clique_array(B))
         arr[:, 4, :] = rng.random((3, 8)) + 0.5  # all energy in dim 4
-        dominated = CliqueSecantArray(B=arr, k=2)
+        dominated = store_from_dense(arr, k=2)
         mask = maps_local(dominated, 1)
         assert mask.selected == (4,)
         assert local_objective(dominated, mask) == pytest.approx(8.0)
@@ -165,6 +202,72 @@ class TestMapsLocal:
         X2 = DataMatrix(points=2.5 * X.points)
         B2 = build_clique_array(X2, knn_graph(X2, 3))
         assert maps_local(B1, 4).selected == maps_local(B2, 4).selected
+
+    def test_matches_dense_reference_random(self, rng):
+        for _ in range(10):
+            B = random_clique_array(rng, 6, 12, 15, k=3)
+            assert maps_local(B, 11).selected == dense_maps_local(dense_clique_array(B), 11)
+
+    def test_matches_dense_reference_blob(self, small_blob):
+        B = build_clique_array(small_blob, knn_graph(small_blob, 8))
+        assert maps_local(B, 32).selected == dense_maps_local(dense_clique_array(B), 32)
+
+
+class TestSelectorProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 20),
+        d=st.integers(4, 9),
+        data=st.data(),
+    )
+    def test_pixel_permutation_permutes_masks(self, seed, n, d, data):
+        m = data.draw(st.integers(1, d - 1))
+        perm = data.draw(st.permutations(range(d)))
+        X = DataMatrix(points=np.random.default_rng(seed).random((n, d)))
+        Xp = DataMatrix(points=X.points[:, perm])  # pixel q of Xp is pixel perm[q] of X
+        G, Gp = knn_graph(X, 3), knn_graph(Xp, 3)
+        assume(np.array_equal(np.sort(G.neighbors, axis=1), np.sort(Gp.neighbors, axis=1)))
+        A, B = build_secants(X, G), build_clique_array(X, G)
+        # instances with a clear winner at every greedy step
+        assume(greedy_gap(lambda cols: -global_objective(A, Mask(tuple(cols), d)), d, m) > 1e-9)
+        assume(greedy_gap(lambda cols: local_objective(B, Mask(tuple(cols), d)), d, m) > 1e-9)
+        mg = maps_global(build_secants(Xp, Gp), m).selected
+        ml = maps_local(build_clique_array(Xp, Gp), m).selected
+        assert tuple(perm[q] for q in mg) == maps_global(A, m).selected
+        assert tuple(perm[q] for q in ml) == maps_local(B, m).selected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(6, 20),
+        d=st.integers(2, 12),
+        e=st.sampled_from([*range(-20, 0), *range(1, 21)]),
+        p=st.sampled_from(NORMS),
+        data=st.data(),
+    )
+    def test_maps_global_invariant_to_power_of_two_scaling(self, seed, n, d, e, p, data):
+        m = data.draw(st.integers(1, d))
+        X = DataMatrix(points=np.random.default_rng(seed).random((n, d)))
+        X2 = DataMatrix(points=2.0**e * X.points)
+        A = build_secants(X, knn_graph(X, 3))
+        A2 = build_secants(X2, knn_graph(X2, 3))
+        assert maps_global(A2, m, p).selected == maps_global(A, m, p).selected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(5, 20),
+        d=st.integers(2, 12),
+        k=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_local_objective_within_zero_and_n(self, seed, n, d, k, data):
+        cols = data.draw(st.permutations(range(d)))[: data.draw(st.integers(1, d))]
+        X = DataMatrix(points=np.random.default_rng(seed).random((n, d)))
+        B = build_clique_array(X, knn_graph(X, k))
+        value = local_objective(B, Mask(tuple(cols), d))
+        assert 0.0 <= value <= n * (1.0 + 1e-12)
 
 
 class TestPcoa:

@@ -6,6 +6,8 @@ from manifold_masks.data import DataMatrix, knn_graph, synth_dataset
 from manifold_masks.errors import DegenerateDataError, ParameterError
 from manifold_masks.secants import build_clique_array, build_secants, neighbor_pairs
 
+from conftest import dense_clique_array
+
 
 def make(points):
     return DataMatrix(points=np.asarray(points, dtype=float))
@@ -18,7 +20,8 @@ def blob_and_graph():
 
 
 def loop_clique_array(X, G):
-    """Reference B: one clique at a time, one pair at a time."""
+    """Reference (c, d, n) array: one clique at a time, one pair at a time;
+    entry [l, :, i] is point i's l-th clique pair."""
     B = np.empty(((G.k + 1) * G.k // 2, X.d, X.n))
     for i in range(X.n):
         clique = np.sort(np.append(G.neighbors[i], i))
@@ -51,6 +54,13 @@ class TestBuildSecants:
                 seen.add(frozenset((i, int(j))))
         assert A.A.shape[0] == len(seen)
 
+    def test_matches_out_of_place_formula(self, blob_and_graph):
+        X, G = blob_and_graph
+        pairs = neighbor_pairs(G)
+        diffs = X.points[pairs[:, 0]] - X.points[pairs[:, 1]]
+        expected = (diffs / np.linalg.norm(diffs, axis=1)[:, None]) ** 2
+        assert np.array_equal(build_secants(X, G).A, expected)
+
     def test_pairs_lexicographic(self, rng):
         X = DataMatrix(points=rng.random((20, 3)))
         A = build_secants(X, knn_graph(X, 3))
@@ -73,10 +83,13 @@ class TestBuildSecants:
 class TestBuildCliqueArray:
     def test_single_pair(self):
         X = make([[0, 0], [2, 0]])
-        B = build_clique_array(X, knn_graph(X, 1))
-        assert B.B.shape == (1, 2, 2)
-        np.testing.assert_allclose(B.B[0, :, 0], [4.0, 0.0])
-        np.testing.assert_allclose(B.B[0, :, 1], [4.0, 0.0])
+        G = knn_graph(X, 1)
+        B = build_clique_array(X, G)
+        # both cliques are {0, 1}: one stored row, read by both points
+        assert B.B.shape == (1, 2)
+        assert B.rows.tolist() == [[0], [0]]
+        np.testing.assert_allclose(B.B[0], [4.0, 0.0])
+        assert np.array_equal(dense_clique_array(B), loop_clique_array(X, G))
 
     def test_clique_size(self, rng):
         X = DataMatrix(points=rng.random((10, 3)))
@@ -86,11 +99,20 @@ class TestBuildCliqueArray:
     def test_rows_match_recomputation(self, rng):
         X = DataMatrix(points=rng.random((20, 6)))
         G = knn_graph(X, 3)
-        assert np.array_equal(build_clique_array(X, G).B, loop_clique_array(X, G))
+        B = build_clique_array(X, G)
+        assert np.array_equal(dense_clique_array(B), loop_clique_array(X, G))
 
     def test_matches_loop_reference(self, blob_and_graph):
         X, G = blob_and_graph
-        assert np.array_equal(build_clique_array(X, G).B, loop_clique_array(X, G))
+        B = build_clique_array(X, G)
+        assert np.array_equal(dense_clique_array(B), loop_clique_array(X, G))
+
+    def test_store_rows_distinct(self, blob_and_graph):
+        X, G = blob_and_graph
+        B = build_clique_array(X, G)
+        assert np.unique(B.B, axis=0).shape[0] == B.B.shape[0]
+        # neighboring cliques share pairs, so the store is smaller than n * c
+        assert B.B.shape[0] < B.n * B.c
 
     def test_translation_invariance(self, rng):
         pts = rng.random((12, 5))
