@@ -263,16 +263,37 @@ def synth_dataset(kind: str, n: int, seed: int, **options) -> DataMatrix:
     raise ParameterError(f"unknown synthetic kind {kind!r}")
 
 
+def _first_copies(points: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Each point's lowest-index exact copy: itself unless it duplicates an
+    earlier point."""
+    first = np.arange(len(points))
+    # exact copies share their squared norm, so only rows in a group of
+    # equal norms are compared
+    _, group, counts = np.unique(sq, return_inverse=True, return_counts=True)
+    for g in np.flatnonzero(counts > 1):
+        members = np.flatnonzero(group == g)
+        _, lowest, which = np.unique(
+            points[members], axis=0, return_index=True, return_inverse=True
+        )
+        first[members] = members[lowest[which.ravel()]]
+    return first
+
+
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Dense Euclidean distance matrix, exactly symmetric with an exact zero
-    diagonal."""
+    diagonal. Exact copies of a point are exactly zero apart and share its
+    row and column, so ties between them never depend on roundoff."""
     sq = np.sum(points**2, axis=1)
     # P @ P.T on its own takes NumPy's symmetric product path; (2P) @ P.T
     # would be a general product, whose mirrored entries can differ
     d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
-    return np.sqrt(d2)
+    D = np.sqrt(d2, out=d2)
+    first = _first_copies(points, sq)
+    if np.any(first != np.arange(len(points))):
+        D = D[np.ix_(first, first)]
+    return D
 
 
 def _k_smallest(values: np.ndarray, k: int) -> np.ndarray:

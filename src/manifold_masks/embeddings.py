@@ -40,14 +40,15 @@ class Embedding:
 
 @dataclass(frozen=True)
 class LleWeights:
-    """Row-stochastic local reconstruction weights, supported on each
-    point's neighbor list."""
+    """Row-stochastic local reconstruction weights, in the layout of a k-NN
+    table: point i is reconstructed as ``weights[i] @ points[neighbors[i]]``."""
 
-    W: sp.csr_matrix  # (n, n), row i supported on neighbors of i
+    neighbors: np.ndarray  # (n, k) int
+    weights: np.ndarray  # (n, k), each row sums to 1
 
     @property
     def n(self) -> int:
-        return self.W.shape[0]
+        return self.neighbors.shape[0]
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -121,12 +122,17 @@ def isomap(X: DataMatrix, k: int, ell: int) -> tuple[Embedding, GeodesicDistance
     return classical_mds(D, ell), D
 
 
-def _solve_weights(neighborhoods: np.ndarray, points: np.ndarray, reg: float) -> np.ndarray:
-    """Constrained least-squares weights reconstructing each of the ``(b, d)``
-    ``points`` from the rows of its ``(b, k, d)`` neighborhood; each row of
-    the ``(b, k)`` result sums to 1. ``neighborhoods`` is overwritten."""
+def _local_grams(neighborhoods: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The ``(b, k, k)`` Gram matrices of each of the ``(b, d)`` ``points``'
+    offsets to the rows of its ``(b, k, d)`` neighborhood. ``neighborhoods``
+    is overwritten."""
     diffs = np.subtract(neighborhoods, points[:, None, :], out=neighborhoods)
-    C = diffs @ diffs.transpose(0, 2, 1)
+    return diffs @ diffs.transpose(0, 2, 1)
+
+
+def _solve_weights(C: np.ndarray, reg: float) -> np.ndarray:
+    """Constrained least-squares weights from a ``(b, k, k)`` stack of local
+    Gram matrices: each row of the ``(b, k)`` result sums to 1."""
     k = C.shape[1]
     trace = np.trace(C, axis1=1, axis2=2)
     ridge = np.where(trace > 0, reg * (trace / k), reg)
@@ -150,10 +156,8 @@ def lle_weights(X: DataMatrix, G: NeighborGraph, reg: float = 1e-3) -> LleWeight
     """
     if reg < 0:
         raise ParameterError(f"reg must be >= 0, got {reg}")
-    n, k = X.n, G.k
-    vals = _solve_weights(X.points[G.neighbors], X.points, reg).ravel()
-    W = sp.csr_matrix((vals, (np.repeat(np.arange(n), k), G.neighbors.ravel())), shape=(n, n))
-    return LleWeights(W=W)
+    C = _local_grams(X.points[G.neighbors], X.points)
+    return LleWeights(neighbors=G.neighbors, weights=_solve_weights(C, reg))
 
 
 def lle_embed(W: LleWeights, ell: int) -> Embedding:
@@ -167,8 +171,16 @@ def lle_embed(W: LleWeights, ell: int) -> Embedding:
     n = W.n
     if not (1 <= ell <= n - 2):
         raise ParameterError(f"embedding dimension must be in [1, {n - 2}], got {ell}")
-    IW = sp.identity(n, format="csr") - W.W
-    M = (IW.T @ IW).toarray()
+    nb, w = W.neighbors, W.weights
+    # M = I - W - W' + W'W, with (W'W)[a, b] the sum over rows r of
+    # W[r, a] W[r, b]: one term per ordered pair of slots in each row
+    pairs = (nb[:, :, None] * n + nb[:, None, :]).ravel()
+    products = (w[:, :, None] * w[:, None, :]).ravel()
+    M = np.bincount(pairs, weights=products, minlength=n * n).reshape(n, n)
+    rows = np.arange(n)[:, None]
+    M[rows, nb] -= w
+    M[nb, rows] -= w
+    M.flat[:: n + 1] += 1.0
     M = 0.5 * (M + M.T)
     # Row-stochastic W makes the constant vector an exact null mode of M.
     # Adding (shift/n)*11' moves it to eigenvalue shift and leaves the

@@ -97,12 +97,18 @@ def neighbor_preservation(G_full: NeighborGraph, Y: Embedding) -> float:
     return 100.0 * float(np.mean(overlaps)) / G_full.k
 
 
+def _reconstruct(W: LleWeights, Y: np.ndarray, rows) -> np.ndarray:
+    """``(W @ Y)[rows]``: each selected row's weighted sum of its neighbors'
+    coordinates."""
+    return np.einsum("rk,rkl->rl", W.weights[rows], Y[W.neighbors[rows]])
+
+
 def embedding_error(W_full: LleWeights, Y: Embedding) -> float:
     """Sum of squared local reconstruction residuals of an embedding under
     reference (full-data) LLE weights."""
     if W_full.n != Y.n:
         raise ParameterError(f"size mismatch: {W_full.n} vs {Y.n}")
-    residual = Y.Y - W_full.W @ Y.Y
+    residual = Y.Y - _reconstruct(W_full, Y.Y, slice(None))
     return float(np.sum(residual**2))
 
 
@@ -152,10 +158,9 @@ def oose_embedding_error(
         raise ParameterError(
             f"need {n} fold embeddings, got {len(leave_one_out_embeddings)}"
         )
-    W = W_full.W
     total = 0.0
     for i0, Y_fold in enumerate(leave_one_out_embeddings):
         affected = affected_set(G, i0)
-        residual = Y_fold[affected] - (W[affected] @ Y_fold)
+        residual = Y_fold[affected] - _reconstruct(W_full, Y_fold, affected)
         total += float(np.sum(residual**2))
     return total / n

@@ -11,10 +11,12 @@ from .data import DataMatrix, NeighborGraph, _k_smallest, knn_graph
 from .embeddings import (
     Embedding,
     GeodesicDistances,
+    LleWeights,
     classical_mds,
     geodesics,
     lle_embed,
     lle_weights,
+    _local_grams,
     _solve_weights,
 )
 from .errors import DisconnectedGraphError, ParameterError
@@ -49,7 +51,7 @@ def _test_weights(X_train: DataMatrix, x_test: np.ndarray, k: int, reg: float):
     weights that reconstruct it from them."""
     x_test = np.asarray(x_test, dtype=np.float64)
     nn, _ = _test_neighbors(X_train, x_test, k)
-    return nn, _solve_weights(X_train.points[nn][None], x_test[None], reg)[0]
+    return nn, _solve_weights(_local_grams(X_train.points[nn][None], x_test[None]), reg)[0]
 
 
 def lle_oose(
@@ -120,6 +122,34 @@ def _drop_point(X: DataMatrix, i: int) -> DataMatrix:
     )
 
 
+def _lle_fold_weights(X: DataMatrix, k: int, reg: float):
+    """The LLE weights of every leave-one-out fold of ``X``, in fold order,
+    from one (k+1)-NN graph.
+
+    With point i dropped, another point's k nearest training points are its
+    k+1 nearest points without i, so only the rows that list i change: each
+    takes its (k+1)-th neighbor. Their weights come from one batch
+    solving every row with each of its k neighbors dropped in turn; the Gram
+    matrix of such a neighborhood is the (k+1)-neighbor Gram without that
+    neighbor's row and column.
+    """
+    near = knn_graph(X, k + 1).neighbors
+    table = near[:, :k]
+    base = _solve_weights(_local_grams(X.points[table], X.points), reg)
+    # slots[s]: the k+1 slots without slot s
+    slots = np.array([np.delete(np.arange(k + 1), s) for s in range(k)])
+    C = _local_grams(X.points[near], X.points)[:, slots[:, :, None], slots[:, None, :]]
+    dropped = _solve_weights(C.reshape(-1, k, k), reg).reshape(X.n, k, k)
+    for i in range(X.n):
+        rows, s = np.nonzero(table == i)
+        neighbors, weights = table.copy(), base.copy()
+        neighbors[rows] = near[rows[:, None], slots[s]]
+        weights[rows] = dropped[rows, s]
+        neighbors = np.delete(neighbors, i, axis=0)
+        neighbors -= neighbors > i
+        yield LleWeights(neighbors=neighbors, weights=np.delete(weights, i, axis=0))
+
+
 def leave_one_out(
     X: DataMatrix,
     mask: Mask,
@@ -175,12 +205,16 @@ def leave_one_out(
         return EvalReport(metric="oose_error", value=value, context=context)
 
     if method == "lle":
+        if k > n - 2:
+            raise ParameterError(
+                f"k must be in [1, {n - 2}] for leave-one-out, whose folds train "
+                f"on {n - 1} points; got {k}"
+            )
         W_full = lle_weights(X, G, reg)
         folds = []
-        for i in range(n):
+        for i, W_fold in enumerate(_lle_fold_weights(masked, k, reg)):
             train = _drop_point(masked, i)
-            G_t = knn_graph(train, k)
-            Y_train = lle_embed(lle_weights(train, G_t, reg), ell)
+            Y_train = lle_embed(W_fold, ell)
             res = lle_oose(train, Y_train, masked.points[i], k, reg)
             folds.append(np.insert(Y_train.Y, i, res.y, axis=0))
         value = oose_embedding_error(W_full, folds, G)

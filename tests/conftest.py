@@ -48,3 +48,12 @@ def store_from_dense(dense, k):
 def dense_clique_array(B):
     """The (c, d, n) array with entry [l, :, i] = B.B[B.rows[i, l]]."""
     return B.B[B.rows].transpose(1, 2, 0)
+
+
+def dense_weights(W):
+    """The (n, n) matrix of an LleWeights table: row i holds
+    W.weights[i] at the columns W.neighbors[i]."""
+    n = W.n
+    dense = np.zeros((n, n))
+    dense[np.arange(n)[:, None], W.neighbors] = W.weights
+    return dense

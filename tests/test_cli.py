@@ -327,6 +327,21 @@ class TestOoseCommand:
         assert not (tmp_path / "oose_results.csv").exists()
 
 
+    def test_lle_k_past_fold_size_exit_code(self, tmp_path, line_files):
+        data, meta = line_files  # 12 points, so every fold trains on 11
+        code = run(
+            "oose",
+            "--data", data, "--meta", meta,
+            "--algorithms", "pcoa",
+            "--sizes", "2",
+            "--methods", "lle",
+            "--k", "11", "--l", "1",
+            "--out-dir", tmp_path,
+        )
+        assert code == 1
+        assert not (tmp_path / "oose_results.csv").exists()
+
+
 class TestOneRunOneGraph:
     """Each run builds its full-data k-NN graphs once, shares the ``k`` graph
     with the selectors and leave-one-out, and writes no row if it fails."""

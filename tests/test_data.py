@@ -191,6 +191,22 @@ class TestKnnGraph:
         G = knn_graph(X, 1)
         assert G.has_duplicates
 
+    def test_copies_of_real_points_tie_by_index(self, rng):
+        # the norms-and-products formula puts copies of a real-valued point
+        # a roundoff apart, at roundoff-different distances from the rest
+        points = rng.random((30, 5))
+        points[24:] = points[:6]
+        D = pairwise_distances(points)
+        np.testing.assert_array_equal(D[:, 24:], D[:, :6])
+        np.testing.assert_array_equal(D[np.arange(6), np.arange(24, 30)], 0.0)
+        G = knn_graph(DataMatrix(points=points), 3)
+        assert G.has_duplicates
+        # differences of exact copies are exactly equal, so these distances
+        # tie them exactly
+        direct = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+        np.fill_diagonal(direct, np.inf)
+        np.testing.assert_array_equal(G.neighbors, np.argsort(direct, axis=1, kind="stable")[:, :3])
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_permutation_covariance(self, seed):

@@ -17,6 +17,8 @@ from manifold_masks.embeddings import (
 from manifold_masks.errors import DisconnectedGraphError, NumericalError, ParameterError
 from manifold_masks.metrics import residual_variance
 
+from conftest import dense_weights
+
 
 def mirrored_dijkstra(G):
     """Reference geodesics: every listed edge is added in both directions,
@@ -204,7 +206,7 @@ class TestLleWeights:
         # collinear neighbors make the unregularized Gram singular; the
         # symmetric midpoint solution is reg-independent
         W = lle_weights(X, knn_graph(X, 2), reg=1e-3)
-        row = W.W[1].toarray().ravel()
+        row = dense_weights(W)[1]
         assert row[0] == pytest.approx(0.5, abs=1e-6)
         assert row[2] == pytest.approx(0.5, abs=1e-6)
 
@@ -215,20 +217,20 @@ class TestLleWeights:
         X = DataMatrix(points=np.vstack([a, mid, b]))
         # vanishing reg recovers the exact barycentric coordinates
         W = lle_weights(X, knn_graph(X, 2), reg=1e-9)
-        row = W.W[1].toarray().ravel()
+        row = dense_weights(W)[1]
         assert row[0] == pytest.approx(1 - t, abs=1e-6)
         assert row[2] == pytest.approx(t, abs=1e-6)
 
     def test_rows_sum_to_one(self, rng):
         X = DataMatrix(points=rng.random((40, 5)))
         W = lle_weights(X, knn_graph(X, 5))
-        np.testing.assert_allclose(np.asarray(W.W.sum(axis=1)).ravel(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(dense_weights(W).sum(axis=1), 1.0, atol=1e-12)
 
     def test_beats_uniform_weights(self, rng):
         X = DataMatrix(points=rng.random((40, 5)))
         G = knn_graph(X, 5)
         W = lle_weights(X, G, reg=1e-6)
-        solved = float(np.sum((X.points - W.W @ X.points) ** 2))
+        solved = float(np.sum((X.points - dense_weights(W) @ X.points) ** 2))
         uniform = 0.0
         for i in range(40):
             recon = X.points[G.neighbors[i]].mean(axis=0)
@@ -238,9 +240,9 @@ class TestLleWeights:
     def test_support_restricted_to_neighbors(self, rng):
         X = DataMatrix(points=rng.random((25, 4)))
         G = knn_graph(X, 3)
-        W = lle_weights(X, G)
+        W = dense_weights(lle_weights(X, G))
         for i in range(25):
-            support = set(W.W[i].indices)
+            support = set(np.flatnonzero(W[i]))
             assert support <= set(int(j) for j in G.neighbors[i])
 
     def test_negative_reg_rejected(self, rng):
@@ -254,7 +256,7 @@ class TestLleWeights:
         reg = 1e-3
         X = DataMatrix(points=rng.random((30, d)))
         G = knn_graph(X, k)
-        W = lle_weights(X, G, reg).W.toarray()
+        W = dense_weights(lle_weights(X, G, reg))
         for i in range(X.n):
             diffs = X.points[G.neighbors[i]] - X.points[i]
             C = diffs @ diffs.T
@@ -304,7 +306,7 @@ class TestLleEmbed:
         W = lle_weights(X, G, reg=1e-2)
         emb = lle_embed(W, 2)
         n = X.n
-        IW = np.eye(n) - W.W.toarray()
+        IW = np.eye(n) - dense_weights(W)
         M = IW.T @ IW
         evals, evecs = np.linalg.eigh(0.5 * (M + M.T))
         # drop the constant null mode; the graph is connected, so it is the

@@ -22,6 +22,8 @@ from manifold_masks.metrics import (
     residual_variance,
 )
 
+from conftest import dense_weights
+
 
 def emb(Y):
     Y = np.asarray(Y, dtype=float)
@@ -133,7 +135,7 @@ class TestEmbeddingError:
         X = DataMatrix(points=rng.random((30, 4)))
         W = lle_weights(X, knn_graph(X, 4))
         Y = rng.random((30, 2))
-        expected = float(np.sum((Y - W.W.toarray() @ Y) ** 2))
+        expected = float(np.sum((Y - dense_weights(W) @ Y) ** 2))
         assert embedding_error(W, emb(Y)) == pytest.approx(expected, rel=1e-12)
 
     def test_size_mismatch(self, rng):

@@ -5,10 +5,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from manifold_masks.data import DataMatrix, blob_image, knn_graph
-from manifold_masks.embeddings import Embedding, classical_mds, geodesics, isomap
+from manifold_masks.embeddings import (
+    Embedding,
+    classical_mds,
+    geodesics,
+    isomap,
+    lle_embed,
+    lle_weights,
+)
 from manifold_masks.errors import ParameterError
-from manifold_masks.masks import Mask
+from manifold_masks.masks import Mask, apply_mask
+from manifold_masks.metrics import oose_embedding_error
 from manifold_masks.oose import (
+    _drop_point,
+    _lle_fold_weights,
     _test_neighbors,
     estimate_parameters,
     isomap_oose,
@@ -19,6 +29,20 @@ from manifold_masks.oose import (
 
 def full_mask(d):
     return Mask(selected=tuple(range(d)), d=d)
+
+
+def reference_lle_loo(X, mask, G, ell, reg=1e-3):
+    """leave_one_out(..., "lle") with every fold built from its training
+    points alone: its own k-NN graph, weights and embedding."""
+    masked = apply_mask(X, mask)
+    k = G.k
+    folds = []
+    for i in range(X.n):
+        train = _drop_point(masked, i)
+        Y_train = lle_embed(lle_weights(train, knn_graph(train, k), reg), ell)
+        res = lle_oose(train, Y_train, masked.points[i], k, reg)
+        folds.append(np.insert(Y_train.Y, i, res.y, axis=0))
+    return oose_embedding_error(lle_weights(X, G, reg), folds, G)
 
 
 class TestNearestTrainingPoints:
@@ -133,6 +157,29 @@ class TestEstimateParameters:
             estimate_parameters(train, rng.random(3), k=3)
 
 
+class TestLleFoldWeights:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_match_each_training_set_on_tie_heavy_grids(self, data):
+        # small integer grids make ties at the k-th and (k+1)-th distance
+        # common; the copied rows add duplicate points
+        grid = data.draw(arrays(np.int64, st.tuples(st.integers(3, 10), st.just(2)),
+                                elements=st.integers(0, 3)))
+        copies = data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=3))
+        X = DataMatrix(points=np.vstack([grid, grid[copies]]).astype(float))
+        k = data.draw(st.integers(1, X.n - 2))
+        reg = 1e-3
+        near = knn_graph(X, k + 1).neighbors
+        for i, W_fold in enumerate(_lle_fold_weights(X, k, reg)):
+            train = _drop_point(X, i)
+            G = knn_graph(train, k)
+            np.testing.assert_array_equal(W_fold.neighbors, G.neighbors)
+            want = lle_weights(train, G, reg).weights
+            listed = np.delete(np.any(near[:, :k] == i, axis=1), i)
+            np.testing.assert_array_equal(W_fold.weights[~listed], want[~listed])
+            np.testing.assert_allclose(W_fold.weights[listed], want[listed], rtol=1e-12)
+
+
 class TestLeaveOneOut:
     def test_isomap_line_near_exact(self, line_dataset):
         X, coords = line_dataset
@@ -154,6 +201,40 @@ class TestLeaveOneOut:
         rep = leave_one_out(X, full_mask(4), "lle", knn_graph(X, 4), ell=2)
         assert rep.metric == "oose_embedding_error"
         assert np.isfinite(rep.value) and rep.value >= 0.0
+
+    @pytest.mark.parametrize("selected", [(0, 9, 18, 27, 36, 45, 54, 63), tuple(range(0, 64, 2))])
+    def test_lle_matches_folds_built_without_the_held_out_point(self, small_blob, selected):
+        G = knn_graph(small_blob, 6)
+        mask = Mask(selected=selected, d=small_blob.d)
+        rep = leave_one_out(small_blob, mask, "lle", G, ell=2, reg=1e-2)
+        want = reference_lle_loo(small_blob, mask, G, ell=2, reg=1e-2)
+        assert rep.value == pytest.approx(want, rel=1e-9)
+
+    def test_lle_matches_reference_with_duplicates(self, rng):
+        points = rng.random((30, 5))
+        points[24:] = points[:6]
+        X = DataMatrix(points=points)
+        G = knn_graph(X, 5)
+        mask = Mask(selected=(0, 2, 3, 4), d=5)
+        rep = leave_one_out(X, mask, "lle", G, ell=2)
+        assert rep.value == pytest.approx(reference_lle_loo(X, mask, G, ell=2), rel=1e-9)
+
+    def test_lle_builds_one_graph(self, small_blob, monkeypatch):
+        calls = []
+
+        def counting(X, k):
+            calls.append((X.n, X.d, k))
+            return knn_graph(X, k)
+
+        monkeypatch.setattr("manifold_masks.oose.knn_graph", counting)
+        mask = Mask(selected=tuple(range(0, 64, 4)), d=small_blob.d)
+        leave_one_out(small_blob, mask, "lle", knn_graph(small_blob, 6), ell=2)
+        assert calls == [(small_blob.n, 16, 7)]
+
+    def test_lle_k_past_training_size(self, rng):
+        X = DataMatrix(points=rng.random((10, 3)))
+        with pytest.raises(ParameterError, match=r"train on 9 points; got 9"):
+            leave_one_out(X, full_mask(3), "lle", knn_graph(X, 9), ell=1)
 
     def test_gaze_identity_mask(self, small_blob):
         G = knn_graph(small_blob, 6)
