@@ -34,6 +34,7 @@ from .metrics import (
 )
 from .oose import (
     OoseResult,
+    Reference,
     estimate_parameters,
     isomap_oose,
     leave_one_out,

@@ -12,14 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DataMatrix, NeighborGraph, knn_graph, load_dataset, read_key_values, synth_dataset
-from .embeddings import (
-    GeodesicDistances,
-    LleWeights,
-    classical_mds,
-    geodesics,
-    lle_embed,
-    lle_weights,
-)
+from .embeddings import classical_mds, geodesics, lle_embed, lle_weights
 from .errors import (
     CapacityError,
     ManifoldMasksError,
@@ -46,7 +39,7 @@ from .metrics import (
     neighbor_preservation,
     residual_variance,
 )
-from .oose import METHODS, leave_one_out
+from .oose import METHODS, Reference, leave_one_out
 from .secants import build_clique_array, build_secants
 
 SELECTORS = ("maps_global", "maps_local", "pcoa", "random", "exact_global", "exact_local")
@@ -226,33 +219,13 @@ def cmd_mask(cfg: RunConfig, args) -> int:
     return 0
 
 
-def full_references(
-    cfg: RunConfig, X: DataMatrix
-) -> tuple[dict[int, NeighborGraph], GeodesicDistances, LleWeights]:
-    """The run's full-data k-NN graphs, one per distinct ``k``, ``k_lle`` and
+def full_references(cfg: RunConfig, X: DataMatrix) -> dict[int, Reference]:
+    """The run's full-data references, one per distinct ``k``, ``k_lle`` and
     ``np_k``, with the geodesics (residual variance) and LLE weights
-    (embedding error) every mask is scored against."""
-    G = {k: knn_graph(X, k) for k in {cfg.k, cfg.k_lle, cfg.np_k}}
-    return G, geodesics(G[cfg.k]), lle_weights(X, G[cfg.k_lle], cfg.reg)
-
-
-def _masked_metrics(
-    cfg: RunConfig,
-    X: DataMatrix,
-    mask: Mask,
-    D_full: GeodesicDistances,
-    W_full: LleWeights,
-    G_full: NeighborGraph,
-) -> dict[tuple[str, str], float]:
-    Xm = apply_mask(X, mask)
-    G = {k: knn_graph(Xm, k) for k in {cfg.k, cfg.k_lle}}
-    Y_iso = classical_mds(geodesics(G[cfg.k]), cfg.l)
-    Y_lle = lle_embed(lle_weights(Xm, G[cfg.k_lle], cfg.reg), cfg.l)
-    return {
-        ("residual_variance", ""): residual_variance(D_full, Y_iso),
-        ("neighbor_preservation", ""): neighbor_preservation(G_full, Y_iso),
-        ("embedding_error", ""): embedding_error(W_full, Y_lle),
-    }
+    (embedding error) every mask is scored against built up front."""
+    refs = {k: Reference(X, knn_graph(X, k), cfg.l, cfg.reg) for k in {cfg.k, cfg.k_lle, cfg.np_k}}
+    refs[cfg.k].geodesics, refs[cfg.k_lle].weights
+    return refs
 
 
 def _score_plans(
@@ -282,25 +255,37 @@ def _score_plans(
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     X, dataset_id = _load_for_masks(cfg)
-    G, D_full, W_full = full_references(cfg, X)
-    score = lambda mask: _masked_metrics(cfg, X, mask, D_full, W_full, G[cfg.np_k])
-    return _score_plans(cfg, X, G[cfg.k], dataset_id, score, "results.csv")
+    refs = full_references(cfg, X)
+
+    def score(mask: Mask) -> dict[tuple[str, str], float]:
+        Xm = apply_mask(X, mask)
+        G = {k: knn_graph(Xm, k) for k in {cfg.k, cfg.k_lle}}
+        Y_iso = classical_mds(geodesics(G[cfg.k]), cfg.l)
+        Y_lle = lle_embed(lle_weights(Xm, G[cfg.k_lle], cfg.reg), cfg.l)
+        return {
+            ("residual_variance", ""): residual_variance(refs[cfg.k].geodesics, Y_iso),
+            ("neighbor_preservation", ""): neighbor_preservation(refs[cfg.np_k].G, Y_iso),
+            ("embedding_error", ""): embedding_error(refs[cfg.k_lle].weights, Y_lle),
+        }
+
+    return _score_plans(cfg, X, refs[cfg.k].G, dataset_id, score, "results.csv")
 
 
 def cmd_oose(cfg: RunConfig, args) -> int:
     X, dataset_id = _load_for_masks(cfg)
     if "gaze" in cfg.methods and X.params is None:
         raise ParameterError("gaze evaluation needs ground-truth params")
-    G = knn_graph(X, cfg.k)
+    ref = Reference(X, knn_graph(X, cfg.k), cfg.l, cfg.reg)
 
     def score(mask: Mask) -> dict[tuple[str, str], float]:
+        Xm = apply_mask(X, mask)
         scores = {}
         for method in cfg.methods:
-            rep = leave_one_out(X, mask, method, G, cfg.l, cfg.reg, cfg.exact_folds)
+            rep = leave_one_out(Xm, method, ref, cfg.exact_folds)
             scores[rep.metric, method] = rep.value
         return scores
 
-    return _score_plans(cfg, X, G, dataset_id, score, "oose_results.csv")
+    return _score_plans(cfg, X, ref.G, dataset_id, score, "oose_results.csv")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -312,7 +297,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algorithms", help="comma-separated selector names")
     parser.add_argument("--sizes", help="comma-separated mask sizes, strictly increasing")
     parser.add_argument("--k", type=int, help="neighborhood size for the Isomap graph")
-    parser.add_argument("--k-lle", dest="k_lle", type=int, help="neighborhood size for LLE")
+    parser.add_argument("--k-lle", dest="k_lle", type=int, help="evaluate's LLE k (oose uses --k)")
     parser.add_argument("--l", type=int, help="embedding dimension")
     parser.add_argument("--p", choices=NORMS, help="norm for the global selector")
     parser.add_argument("--reg", type=float, help="LLE regularization")

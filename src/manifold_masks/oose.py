@@ -4,6 +4,7 @@ the leave-one-out evaluation driver."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,13 +21,7 @@ from .embeddings import (
     _solve_weights,
 )
 from .errors import DisconnectedGraphError, ParameterError
-from .masks import Mask, apply_mask
-from .metrics import (
-    EvalReport,
-    oose_embedding_error,
-    oose_error_isomap,
-    procrustes_align,
-)
+from .metrics import EvalReport, oose_embedding_error, oose_error_isomap, procrustes_align
 
 METHODS = ("isomap", "lle", "gaze")
 
@@ -36,6 +31,33 @@ class OoseResult:
     """Embedding of a held-out point."""
 
     y: np.ndarray  # (l,)
+
+
+@dataclass(frozen=True)
+class Reference:
+    """The full data ``X`` a run scores every mask against, and its k-NN graph
+    ``G``. The graph's geodesics, their ``ell``-dimensional Isomap embedding
+    and its LLE weights (regularized by ``reg``) are each built on first use
+    and then kept."""
+
+    X: DataMatrix
+    G: NeighborGraph
+    ell: int
+    reg: float = 1e-3
+
+    @cached_property
+    def geodesics(self) -> GeodesicDistances:
+        return geodesics(self.G)
+
+    @cached_property
+    def isomap(self) -> Embedding:
+        if not self.geodesics.connected:
+            raise DisconnectedGraphError("full dataset's neighbor graph is disconnected")
+        return classical_mds(self.geodesics, self.ell)
+
+    @cached_property
+    def weights(self) -> LleWeights:
+        return lle_weights(self.X, self.G, self.reg)
 
 
 def _test_neighbors(X_train: DataMatrix, x_test: np.ndarray, k: int):
@@ -71,6 +93,22 @@ def lle_oose(
     return OoseResult(y=w @ Y_train.Y[nn])
 
 
+def _isomap_extend(D_geo: GeodesicDistances, emb: Embedding, nn, dists) -> np.ndarray:
+    """The landmark-formula coordinates of a point whose k nearest training
+    points are ``nn``, at Euclidean distances ``dists``."""
+    evals = emb.eigenvalues
+    if np.any(evals <= 0):
+        raise ParameterError(
+            "isomap_oose needs strictly positive eigenvalues for every "
+            f"embedding component, got {evals}"
+        )
+    # estimated geodesic: hop to a near training point, then follow the graph
+    d_test = np.min(dists[:, None] + D_geo.D[nn, :], axis=0)
+    col_means = np.mean(D_geo.D**2, axis=0)
+    vectors = emb.Y / np.sqrt(evals)[None, :]  # recover unit eigenvectors
+    return 0.5 / np.sqrt(evals) * ((col_means - d_test**2) @ vectors)
+
+
 def isomap_oose(
     X_train: DataMatrix,
     D_geo: GeodesicDistances,
@@ -84,20 +122,8 @@ def isomap_oose(
     its k nearest training points; the point is then embedded with the
     landmark formula driven by the stored eigenpairs.
     """
-    x_test = np.asarray(x_test, dtype=np.float64)
-    evals = emb.eigenvalues
-    if np.any(evals <= 0):
-        raise ParameterError(
-            "isomap_oose needs strictly positive eigenvalues for every "
-            f"embedding component, got {evals}"
-        )
-    nn, dists = _test_neighbors(X_train, x_test, k)
-    # estimated geodesic: hop to a near training point, then follow the graph
-    d_test = np.min(dists[nn][:, None] + D_geo.D[nn, :], axis=0)
-    col_means = np.mean(D_geo.D**2, axis=0)
-    vectors = emb.Y / np.sqrt(evals)[None, :]  # recover unit eigenvectors
-    y = 0.5 / np.sqrt(evals) * ((col_means - d_test**2) @ vectors)
-    return OoseResult(y=y)
+    nn, dists = _test_neighbors(X_train, np.asarray(x_test, dtype=np.float64), k)
+    return OoseResult(y=_isomap_extend(D_geo, emb, nn, dists[nn]))
 
 
 def estimate_parameters(
@@ -114,24 +140,18 @@ def estimate_parameters(
     return w @ X_train.params[nn]
 
 
-def _drop_point(X: DataMatrix, i: int) -> DataMatrix:
-    keep = np.delete(np.arange(X.n), i)
-    return DataMatrix(
-        points=X.points[keep],
-        params=None if X.params is None else X.params[keep],
-    )
-
-
 def _lle_fold_weights(X: DataMatrix, k: int, reg: float):
-    """The LLE weights of every leave-one-out fold of ``X``, in fold order,
-    from one (k+1)-NN graph.
+    """For every leave-one-out fold of ``X``, in fold order: the training
+    points' LLE weights, then the held-out point's k nearest training points
+    and its weights over them; all from one (k+1)-NN graph.
 
     With point i dropped, another point's k nearest training points are its
     k+1 nearest points without i, so only the rows that list i change: each
     takes its (k+1)-th neighbor. Their weights come from one batch
     solving every row with each of its k neighbors dropped in turn; the Gram
     matrix of such a neighborhood is the (k+1)-neighbor Gram without that
-    neighbor's row and column.
+    neighbor's row and column. Point i's own row never lists i, so it is the
+    held-out point's neighbors (renumbered for the fold) and weights.
     """
     near = knn_graph(X, k + 1).neighbors
     table = near[:, :k]
@@ -145,23 +165,21 @@ def _lle_fold_weights(X: DataMatrix, k: int, reg: float):
         neighbors, weights = table.copy(), base.copy()
         neighbors[rows] = near[rows[:, None], slots[s]]
         weights[rows] = dropped[rows, s]
-        neighbors = np.delete(neighbors, i, axis=0)
         neighbors -= neighbors > i
-        yield LleWeights(neighbors=neighbors, weights=np.delete(weights, i, axis=0))
+        train = np.arange(X.n) != i
+        yield LleWeights(neighbors[train], weights[train]), neighbors[i], base[i]
 
 
 def leave_one_out(
-    X: DataMatrix,
-    mask: Mask,
-    method: str,
-    G: NeighborGraph,
-    ell: int,
-    reg: float = 1e-3,
-    exact_folds: bool = False,
+    X: DataMatrix, method: str, ref: Reference, exact_folds: bool = False
 ) -> EvalReport:
-    """Score a mask by leave-one-out out-of-sample extension.
+    """Score masked data ``X`` by leave-one-out out-of-sample extension.
 
-    ``G`` is the full data's k-NN graph; its ``k`` sets the folds' graphs.
+    ``X`` holds the full data of ``ref`` restricted to a mask, point for
+    point. The reference graph's ``k`` sets the folds' graphs, and
+    ``ref.ell`` and ``ref.reg`` the embedding dimension and the LLE
+    regularization. Held-out point i's k nearest training points are row i
+    of ``X``'s own k-NN table.
 
     ``isomap``: per fold, embed the masked training set, extend to the
     held-out masked point, align the assembled embedding to the full-data
@@ -174,35 +192,32 @@ def leave_one_out(
     ``gaze``: per fold, estimate the held-out point's parameters from the
     masked training set and report the mean parameter-space error.
     """
-    masked = apply_mask(X, mask)
-    n, k = X.n, G.k
-    context = {"m": mask.m, "k": k, "l": ell, "method": method}
+    n, k, ell = X.n, ref.G.k, ref.ell
 
     if method == "isomap":
-        D_ref = geodesics(G)
-        if not D_ref.connected:
-            raise DisconnectedGraphError("full dataset's neighbor graph is disconnected")
-        Y_ref = classical_mds(D_ref, ell)
-        D_masked = geodesics(knn_graph(masked, k))
+        Y_ref = ref.isomap
+        G = knn_graph(X, k)
+        D_masked = geodesics(G)
         if not D_masked.connected:
             raise DisconnectedGraphError("masked dataset's neighbor graph is disconnected")
         Y_oose = np.empty((n, ell))
-        for i in range(n):
-            train = _drop_point(masked, i)
+        for i, nn in enumerate(G.neighbors):
+            keep = np.delete(np.arange(n), i)
             if exact_folds:
-                D_fold = geodesics(knn_graph(train, k))
+                D_fold = geodesics(knn_graph(DataMatrix(points=X.points[keep]), k))
                 if not D_fold.connected:
                     raise DisconnectedGraphError(f"fold {i}: training graph disconnected")
             else:
-                keep = np.delete(np.arange(n), i)
                 D_fold = GeodesicDistances(D=D_masked.D[np.ix_(keep, keep)], connected=True)
             Y_train = classical_mds(D_fold, ell)
-            res = isomap_oose(train, D_fold, Y_train, masked.points[i], k)
-            Z = np.insert(Y_train.Y, i, res.y, axis=0)
+            # i's row of the table, renumbered for the fold's training set
+            dists = np.linalg.norm(X.points[nn] - X.points[i], axis=1)
+            y = _isomap_extend(D_fold, Y_train, nn - (nn > i), dists)
+            Z = np.insert(Y_train.Y, i, y, axis=0)
             aligned, _ = procrustes_align(Y_ref, Embedding(Y=Z, eigenvalues=Y_train.eigenvalues))
             Y_oose[i] = aligned.Y[i]
         value = oose_error_isomap(Y_ref, Embedding(Y=Y_oose, eigenvalues=Y_ref.eigenvalues))
-        return EvalReport(metric="oose_error", value=value, context=context)
+        return EvalReport(metric="oose_error", value=value)
 
     if method == "lle":
         if k > n - 2:
@@ -210,24 +225,21 @@ def leave_one_out(
                 f"k must be in [1, {n - 2}] for leave-one-out, whose folds train "
                 f"on {n - 1} points; got {k}"
             )
-        W_full = lle_weights(X, G, reg)
-        folds = []
-        for i, W_fold in enumerate(_lle_fold_weights(masked, k, reg)):
-            train = _drop_point(masked, i)
-            Y_train = lle_embed(W_fold, ell)
-            res = lle_oose(train, Y_train, masked.points[i], k, reg)
-            folds.append(np.insert(Y_train.Y, i, res.y, axis=0))
-        value = oose_embedding_error(W_full, folds, G)
-        return EvalReport(metric="oose_embedding_error", value=value, context=context)
+        # built before the folds' arrays: after them, it raised the peak RSS
+        W_ref, folds = ref.weights, []
+        for i, (W_train, nn, w) in enumerate(_lle_fold_weights(X, k, ref.reg)):
+            Y_train = lle_embed(W_train, ell)
+            folds.append(np.insert(Y_train.Y, i, w @ Y_train.Y[nn], axis=0))
+        value = oose_embedding_error(W_ref, folds, ref.G)
+        return EvalReport(metric="oose_embedding_error", value=value)
 
     if method == "gaze":
         if X.params is None:
             raise ParameterError("gaze evaluation needs ground-truth params")
+        W = lle_weights(X, knn_graph(X, k), ref.reg)
         errors = np.empty(n)
-        for i in range(n):
-            train = _drop_point(masked, i)
-            theta = estimate_parameters(train, masked.points[i], k, reg)
-            errors[i] = np.linalg.norm(theta - X.params[i])
-        return EvalReport(metric="gaze_error", value=float(np.mean(errors)), context=context)
+        for i, (nn, w) in enumerate(zip(W.neighbors, W.weights)):
+            errors[i] = np.linalg.norm(w @ X.params[nn] - X.params[i])
+        return EvalReport(metric="gaze_error", value=float(np.mean(errors)))
 
     raise ParameterError(f"unknown leave-one-out method {method!r}; choose from {METHODS}")

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 
 import numpy as np
@@ -23,7 +24,7 @@ from manifold_masks.metrics import (
     neighbor_preservation,
     residual_variance,
 )
-from manifold_masks.oose import leave_one_out
+from manifold_masks.oose import Reference, leave_one_out
 from manifold_masks.secants import build_secants
 
 
@@ -262,13 +263,12 @@ class TestPlanValues:
     def test_oose_rows(self, tmp_path, X, library_masks):
         methods = ("isomap", "gaze")
         rows = self.run_command("oose", tmp_path, "--methods", ",".join(methods))
+        ref = Reference(X, knn_graph(X, self.K), 2)
         checked = 0
         for algorithm, plan in library_masks.items():
             for m, masks in plan.items():
                 for method in methods:
-                    reports = [
-                        leave_one_out(X, mask, method, knn_graph(X, self.K), 2) for mask in masks
-                    ]
+                    reports = [leave_one_out(apply_mask(X, mask), method, ref) for mask in masks]
                     row = rows[(algorithm, m, reports[0].metric, method)]
                     self.check_row(row, [r.value for r in reports], algorithm)
                     checked += 1
@@ -386,6 +386,52 @@ class TestOneRunOneGraph:
         )
         assert code == 0
         assert full_graphs == [6]
+
+    @pytest.fixture
+    def full_builds(self, monkeypatch):
+        """The name of every geodesics and lle_weights call on the full
+        64-pixel data, spied on at every module binding."""
+        full_graphs, calls = [], []
+
+        def graph(X, k):
+            G = knn_graph(X, k)
+            if X.d == 64:
+                full_graphs.append(G)
+            return G
+
+        def geo(G):
+            if any(G is F for F in full_graphs):
+                calls.append("geodesics")
+            return geodesics(G)
+
+        def weights(X, G, reg=1e-3):
+            if X.d == 64:
+                calls.append("lle_weights")
+            return lle_weights(X, G, reg)
+
+        spies = {"knn_graph": graph, "geodesics": geo, "lle_weights": weights}
+        for module in ("cli", "embeddings", "metrics", "oose"):
+            module = importlib.import_module(f"manifold_masks.{module}")
+            for name, spy in spies.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "methods, built", [("isomap,lle,gaze", ["geodesics", "lle_weights"]), ("gaze", [])]
+    )
+    def test_oose_builds_references_once(self, tmp_path, full_builds, methods, built):
+        code = run(
+            "oose",
+            "--synth", self.SYNTH,
+            "--algorithms", "maps_global,pcoa",
+            "--sizes", "4,8",
+            "--methods", methods,
+            "--k", "6",
+            "--out-dir", tmp_path,
+        )
+        assert code == 0
+        assert sorted(full_builds) == built
 
     @pytest.mark.parametrize("algorithm, graphs", [("pcoa", []), ("random", []), ("maps_global", [6])])
     def test_mask(self, tmp_path, full_graphs, algorithm, graphs):

@@ -7,19 +7,21 @@ from hypothesis.extra.numpy import arrays
 from manifold_masks.data import DataMatrix, blob_image, knn_graph
 from manifold_masks.embeddings import (
     Embedding,
+    GeodesicDistances,
     classical_mds,
     geodesics,
     isomap,
     lle_embed,
     lle_weights,
 )
-from manifold_masks.errors import ParameterError
+from manifold_masks.errors import DisconnectedGraphError, ManifoldMasksError, ParameterError
 from manifold_masks.masks import Mask, apply_mask
-from manifold_masks.metrics import oose_embedding_error
+from manifold_masks.metrics import oose_embedding_error, oose_error_isomap, procrustes_align
 from manifold_masks.oose import (
-    _drop_point,
+    Reference,
     _lle_fold_weights,
     _test_neighbors,
+    _test_weights,
     estimate_parameters,
     isomap_oose,
     leave_one_out,
@@ -31,6 +33,17 @@ def full_mask(d):
     return Mask(selected=tuple(range(d)), d=d)
 
 
+def drop_point(X, i):
+    """Fold i's training set: ``X`` without point i."""
+    keep = np.delete(np.arange(X.n), i)
+    return DataMatrix(points=X.points[keep], params=None if X.params is None else X.params[keep])
+
+
+def masked_loo(X, mask, method, G, ell, reg=1e-3):
+    """leave_one_out on ``X`` under ``mask`` against the full data's graph ``G``."""
+    return leave_one_out(apply_mask(X, mask), method, Reference(X, G, ell, reg))
+
+
 def reference_lle_loo(X, mask, G, ell, reg=1e-3):
     """leave_one_out(..., "lle") with every fold built from its training
     points alone: its own k-NN graph, weights and embedding."""
@@ -38,11 +51,52 @@ def reference_lle_loo(X, mask, G, ell, reg=1e-3):
     k = G.k
     folds = []
     for i in range(X.n):
-        train = _drop_point(masked, i)
+        train = drop_point(masked, i)
         Y_train = lle_embed(lle_weights(train, knn_graph(train, k), reg), ell)
         res = lle_oose(train, Y_train, masked.points[i], k, reg)
         folds.append(np.insert(Y_train.Y, i, res.y, axis=0))
     return oose_embedding_error(lle_weights(X, G, reg), folds, G)
+
+
+def reference_isomap_loo(X, mask, k, ell):
+    """leave_one_out(..., "isomap") with each held-out point extended by
+    isomap_oose, which searches its training set for the point's neighbors."""
+    masked = apply_mask(X, mask)
+    Y_ref = classical_mds(geodesics(knn_graph(X, k)), ell)
+    D_masked = geodesics(knn_graph(masked, k))
+    if not D_masked.connected:
+        raise DisconnectedGraphError("masked graph disconnected")
+    Y_oose = np.empty((X.n, ell))
+    for i in range(X.n):
+        keep = np.delete(np.arange(X.n), i)
+        D_fold = GeodesicDistances(D=D_masked.D[np.ix_(keep, keep)], connected=True)
+        Y_train = classical_mds(D_fold, ell)
+        res = isomap_oose(drop_point(masked, i), D_fold, Y_train, masked.points[i], k)
+        Z = np.insert(Y_train.Y, i, res.y, axis=0)
+        aligned, _ = procrustes_align(Y_ref, Embedding(Y=Z, eigenvalues=Y_train.eigenvalues))
+        Y_oose[i] = aligned.Y[i]
+    return oose_error_isomap(Y_ref, Embedding(Y=Y_oose, eigenvalues=Y_ref.eigenvalues))
+
+
+def reference_gaze_loo(X, mask, k, reg=1e-3):
+    """leave_one_out(..., "gaze") with each held-out point's parameters from
+    estimate_parameters, which searches its training set for the point's
+    neighbors."""
+    masked = apply_mask(X, mask)
+    errors = [
+        np.linalg.norm(estimate_parameters(drop_point(masked, i), masked.points[i], k, reg)
+                       - X.params[i])
+        for i in range(X.n)
+    ]
+    return float(np.mean(errors))
+
+
+def outcome(f, *args, **kwargs):
+    """``f``'s value, or the type of the package error it raises."""
+    try:
+        return f(*args, **kwargs)
+    except ManifoldMasksError as exc:
+        return type(exc)
 
 
 class TestNearestTrainingPoints:
@@ -170,8 +224,11 @@ class TestLleFoldWeights:
         k = data.draw(st.integers(1, X.n - 2))
         reg = 1e-3
         near = knn_graph(X, k + 1).neighbors
-        for i, W_fold in enumerate(_lle_fold_weights(X, k, reg)):
-            train = _drop_point(X, i)
+        for i, (W_fold, nn, w) in enumerate(_lle_fold_weights(X, k, reg)):
+            train = drop_point(X, i)
+            want_nn, want_w = _test_weights(train, X.points[i], k, reg)
+            np.testing.assert_array_equal(nn, want_nn)
+            np.testing.assert_array_equal(w, want_w)
             G = knn_graph(train, k)
             np.testing.assert_array_equal(W_fold.neighbors, G.neighbors)
             want = lle_weights(train, G, reg).weights
@@ -183,22 +240,22 @@ class TestLleFoldWeights:
 class TestLeaveOneOut:
     def test_isomap_line_near_exact(self, line_dataset):
         X, coords = line_dataset
-        rep = leave_one_out(X, full_mask(3), "isomap", knn_graph(X, 2), ell=1)
+        rep = masked_loo(X, full_mask(3), "isomap", knn_graph(X, 2), ell=1)
         diameter = coords.max() - coords.min()
         assert rep.metric == "oose_error"
         assert rep.value < 1e-3 * diameter
-        assert rep.context == {"m": 3, "k": 2, "l": 1, "method": "isomap"}
 
     def test_isomap_exact_folds_agree_on_line(self, line_dataset):
         X, _ = line_dataset
         # k=3 keeps every fold's graph connected when a point is dropped
-        fast = leave_one_out(X, full_mask(3), "isomap", knn_graph(X, 3), ell=1)
-        exact = leave_one_out(X, full_mask(3), "isomap", knn_graph(X, 3), ell=1, exact_folds=True)
+        ref = Reference(X, knn_graph(X, 3), ell=1)
+        fast = leave_one_out(X, "isomap", ref)
+        exact = leave_one_out(X, "isomap", ref, exact_folds=True)
         assert exact.value == pytest.approx(fast.value, abs=1e-8)
 
     def test_lle_reports_nonnegative(self, rng):
         X = DataMatrix(points=rng.random((25, 4)))
-        rep = leave_one_out(X, full_mask(4), "lle", knn_graph(X, 4), ell=2)
+        rep = masked_loo(X, full_mask(4), "lle", knn_graph(X, 4), ell=2)
         assert rep.metric == "oose_embedding_error"
         assert np.isfinite(rep.value) and rep.value >= 0.0
 
@@ -206,7 +263,7 @@ class TestLeaveOneOut:
     def test_lle_matches_folds_built_without_the_held_out_point(self, small_blob, selected):
         G = knn_graph(small_blob, 6)
         mask = Mask(selected=selected, d=small_blob.d)
-        rep = leave_one_out(small_blob, mask, "lle", G, ell=2, reg=1e-2)
+        rep = masked_loo(small_blob, mask, "lle", G, ell=2, reg=1e-2)
         want = reference_lle_loo(small_blob, mask, G, ell=2, reg=1e-2)
         assert rep.value == pytest.approx(want, rel=1e-9)
 
@@ -216,7 +273,7 @@ class TestLeaveOneOut:
         X = DataMatrix(points=points)
         G = knn_graph(X, 5)
         mask = Mask(selected=(0, 2, 3, 4), d=5)
-        rep = leave_one_out(X, mask, "lle", G, ell=2)
+        rep = masked_loo(X, mask, "lle", G, ell=2)
         assert rep.value == pytest.approx(reference_lle_loo(X, mask, G, ell=2), rel=1e-9)
 
     def test_lle_builds_one_graph(self, small_blob, monkeypatch):
@@ -228,33 +285,74 @@ class TestLeaveOneOut:
 
         monkeypatch.setattr("manifold_masks.oose.knn_graph", counting)
         mask = Mask(selected=tuple(range(0, 64, 4)), d=small_blob.d)
-        leave_one_out(small_blob, mask, "lle", knn_graph(small_blob, 6), ell=2)
+        masked_loo(small_blob, mask, "lle", knn_graph(small_blob, 6), ell=2)
         assert calls == [(small_blob.n, 16, 7)]
 
     def test_lle_k_past_training_size(self, rng):
         X = DataMatrix(points=rng.random((10, 3)))
         with pytest.raises(ParameterError, match=r"train on 9 points; got 9"):
-            leave_one_out(X, full_mask(3), "lle", knn_graph(X, 9), ell=1)
+            masked_loo(X, full_mask(3), "lle", knn_graph(X, 9), ell=1)
 
     def test_gaze_identity_mask(self, small_blob):
         G = knn_graph(small_blob, 6)
-        rep = leave_one_out(small_blob, full_mask(small_blob.d), "gaze", G, ell=2)
+        rep = masked_loo(small_blob, full_mask(small_blob.d), "gaze", G, ell=2)
         assert rep.metric == "gaze_error"
         assert 0.0 <= rep.value < 8.0  # grid side bounds the center error
 
     def test_gaze_needs_params(self, rng):
         X = DataMatrix(points=rng.random((10, 3)))
         with pytest.raises(ParameterError):
-            leave_one_out(X, full_mask(3), "gaze", knn_graph(X, 2), ell=1)
+            masked_loo(X, full_mask(3), "gaze", knn_graph(X, 2), ell=1)
 
     def test_unknown_method(self, line_dataset):
         X, _ = line_dataset
         with pytest.raises(ParameterError):
-            leave_one_out(X, full_mask(3), "umap", knn_graph(X, 2), ell=1)
+            masked_loo(X, full_mask(3), "umap", knn_graph(X, 2), ell=1)
 
     def test_masked_isomap_still_accurate_on_line(self, line_dataset):
         # the line varies along every ambient axis, so a single coordinate
         # already determines geodesic order
         X, coords = line_dataset
-        rep = leave_one_out(X, Mask(selected=(0,), d=3), "isomap", knn_graph(X, 2), ell=1)
+        rep = masked_loo(X, Mask(selected=(0,), d=3), "isomap", knn_graph(X, 2), ell=1)
         assert rep.value < 1e-3 * (coords.max() - coords.min())
+
+
+class TestHeldOutReads:
+    """leave_one_out reads each held-out point's neighbors from the masked
+    data's own k-NN table; the public extensions search each fold's training
+    set instead, and give the same values."""
+
+    @pytest.mark.parametrize("selected", [(0, 9, 18, 27, 36, 45, 54, 63), tuple(range(0, 64, 2))])
+    def test_small_blob(self, small_blob, selected):
+        mask = Mask(selected=selected, d=small_blob.d)
+        G = knn_graph(small_blob, 6)
+        for method, want in [
+            ("isomap", reference_isomap_loo(small_blob, mask, 6, ell=2)),
+            ("gaze", reference_gaze_loo(small_blob, mask, 6, reg=1e-2)),
+        ]:
+            got = masked_loo(small_blob, mask, method, G, ell=2, reg=1e-2).value
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    # grids whose masked points coincide embed with a zero eigenvalue
+    @pytest.mark.filterwarnings("ignore:only 0 positive eigenvalues")
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_tie_heavy_grids(self, data):
+        # small integer grids make ties at the k-th distance common
+        n = data.draw(st.integers(3, 12))
+        points = data.draw(arrays(np.int64, (n, 3), elements=st.integers(0, 3)))
+        params = data.draw(arrays(np.int64, (n, 2), elements=st.integers(0, 3)))
+        X = DataMatrix(points=points.astype(float), params=params.astype(float))
+        selected = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+        mask = Mask(selected=tuple(selected), d=3)
+        k = data.draw(st.integers(1, n - 1))
+        ref = Reference(X, knn_graph(X, k), ell=1)
+        for method, want in [
+            ("isomap", outcome(reference_isomap_loo, X, mask, k, ell=1)),
+            ("gaze", outcome(reference_gaze_loo, X, mask, k)),
+        ]:
+            got = outcome(lambda: leave_one_out(apply_mask(X, mask), method, ref).value)
+            if isinstance(want, type):
+                assert got is want
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
