@@ -288,28 +288,34 @@ def cmd_oose(cfg: RunConfig, args) -> int:
     return _score_plans(cfg, X, ref.G, dataset_id, score, "oose_results.csv")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--data", help="dataset CSV or binary path")
-    parser.add_argument("--meta", help="sidecar metadata path")
-    parser.add_argument("--format", choices=["csv", "f64le-binary"])
-    parser.add_argument("--synth", help="synthetic spec, e.g. translating_blob:n=200,g=16,seed=1")
-    parser.add_argument("--algorithms", help="comma-separated selector names")
-    parser.add_argument("--sizes", help="comma-separated mask sizes, strictly increasing")
-    parser.add_argument("--k", type=int, help="neighborhood size for the Isomap graph")
-    parser.add_argument("--k-lle", dest="k_lle", type=int, help="evaluate's LLE k (oose uses --k)")
-    parser.add_argument("--l", type=int, help="embedding dimension")
-    parser.add_argument("--p", choices=NORMS, help="norm for the global selector")
-    parser.add_argument("--reg", type=float, help="LLE regularization")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int, help="random-mask trial count")
-    parser.add_argument("--np-k", dest="np_k", type=int, help="neighbor-preservation k")
-    parser.add_argument("--methods", help="comma-separated OoSE methods (isomap,lle,gaze)")
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--results", help="results CSV path")
-    parser.add_argument(
-        "--exact-folds", dest="exact_folds", action="store_const", const=True
-    )
+_LOADS = ("mask", "evaluate", "oose")
+_SCORES = ("evaluate", "oose")
+
+# every flag, with the subcommands that read it; any other subcommand
+# rejects it as argparse rejects an unknown flag
+FLAGS = (
+    ("--config", ("synth", *_LOADS), dict(help="key=value config file; flags override it")),
+    ("--synth", ("synth", *_LOADS),
+     dict(help="synthetic spec, e.g. translating_blob:n=200,g=16,seed=1")),
+    ("--seed", ("synth", *_LOADS), dict(type=int)),
+    ("--data", _LOADS, dict(help="dataset CSV or binary path")),
+    ("--meta", _LOADS, dict(help="sidecar metadata path")),
+    ("--format", _LOADS, dict(choices=["csv", "f64le-binary"])),
+    ("--algorithms", _LOADS, dict(help="comma-separated selector names")),
+    ("--sizes", _LOADS, dict(help="comma-separated mask sizes, strictly increasing")),
+    ("--k", _LOADS, dict(type=int, help="neighborhood size for the Isomap graph")),
+    ("--p", _LOADS, dict(choices=NORMS, help="norm for the global selector")),
+    ("--out-dir", _LOADS, dict(dest="out_dir")),
+    ("--l", _SCORES, dict(type=int, help="embedding dimension")),
+    ("--reg", _SCORES, dict(type=float, help="LLE regularization")),
+    ("--trials", _SCORES, dict(type=int, help="random-mask trial count")),
+    ("--results", _SCORES, dict(help="results CSV path")),
+    ("--k-lle", ("evaluate",), dict(dest="k_lle", type=int, help="LLE neighborhood size")),
+    ("--np-k", ("evaluate",), dict(dest="np_k", type=int, help="neighbor-preservation k")),
+    ("--methods", ("oose",), dict(help="comma-separated OoSE methods (isomap,lle,gaze)")),
+    ("--exact-folds", ("oose",), dict(dest="exact_folds", action="store_const", const=True)),
+    ("--out", ("synth",), dict(required=True, help="output basename (.csv/.meta)")),
+)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -318,23 +324,18 @@ def make_parser() -> argparse.ArgumentParser:
         description="Select and evaluate structure-preserving pixel masks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p_synth)
-    p_synth.add_argument("--out", required=True, help="output basename (.csv/.meta)")
-    p_synth.set_defaults(handler=cmd_synth)
-
-    p_mask = sub.add_parser("mask", help="select masks and write JSON/PGM files")
-    _add_common(p_mask)
-    p_mask.set_defaults(handler=cmd_mask)
-
-    p_eval = sub.add_parser("evaluate", help="score masks with Isomap/LLE metrics")
-    _add_common(p_eval)
-    p_eval.set_defaults(handler=cmd_evaluate)
-
-    p_oose = sub.add_parser("oose", help="leave-one-out out-of-sample evaluation")
-    _add_common(p_oose)
-    p_oose.set_defaults(handler=cmd_oose)
+    commands = {
+        "synth": ("generate a synthetic dataset", cmd_synth),
+        "mask": ("select masks and write JSON/PGM files", cmd_mask),
+        "evaluate": ("score masks with Isomap/LLE metrics", cmd_evaluate),
+        "oose": ("leave-one-out out-of-sample evaluation", cmd_oose),
+    }
+    for command, (help_text, handler) in commands.items():
+        p_cmd = sub.add_parser(command, help=help_text)
+        for flag, readers, options in FLAGS:
+            if command in readers:
+                p_cmd.add_argument(flag, **options)
+        p_cmd.set_defaults(handler=handler)
     return parser
 
 

@@ -9,6 +9,7 @@ from math import comb
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .data import DataMatrix
 from .errors import CapacityError, DegenerateDataError, ParameterError
@@ -78,20 +79,6 @@ def global_objective(A: SecantMatrix, mask: Mask, p: str = "L1") -> float:
     return _global_cost(A, list(mask.selected), p)
 
 
-def _clique_sum(rows: np.ndarray, w: np.ndarray, store: np.ndarray) -> np.ndarray:
-    """Weighted sums of each point's clique rows of a (P, d') store, as a
-    (d', n) array: column i is sum_l w[l, i] * store[rows[i, l]].
-
-    One CSR (n, P) product with the store, summing each point's pairs in
-    clique order.
-    """
-    n, c = rows.shape
-    S = sparse.csr_matrix(
-        (w.T.ravel(), rows.ravel(), np.arange(0, n * c + 1, c)), shape=(n, store.shape[0])
-    )
-    return np.ascontiguousarray((S @ store).T)
-
-
 def _clique_alpha(B: CliqueSecantArray) -> tuple[np.ndarray, np.ndarray]:
     """Full clique secant-norm vectors, (c, n), and their norms, (n,).
 
@@ -153,35 +140,60 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     Per-point similarity compares the vector of masked squared secant norms
     against the full ones, so a per-point scale factor costs nothing. Ties
     go to the lowest index; masks are nested.
+
+    Every per-candidate quantity is ``(n, d)``, the layout of the sparse
+    product ``S @ B.B``: row i of the ``(n, P)`` matrix S puts point i's
+    clique weights at its pairs' rows of the store, and the product sums
+    each point's pairs in clique order. Rows follow a cache-friendly point
+    order, which changes only the order in which a score sums over points.
     """
     n, c, d = B.n, B.c, B.d
     _check_m(m, d)
     alpha, alpha_norm = _clique_alpha(B)
+    P = B.B.shape[0]
+    indptr = np.arange(0, n * c + 1, c)
+    # points in reverse Cuthill-McKee order of the pairs their cliques share,
+    # so each product finds most of a clique's store rows still in cache
+    shared = sparse.csr_matrix((np.ones(n * c), B.rows.ravel(), indptr), shape=(n, P))
+    order = reverse_cuthill_mckee((shared @ shared.T).tocsr(), symmetric_mode=True)
+    rows, alpha, alpha_norm = B.rows[order], alpha[:, order], alpha_norm[order]
+    # one (n, P) CSR for every product; only its data changes, and always by
+    # copying into it, so it never shares memory with alpha or the store
+    S = sparse.csr_matrix((np.ones(n * c), rows.ravel(), indptr), shape=(n, P))
 
-    # per-candidate constants: <B_j, alpha> and ||B_j||^2, both (d, n);
-    # the squares go a column chunk at a time, never a second (P, d) array
-    cross_alpha = _clique_sum(B.rows, alpha, B.B)
-    b_sq = np.empty((d, n))
-    ones = np.ones((c, n))
-    step = max(1, CHUNK_ENTRIES // B.B.shape[0])
+    # per-candidate constants ||B_j||^2 and <B_j, alpha>; the squares go a
+    # column chunk at a time, never a second (P, d) array
+    b_sq = np.empty((n, d))
+    step = max(1, CHUNK_ENTRIES // P)
     for j in range(0, d, step):
-        b_sq[j : j + step] = _clique_sum(B.rows, ones, np.square(B.B[:, j : j + step]))
+        b_sq[:, j : j + step] = S @ np.square(B.B[:, j : j + step])
+    S.data[:] = alpha.T.ravel()
+    cross_alpha = S @ B.B
 
     theta = np.zeros((c, n))
+    num = np.empty((n, d))
     selected: list[int] = []
     for _ in range(m):
-        theta_alpha = np.sum(theta * alpha, axis=0)  # (n,)
-        theta_sq = np.sum(theta**2, axis=0)  # (n,)
-        cross_theta = _clique_sum(B.rows, theta, B.B)  # (d, n)
-        num = theta_alpha[None, :] + cross_alpha
-        beta_norm = np.sqrt(np.maximum(theta_sq[None, :] + 2.0 * cross_theta + b_sq, 0.0))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(beta_norm > 0.0, num / (beta_norm * alpha_norm[None, :]), 0.0)
-        scores = sims.sum(axis=1)
+        theta_alpha = np.sum(theta * alpha, axis=0)[:, None]
+        if selected:
+            # ||theta + B_j||^2 = ||theta||^2 + 2 <B_j, theta> + ||B_j||^2
+            S.data[:] = theta.T.ravel()
+            den = S @ B.B
+            den *= 2.0
+            den += np.sum(theta**2, axis=0)[:, None]
+            den += b_sq
+        else:
+            den = b_sq.copy()  # theta = 0
+        den[den <= 0.0] = np.inf  # an all-zero masked vector has similarity 0
+        np.sqrt(den, out=den)
+        den *= alpha_norm[:, None]
+        np.add(cross_alpha, theta_alpha, out=num)
+        num /= den
+        scores = num.sum(axis=0)
         scores[selected] = -np.inf
         choice = int(np.argmax(scores))  # first max = lowest index on ties
         selected.append(choice)
-        theta += B.B[B.rows, choice].T
+        theta += B.B[rows, choice].T
     return Mask(selected=tuple(selected), d=d)
 
 

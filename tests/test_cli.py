@@ -563,6 +563,30 @@ class TestConfigMerging:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("evaluate", ["--methods", "isomap,lle,gaze"]),
+            ("evaluate", ["--exact-folds"]),
+            ("oose", ["--k-lle", "4"]),
+            ("oose", ["--np-k", "5"]),
+            ("mask", ["--trials", "3"]),
+        ],
+    )
+    def test_flag_of_another_command_is_a_usage_error(self, tmp_path, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                command,
+                "--synth", "translating_blob:n=20,g=8,seed=1",
+                "--algorithms", "pcoa",
+                "--sizes", "2",
+                *flags,
+                "--out-dir", tmp_path,
+            )
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_unsorted_sizes_rejected(self):
         from manifold_masks.errors import ParameterError
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -211,6 +212,37 @@ class TestMapsLocal:
     def test_matches_dense_reference_blob(self, small_blob):
         B = build_clique_array(small_blob, knn_graph(small_blob, 8))
         assert maps_local(B, 32).selected == dense_maps_local(dense_clique_array(B), 32)
+
+    def test_tie_lowest_index(self):
+        # all columns identical: every step ties, indices chosen in order
+        B = CliqueSecantArray(B=np.full((2, 4), 0.25), rows=np.array([[0], [1], [0]]), k=1)
+        assert maps_local(B, 3).selected == (0, 1, 2)
+
+    def test_zero_clique_vector_scores_zero(self):
+        # one pair per point: a column scores 1 at each point where its
+        # clique vector is nonzero, and 0 where it is all zero
+        store = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        B = CliqueSecantArray(B=store, rows=np.array([[0], [1]]), k=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert local_objective(B, Mask(selected=(0,), d=3)) == 1.0
+            assert maps_local(B, 3).selected == (2, 0, 1)
+
+    def test_zero_clique_vector_matches_dense_reference(self, rng):
+        dense = rng.random((6, 8, 10))
+        dense[:, 2, :4] = 0.0  # column 2 vanishes on the cliques of points 0-3
+        dense[:, 5, 3:6] = 0.0
+        B = store_from_dense(dense, k=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert maps_local(B, 8).selected == dense_maps_local(dense, 8)
+
+    def test_leaves_store_unchanged(self, small_blob):
+        B = build_clique_array(small_blob, knn_graph(small_blob, 8))
+        store, rows = B.B.tobytes(), B.rows.tobytes()
+        first = maps_local(B, 12)
+        assert B.B.tobytes() == store and B.rows.tobytes() == rows
+        assert maps_local(B, 12) == first
 
 
 class TestSelectorProperties:
