@@ -33,7 +33,6 @@ from .metrics import (
     residual_variance,
 )
 from .oose import (
-    OoseResult,
     Reference,
     estimate_parameters,
     isomap_oose,

@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataMatrix, NeighborGraph, knn_graph, load_dataset, read_key_values, synth_dataset
-from .embeddings import classical_mds, geodesics, lle_embed, lle_weights
+from .data import DataMatrix, load_dataset, read_key_values, synth_dataset
+from .embeddings import lle_embed
 from .errors import (
     CapacityError,
     ManifoldMasksError,
@@ -106,7 +106,8 @@ def _coerce(key: str, value):
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Config-file values overridden by explicit command-line flags."""
+    """Config-file values overridden by explicit command-line flags. Config
+    keys the subcommand does not read are named in one stderr line."""
     merged = {}
     if getattr(args, "config", None):
         for _, key, value in read_key_values(args.config):
@@ -114,6 +115,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             if key not in RunConfig.__dataclass_fields__:
                 raise ParameterError(f"unknown config key {key!r}")
             merged[key] = _coerce(key, value)
+        readers = {options.get("dest", flag[2:]): r for flag, r, options in FLAGS}
+        unread = ", ".join(key for key in merged if args.command not in readers[key])
+        if unread:
+            print(f"warning: {args.command} ignores config keys {unread}", file=sys.stderr)
     for key in RunConfig.__dataclass_fields__:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -153,31 +158,29 @@ def _load_for_masks(cfg: RunConfig) -> tuple[DataMatrix, str]:
     return X, dataset_id
 
 
-def mask_plan(
-    cfg: RunConfig, X: DataMatrix, G: NeighborGraph | None, algorithm: str
-) -> list[tuple[int, list[Mask]]]:
+def mask_plan(cfg: RunConfig, ref: Reference, algorithm: str) -> list[tuple[int, list[Mask]]]:
     """The masks to use at each of ``cfg.sizes``, as ``(m, masks)`` pairs;
-    the secant selectors read ``G``, the run's full-data ``cfg.k`` graph.
+    the secant selectors read ``ref.G``, the run's full-data ``cfg.k`` graph.
 
     The greedy selectors, ``pcoa`` and ``random`` are nested, so each runs
     once at the largest size and every size takes prefixes: ``random`` makes
     ``cfg.trials`` draws seeded ``cfg.seed + trial``, the others one mask.
     The exhaustive oracles search once per size.
     """
-    top = max(cfg.sizes)
+    top, X = max(cfg.sizes), ref.X
     if algorithm == "random":
         full = [random_mask(X.d, top, cfg.seed + trial) for trial in range(cfg.trials)]
     elif algorithm == "pcoa":
         full = [pcoa(X, top)]
     elif algorithm == "maps_global":
-        full = [maps_global(build_secants(X, G), top, cfg.p)]
+        full = [maps_global(build_secants(X, ref.G), top, cfg.p)]
     elif algorithm == "maps_local":
-        full = [maps_local(build_clique_array(X, G), top)]
+        full = [maps_local(build_clique_array(X, ref.G), top)]
     elif algorithm == "exact_global":
-        A = build_secants(X, G)
+        A = build_secants(X, ref.G)
         return [(m, [exact_mask_global(A, m, cfg.p)[0]]) for m in cfg.sizes]
     else:  # exact_local
-        B = build_clique_array(X, G)
+        B = build_clique_array(X, ref.G)
         return [(m, [exact_mask_local(B, m)[0]]) for m in cfg.sizes]
     return [(m, [mask.prefix(m) for mask in full]) for m in cfg.sizes]
 
@@ -205,10 +208,9 @@ def cmd_mask(cfg: RunConfig, args) -> int:
     if len(cfg.algorithms) != 1:
         raise ParameterError(f"mask takes one algorithm, got {','.join(cfg.algorithms)!r}")
     X, _ = _load_for_masks(cfg)
-    algorithm = cfg.algorithms[0]
-    G = knn_graph(X, cfg.k) if algorithm.startswith(("maps_", "exact_")) else None
+    ref = Reference(X, cfg.k, cfg.l)
     # one draw: a random mask file is the one seeded cfg.seed
-    for m, [mask] in mask_plan(replace(cfg, trials=1), X, G, algorithm):
+    for m, [mask] in mask_plan(replace(cfg, trials=1), ref, cfg.algorithms[0]):
         path = os.path.join(cfg.out_dir, f"mask_{m}.json")
         save_mask(path, mask)
         print(f"wrote {path}")
@@ -221,16 +223,14 @@ def cmd_mask(cfg: RunConfig, args) -> int:
 
 def full_references(cfg: RunConfig, X: DataMatrix) -> dict[int, Reference]:
     """The run's full-data references, one per distinct ``k``, ``k_lle`` and
-    ``np_k``, with the geodesics (residual variance) and LLE weights
-    (embedding error) every mask is scored against built up front."""
-    refs = {k: Reference(X, knn_graph(X, k), cfg.l, cfg.reg) for k in {cfg.k, cfg.k_lle, cfg.np_k}}
-    refs[cfg.k].geodesics, refs[cfg.k_lle].weights
+    ``np_k``, with their graphs and the geodesics (residual variance) and LLE
+    weights (embedding error) every mask is scored against built up front."""
+    refs = {k: Reference(X, k, cfg.l, cfg.reg) for k in {cfg.k, cfg.k_lle, cfg.np_k}}
+    refs[cfg.np_k].G, refs[cfg.k].geodesics, refs[cfg.k_lle].weights
     return refs
 
 
-def _score_plans(
-    cfg: RunConfig, X: DataMatrix, G: NeighborGraph, dataset_id: str, score, results_name: str
-) -> int:
+def _score_plans(cfg: RunConfig, ref: Reference, dataset_id: str, score, results_name: str) -> int:
     """Score every mask of every plan, then write all rows: a run that fails
     writes none. ``score`` maps a mask to ``{(metric, method): value}``; each
     key makes one row per size, the mean over the size's masks, with their
@@ -238,7 +238,7 @@ def _score_plans(
     base = {"dataset": dataset_id, "k": cfg.k, "l": cfg.l, "seed": cfg.seed}
     rows = []
     for algorithm in cfg.algorithms:
-        for m, masks in mask_plan(cfg, X, G, algorithm):
+        for m, masks in mask_plan(cfg, ref, algorithm):
             scores = [score(mask) for mask in masks]
             context = {**base, "algorithm": algorithm, "m": m, "trials": len(masks)}
             for metric, method in scores[0]:
@@ -259,33 +259,34 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
     def score(mask: Mask) -> dict[tuple[str, str], float]:
         Xm = apply_mask(X, mask)
-        G = {k: knn_graph(Xm, k) for k in {cfg.k, cfg.k_lle}}
-        Y_iso = classical_mds(geodesics(G[cfg.k]), cfg.l)
-        Y_lle = lle_embed(lle_weights(Xm, G[cfg.k_lle], cfg.reg), cfg.l)
+        masked = {k: Reference(Xm, k, cfg.l, cfg.reg) for k in {cfg.k, cfg.k_lle}}
+        Y_iso = masked[cfg.k].isomap
+        Y_lle = lle_embed(masked[cfg.k_lle].weights, cfg.l)
         return {
             ("residual_variance", ""): residual_variance(refs[cfg.k].geodesics, Y_iso),
             ("neighbor_preservation", ""): neighbor_preservation(refs[cfg.np_k].G, Y_iso),
             ("embedding_error", ""): embedding_error(refs[cfg.k_lle].weights, Y_lle),
         }
 
-    return _score_plans(cfg, X, refs[cfg.k].G, dataset_id, score, "results.csv")
+    return _score_plans(cfg, refs[cfg.k], dataset_id, score, "results.csv")
 
 
 def cmd_oose(cfg: RunConfig, args) -> int:
     X, dataset_id = _load_for_masks(cfg)
     if "gaze" in cfg.methods and X.params is None:
         raise ParameterError("gaze evaluation needs ground-truth params")
-    ref = Reference(X, knn_graph(X, cfg.k), cfg.l, cfg.reg)
+    ref = Reference(X, cfg.k, cfg.l, cfg.reg)
+    ref.G  # an out-of-range --k fails before any mask is selected
 
     def score(mask: Mask) -> dict[tuple[str, str], float]:
-        Xm = apply_mask(X, mask)
+        Xm = Reference(apply_mask(X, mask), cfg.k, cfg.l, cfg.reg)
         scores = {}
         for method in cfg.methods:
             rep = leave_one_out(Xm, method, ref, cfg.exact_folds)
             scores[rep.metric, method] = rep.value
         return scores
 
-    return _score_plans(cfg, X, ref.G, dataset_id, score, "oose_results.csv")
+    return _score_plans(cfg, ref, dataset_id, score, "oose_results.csv")
 
 
 _LOADS = ("mask", "evaluate", "oose")

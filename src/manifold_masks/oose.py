@@ -27,32 +27,34 @@ METHODS = ("isomap", "lle", "gaze")
 
 
 @dataclass(frozen=True)
-class OoseResult:
-    """Embedding of a held-out point."""
-
-    y: np.ndarray  # (l,)
-
-
-@dataclass(frozen=True)
 class Reference:
-    """The full data ``X`` a run scores every mask against, and its k-NN graph
-    ``G``. The graph's geodesics, their ``ell``-dimensional Isomap embedding
-    and its LLE weights (regularized by ``reg``) are each built on first use
-    and then kept."""
+    """Data ``X`` with its k-NN graph ``G``: a run's full data, or a masked
+    copy of it. The graph, its geodesics, their ``ell``-dimensional Isomap
+    embedding and the LLE weights (regularized by ``reg``) are each built on
+    first use and then kept; geodesics of a disconnected graph raise."""
 
     X: DataMatrix
-    G: NeighborGraph
+    k: int
     ell: int
     reg: float = 1e-3
 
+    @property
+    def n(self) -> int:
+        return self.X.n
+
+    @cached_property
+    def G(self) -> NeighborGraph:
+        return knn_graph(self.X, self.k)
+
     @cached_property
     def geodesics(self) -> GeodesicDistances:
-        return geodesics(self.G)
+        D = geodesics(self.G)
+        if not D.connected:
+            raise DisconnectedGraphError(f"k={self.k} graph of {self.X.d}-d data is disconnected")
+        return D
 
     @cached_property
     def isomap(self) -> Embedding:
-        if not self.geodesics.connected:
-            raise DisconnectedGraphError("full dataset's neighbor graph is disconnected")
         return classical_mds(self.geodesics, self.ell)
 
     @cached_property
@@ -82,7 +84,7 @@ def lle_oose(
     x_test: np.ndarray,
     k: int,
     reg: float = 1e-3,
-) -> OoseResult:
+) -> np.ndarray:
     """Extend an LLE embedding to a new point.
 
     Solves the same constrained reconstruction weights against the test
@@ -90,7 +92,7 @@ def lle_oose(
     embedding coordinates.
     """
     nn, w = _test_weights(X_train, x_test, k, reg)
-    return OoseResult(y=w @ Y_train.Y[nn])
+    return w @ Y_train.Y[nn]
 
 
 def _isomap_extend(D_geo: GeodesicDistances, emb: Embedding, nn, dists) -> np.ndarray:
@@ -115,7 +117,7 @@ def isomap_oose(
     emb: Embedding,
     x_test: np.ndarray,
     k: int,
-) -> OoseResult:
+) -> np.ndarray:
     """Extend a classical-MDS/Isomap embedding to a new point.
 
     Geodesic distances from the test point are estimated by routing through
@@ -123,7 +125,7 @@ def isomap_oose(
     landmark formula driven by the stored eigenpairs.
     """
     nn, dists = _test_neighbors(X_train, np.asarray(x_test, dtype=np.float64), k)
-    return OoseResult(y=_isomap_extend(D_geo, emb, nn, dists[nn]))
+    return _isomap_extend(D_geo, emb, nn, dists[nn])
 
 
 def estimate_parameters(
@@ -140,26 +142,26 @@ def estimate_parameters(
     return w @ X_train.params[nn]
 
 
-def _lle_fold_weights(X: DataMatrix, k: int, reg: float):
+def _lle_fold_weights(X: Reference):
     """For every leave-one-out fold of ``X``, in fold order: the training
     points' LLE weights, then the held-out point's k nearest training points
-    and its weights over them; all from one (k+1)-NN graph.
+    and its weights over them; all from ``X.weights`` and one (k+1)-NN graph.
 
     With point i dropped, another point's k nearest training points are its
-    k+1 nearest points without i, so only the rows that list i change: each
-    takes its (k+1)-th neighbor. Their weights come from one batch
-    solving every row with each of its k neighbors dropped in turn; the Gram
-    matrix of such a neighborhood is the (k+1)-neighbor Gram without that
-    neighbor's row and column. Point i's own row never lists i, so it is the
-    held-out point's neighbors (renumbered for the fold) and weights.
+    k+1 nearest points without i (the k-NN table is the first k columns of
+    the (k+1)-NN table), so only the rows that list i change: each takes its
+    (k+1)-th neighbor. Their weights come from one batch solving every row
+    with each of its k neighbors dropped in turn; the Gram matrix of such a
+    neighborhood is the (k+1)-neighbor Gram without that neighbor's row and
+    column. Point i's own row never lists i, so it is the held-out point's
+    neighbors (renumbered for the fold) and weights.
     """
-    near = knn_graph(X, k + 1).neighbors
-    table = near[:, :k]
-    base = _solve_weights(_local_grams(X.points[table], X.points), reg)
+    k, points, table, base = X.k, X.X.points, X.weights.neighbors, X.weights.weights
+    near = knn_graph(X.X, k + 1).neighbors
     # slots[s]: the k+1 slots without slot s
     slots = np.array([np.delete(np.arange(k + 1), s) for s in range(k)])
-    C = _local_grams(X.points[near], X.points)[:, slots[:, :, None], slots[:, None, :]]
-    dropped = _solve_weights(C.reshape(-1, k, k), reg).reshape(X.n, k, k)
+    C = _local_grams(points[near], points)[:, slots[:, :, None], slots[:, None, :]]
+    dropped = _solve_weights(C.reshape(-1, k, k), X.reg).reshape(X.n, k, k)
     for i in range(X.n):
         rows, s = np.nonzero(table == i)
         neighbors, weights = table.copy(), base.copy()
@@ -171,15 +173,15 @@ def _lle_fold_weights(X: DataMatrix, k: int, reg: float):
 
 
 def leave_one_out(
-    X: DataMatrix, method: str, ref: Reference, exact_folds: bool = False
+    X: Reference, method: str, ref: Reference, exact_folds: bool = False
 ) -> EvalReport:
     """Score masked data ``X`` by leave-one-out out-of-sample extension.
 
     ``X`` holds the full data of ``ref`` restricted to a mask, point for
-    point. The reference graph's ``k`` sets the folds' graphs, and
-    ``ref.ell`` and ``ref.reg`` the embedding dimension and the LLE
-    regularization. Held-out point i's k nearest training points are row i
-    of ``X``'s own k-NN table.
+    point, with the same ``k``, ``ell`` and ``reg``; its k-NN graph,
+    geodesics and LLE weights are shared by the methods. ``k`` sets the
+    folds' graphs, and held-out point i's k nearest training points are row
+    i of ``X``'s own k-NN table.
 
     ``isomap``: per fold, embed the masked training set, extend to the
     held-out masked point, align the assembled embedding to the full-data
@@ -192,26 +194,20 @@ def leave_one_out(
     ``gaze``: per fold, estimate the held-out point's parameters from the
     masked training set and report the mean parameter-space error.
     """
-    n, k, ell = X.n, ref.G.k, ref.ell
+    n, k, ell, points, params = X.n, X.k, X.ell, X.X.points, X.X.params
 
     if method == "isomap":
-        Y_ref = ref.isomap
-        G = knn_graph(X, k)
-        D_masked = geodesics(G)
-        if not D_masked.connected:
-            raise DisconnectedGraphError("masked dataset's neighbor graph is disconnected")
+        Y_ref, D_masked = ref.isomap, X.geodesics
         Y_oose = np.empty((n, ell))
-        for i, nn in enumerate(G.neighbors):
+        for i, nn in enumerate(X.G.neighbors):
             keep = np.delete(np.arange(n), i)
             if exact_folds:
-                D_fold = geodesics(knn_graph(DataMatrix(points=X.points[keep]), k))
-                if not D_fold.connected:
-                    raise DisconnectedGraphError(f"fold {i}: training graph disconnected")
+                D_fold = Reference(DataMatrix(points=points[keep]), k, ell).geodesics
             else:
                 D_fold = GeodesicDistances(D=D_masked.D[np.ix_(keep, keep)], connected=True)
             Y_train = classical_mds(D_fold, ell)
             # i's row of the table, renumbered for the fold's training set
-            dists = np.linalg.norm(X.points[nn] - X.points[i], axis=1)
+            dists = np.linalg.norm(points[nn] - points[i], axis=1)
             y = _isomap_extend(D_fold, Y_train, nn - (nn > i), dists)
             Z = np.insert(Y_train.Y, i, y, axis=0)
             aligned, _ = procrustes_align(Y_ref, Embedding(Y=Z, eigenvalues=Y_train.eigenvalues))
@@ -227,19 +223,18 @@ def leave_one_out(
             )
         # built before the folds' arrays: after them, it raised the peak RSS
         W_ref, folds = ref.weights, []
-        for i, (W_train, nn, w) in enumerate(_lle_fold_weights(X, k, ref.reg)):
+        for i, (W_train, nn, w) in enumerate(_lle_fold_weights(X)):
             Y_train = lle_embed(W_train, ell)
             folds.append(np.insert(Y_train.Y, i, w @ Y_train.Y[nn], axis=0))
         value = oose_embedding_error(W_ref, folds, ref.G)
         return EvalReport(metric="oose_embedding_error", value=value)
 
     if method == "gaze":
-        if X.params is None:
+        if params is None:
             raise ParameterError("gaze evaluation needs ground-truth params")
-        W = lle_weights(X, knn_graph(X, k), ref.reg)
         errors = np.empty(n)
-        for i, (nn, w) in enumerate(zip(W.neighbors, W.weights)):
-            errors[i] = np.linalg.norm(w @ X.params[nn] - X.params[i])
+        for i, (nn, w) in enumerate(zip(X.weights.neighbors, X.weights.weights)):
+            errors[i] = np.linalg.norm(w @ params[nn] - params[i])
         return EvalReport(metric="gaze_error", value=float(np.mean(errors)))
 
     raise ParameterError(f"unknown leave-one-out method {method!r}; choose from {METHODS}")

@@ -7,7 +7,13 @@ import pytest
 
 from manifold_masks.cli import build_config, main, make_parser
 from manifold_masks.data import knn_graph, load_dataset, synth_dataset
-from manifold_masks.embeddings import classical_mds, geodesics, lle_embed, lle_weights
+from manifold_masks.embeddings import (
+    _solve_weights,
+    classical_mds,
+    geodesics,
+    lle_embed,
+    lle_weights,
+)
 from manifold_masks.masks import (
     Mask,
     apply_mask,
@@ -263,12 +269,15 @@ class TestPlanValues:
     def test_oose_rows(self, tmp_path, X, library_masks):
         methods = ("isomap", "gaze")
         rows = self.run_command("oose", tmp_path, "--methods", ",".join(methods))
-        ref = Reference(X, knn_graph(X, self.K), 2)
+        ref = Reference(X, self.K, 2)
         checked = 0
         for algorithm, plan in library_masks.items():
             for m, masks in plan.items():
                 for method in methods:
-                    reports = [leave_one_out(apply_mask(X, mask), method, ref) for mask in masks]
+                    reports = [
+                        leave_one_out(Reference(apply_mask(X, mask), self.K, 2), method, ref)
+                        for mask in masks
+                    ]
                     row = rows[(algorithm, m, reports[0].metric, method)]
                     self.check_row(row, [r.value for r in reports], algorithm)
                     checked += 1
@@ -348,6 +357,16 @@ class TestOneRunOneGraph:
 
     SYNTH = "translating_blob:n=40,g=8,seed=1"  # d = 64, so masked data is narrower
 
+    @staticmethod
+    def spy(monkeypatch, **spies):
+        """Put each spy in place of the function it is named after, at every
+        module binding of that function."""
+        for module in ("cli", "data", "embeddings", "metrics", "oose"):
+            module = importlib.import_module(f"manifold_masks.{module}")
+            for name, spy in spies.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy)
+
     @pytest.fixture
     def full_graphs(self, monkeypatch):
         """The k of every knn_graph call on the full 64-pixel data."""
@@ -358,8 +377,7 @@ class TestOneRunOneGraph:
                 calls.append(k)
             return knn_graph(X, k)
 
-        for module in ("cli", "embeddings", "metrics", "oose"):
-            monkeypatch.setattr(f"manifold_masks.{module}.knn_graph", counting)
+        self.spy(monkeypatch, knn_graph=counting)
         return calls
 
     def test_evaluate(self, tmp_path, full_graphs):
@@ -409,12 +427,7 @@ class TestOneRunOneGraph:
                 calls.append("lle_weights")
             return lle_weights(X, G, reg)
 
-        spies = {"knn_graph": graph, "geodesics": geo, "lle_weights": weights}
-        for module in ("cli", "embeddings", "metrics", "oose"):
-            module = importlib.import_module(f"manifold_masks.{module}")
-            for name, spy in spies.items():
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, spy)
+        self.spy(monkeypatch, knn_graph=graph, geodesics=geo, lle_weights=weights)
         return calls
 
     @pytest.mark.parametrize(
@@ -432,6 +445,44 @@ class TestOneRunOneGraph:
         )
         assert code == 0
         assert sorted(full_builds) == built
+
+    def test_oose_builds_masked_data_once(self, tmp_path, monkeypatch):
+        """Each mask's k-NN graph and LLE weights are built once and shared by
+        isomap, lle and gaze; lle adds one (k+1)-NN graph and one batch of
+        weight solves."""
+        calls = []
+
+        def graph(X, k):
+            if X.d < 64:
+                calls.append(f"masked knn_graph k+{k - 6}")
+            return knn_graph(X, k)
+
+        def weights(X, G, reg=1e-3):
+            calls.append("masked lle_weights" if X.d < 64 else "lle_weights")
+            return lle_weights(X, G, reg)
+
+        def solve(C, reg):
+            calls.append("solve")
+            return _solve_weights(C, reg)
+
+        self.spy(monkeypatch, knn_graph=graph, lle_weights=weights, _solve_weights=solve)
+        code = run(
+            "oose",
+            "--synth", self.SYNTH,
+            "--algorithms", "maps_global,pcoa",
+            "--sizes", "4,8",
+            "--methods", "isomap,lle,gaze",
+            "--k", "6",
+            "--out-dir", tmp_path,
+        )
+        assert code == 0
+        masks = 4
+        assert calls.count("masked knn_graph k+0") == masks
+        assert calls.count("masked knn_graph k+1") == masks
+        assert calls.count("masked lle_weights") == masks
+        # one batch for the full-data weights, then two per mask
+        assert calls.count("lle_weights") == 1
+        assert calls.count("solve") == 1 + 2 * masks
 
     @pytest.mark.parametrize("algorithm, graphs", [("pcoa", []), ("random", []), ("maps_global", [6])])
     def test_mask(self, tmp_path, full_graphs, algorithm, graphs):
@@ -586,6 +637,36 @@ class TestConfigMerging:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, keys, results",
+        [
+            ("evaluate", {"methods": "isomap,gaze", "exact_folds": "true"}, "results.csv"),
+            ("oose", {"k_lle": "4", "np_k": "5"}, "oose_results.csv"),
+        ],
+    )
+    def test_config_keys_a_command_does_not_read_are_named(
+        self, tmp_path, capsys, command, keys, results
+    ):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("k=6\n" + "".join(f"{key}={value}\n" for key, value in keys.items()))
+        args = [
+            "--synth", "translating_blob:n=30,g=5,seed=1", "--algorithms", "pcoa", "--sizes", "3"
+        ]
+        assert run(command, "--config", cfg_file, *args, "--out-dir", tmp_path / "a") == 0
+        err = capsys.readouterr().err
+        assert err == f"warning: {command} ignores config keys {', '.join(keys)}\n"
+        # the same rows and exit code as a run without the unread keys
+        cfg_file.write_text("k=6\n")
+        assert run(command, "--config", cfg_file, *args, "--out-dir", tmp_path / "b") == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "a" / results).read_bytes() == (tmp_path / "b" / results).read_bytes()
+
+    def test_config_of_read_keys_prints_nothing(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("k=4\nseed=11\nmethods=isomap,lle\nexact_folds=false\nreg=0.01\n")
+        build_config(self.parse("oose", "--config", cfg_file))
+        assert capsys.readouterr().err == ""
 
     def test_unsorted_sizes_rejected(self):
         from manifold_masks.errors import ParameterError

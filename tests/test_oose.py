@@ -40,8 +40,9 @@ def drop_point(X, i):
 
 
 def masked_loo(X, mask, method, G, ell, reg=1e-3):
-    """leave_one_out on ``X`` under ``mask`` against the full data's graph ``G``."""
-    return leave_one_out(apply_mask(X, mask), method, Reference(X, G, ell, reg))
+    """leave_one_out on ``X`` under ``mask`` against ``X``, both at the ``k`` of ``G``."""
+    masked = Reference(apply_mask(X, mask), G.k, ell, reg)
+    return leave_one_out(masked, method, Reference(X, G.k, ell, reg))
 
 
 def reference_lle_loo(X, mask, G, ell, reg=1e-3):
@@ -54,7 +55,7 @@ def reference_lle_loo(X, mask, G, ell, reg=1e-3):
         train = drop_point(masked, i)
         Y_train = lle_embed(lle_weights(train, knn_graph(train, k), reg), ell)
         res = lle_oose(train, Y_train, masked.points[i], k, reg)
-        folds.append(np.insert(Y_train.Y, i, res.y, axis=0))
+        folds.append(np.insert(Y_train.Y, i, res, axis=0))
     return oose_embedding_error(lle_weights(X, G, reg), folds, G)
 
 
@@ -72,7 +73,7 @@ def reference_isomap_loo(X, mask, k, ell):
         D_fold = GeodesicDistances(D=D_masked.D[np.ix_(keep, keep)], connected=True)
         Y_train = classical_mds(D_fold, ell)
         res = isomap_oose(drop_point(masked, i), D_fold, Y_train, masked.points[i], k)
-        Z = np.insert(Y_train.Y, i, res.y, axis=0)
+        Z = np.insert(Y_train.Y, i, res, axis=0)
         aligned, _ = procrustes_align(Y_ref, Embedding(Y=Z, eigenvalues=Y_train.eigenvalues))
         Y_oose[i] = aligned.Y[i]
     return oose_error_isomap(Y_ref, Embedding(Y=Y_oose, eigenvalues=Y_ref.eigenvalues))
@@ -127,7 +128,7 @@ class TestLleOose:
         res = lle_oose(train, Y, np.array([1.0, 1.0]), k=2, reg=1e-9)
         # the midpoint of the first two embeddings; the far third point,
         # embedded at 50, takes no part
-        assert res.y[0] == pytest.approx(2.0, abs=1e-6)
+        assert res[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_barycentric(self):
         t = 0.25
@@ -135,7 +136,7 @@ class TestLleOose:
         train = DataMatrix(points=np.vstack([a, b, [100.0, 100.0]]))
         Y = Embedding(Y=np.array([[1.0], [9.0], [0.0]]), eigenvalues=np.ones(1))
         res = lle_oose(train, Y, (1 - t) * a + t * b, k=2, reg=1e-9)
-        assert res.y[0] == pytest.approx((1 - t) * 1.0 + t * 9.0, abs=1e-5)
+        assert res[0] == pytest.approx((1 - t) * 1.0 + t * 9.0, abs=1e-5)
 
     def test_weights_sum_to_one(self, rng):
         """Weights summing to one make the extension affine equivariant:
@@ -145,7 +146,7 @@ class TestLleOose:
         x, c = rng.random(4), np.array([3.0, -7.5])
         res = lle_oose(train, Y, x, k=5)
         shifted = lle_oose(train, Embedding(Y=Y.Y + c, eigenvalues=Y.eigenvalues), x, k=5)
-        np.testing.assert_allclose(shifted.y, res.y + c, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(shifted, res + c, rtol=0, atol=1e-12)
 
 
 class TestIsomapOose:
@@ -155,7 +156,7 @@ class TestIsomapOose:
         emb = classical_mds(D, 2)
         for i in range(0, 40, 7):
             res = isomap_oose(train, D, emb, train.points[i], k=6)
-            np.testing.assert_allclose(res.y, emb.Y[i], atol=1e-10)
+            np.testing.assert_allclose(res, emb.Y[i], atol=1e-10)
 
     def test_new_point_on_line(self):
         coords = np.linspace(0.0, 9.0, 10)
@@ -165,7 +166,7 @@ class TestIsomapOose:
         res = isomap_oose(train, D, emb, np.array([4.3]), k=2)
         # training embedding is the centered coordinate up to sign
         sign = np.sign(np.dot(emb.Y[:, 0], coords - coords.mean()))
-        assert res.y[0] == pytest.approx(sign * (4.3 - coords.mean()), abs=1e-8)
+        assert res[0] == pytest.approx(sign * (4.3 - coords.mean()), abs=1e-8)
 
     def test_nonpositive_eigenvalue_rejected(self, rng):
         train = DataMatrix(points=rng.random((10, 2)))
@@ -203,7 +204,7 @@ class TestEstimateParameters:
         x_test = rng.random(4)
         theta = estimate_parameters(train, x_test, k=6, reg=1e-3)
         res = lle_oose(train, Embedding(Y=Y, eigenvalues=np.ones(2)), x_test, k=6, reg=1e-3)
-        np.testing.assert_array_equal(theta, res.y)
+        np.testing.assert_array_equal(theta, res)
 
     def test_requires_params(self, rng):
         train = DataMatrix(points=rng.random((10, 3)))
@@ -224,7 +225,7 @@ class TestLleFoldWeights:
         k = data.draw(st.integers(1, X.n - 2))
         reg = 1e-3
         near = knn_graph(X, k + 1).neighbors
-        for i, (W_fold, nn, w) in enumerate(_lle_fold_weights(X, k, reg)):
+        for i, (W_fold, nn, w) in enumerate(_lle_fold_weights(Reference(X, k, 1, reg))):
             train = drop_point(X, i)
             want_nn, want_w = _test_weights(train, X.points[i], k, reg)
             np.testing.assert_array_equal(nn, want_nn)
@@ -248,9 +249,9 @@ class TestLeaveOneOut:
     def test_isomap_exact_folds_agree_on_line(self, line_dataset):
         X, _ = line_dataset
         # k=3 keeps every fold's graph connected when a point is dropped
-        ref = Reference(X, knn_graph(X, 3), ell=1)
-        fast = leave_one_out(X, "isomap", ref)
-        exact = leave_one_out(X, "isomap", ref, exact_folds=True)
+        ref = Reference(X, 3, ell=1)
+        fast = leave_one_out(ref, "isomap", ref)
+        exact = leave_one_out(ref, "isomap", ref, exact_folds=True)
         assert exact.value == pytest.approx(fast.value, abs=1e-8)
 
     def test_lle_reports_nonnegative(self, rng):
@@ -277,6 +278,11 @@ class TestLeaveOneOut:
         assert rep.value == pytest.approx(reference_lle_loo(X, mask, G, ell=2), rel=1e-9)
 
     def test_lle_builds_one_graph(self, small_blob, monkeypatch):
+        """Past the two references' own k-NN graphs, lle builds only the
+        masked (k+1)-NN graph."""
+        mask = Mask(selected=tuple(range(0, 64, 4)), d=small_blob.d)
+        ref, masked = Reference(small_blob, 6, 2), Reference(apply_mask(small_blob, mask), 6, 2)
+        ref.G, masked.G
         calls = []
 
         def counting(X, k):
@@ -284,9 +290,25 @@ class TestLeaveOneOut:
             return knn_graph(X, k)
 
         monkeypatch.setattr("manifold_masks.oose.knn_graph", counting)
-        mask = Mask(selected=tuple(range(0, 64, 4)), d=small_blob.d)
-        masked_loo(small_blob, mask, "lle", knn_graph(small_blob, 6), ell=2)
+        leave_one_out(masked, "lle", ref)
         assert calls == [(small_blob.n, 16, 7)]
+
+    def test_isomap_exact_folds_train_without_the_held_out_row(self, line_dataset, monkeypatch):
+        X, _ = line_dataset
+        masked = Reference(apply_mask(X, Mask(selected=(0, 2), d=3)), 3, ell=1)
+        built = []
+
+        def spy(data, k):
+            built.append((data.points, k))
+            return knn_graph(data, k)
+
+        monkeypatch.setattr("manifold_masks.oose.knn_graph", spy)
+        leave_one_out(masked, "isomap", Reference(X, 3, ell=1), exact_folds=True)
+        # the full and masked graphs, then one graph per fold
+        assert len(built) == X.n + 2
+        for i, (points, k) in enumerate(built[2:]):
+            assert k == 3
+            np.testing.assert_array_equal(points, np.delete(masked.X.points, i, axis=0))
 
     def test_lle_k_past_training_size(self, rng):
         X = DataMatrix(points=rng.random((10, 3)))
@@ -346,12 +368,13 @@ class TestHeldOutReads:
         selected = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
         mask = Mask(selected=tuple(selected), d=3)
         k = data.draw(st.integers(1, n - 1))
-        ref = Reference(X, knn_graph(X, k), ell=1)
+        ref = Reference(X, k, ell=1)
         for method, want in [
             ("isomap", outcome(reference_isomap_loo, X, mask, k, ell=1)),
             ("gaze", outcome(reference_gaze_loo, X, mask, k)),
         ]:
-            got = outcome(lambda: leave_one_out(apply_mask(X, mask), method, ref).value)
+            masked = Reference(apply_mask(X, mask), k, ell=1)
+            got = outcome(lambda: leave_one_out(masked, method, ref).value)
             if isinstance(want, type):
                 assert got is want
             else:
