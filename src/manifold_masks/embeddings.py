@@ -30,12 +30,12 @@ class GeodesicDistances:
 class Embedding:
     """Low-dimensional coordinates plus the spectral values that produced them."""
 
-    Y: np.ndarray  # (n, l)
-    eigenvalues: np.ndarray  # (l,)
+    Y: np.ndarray  # (n, l), or a (..., n, l) stack of them
+    eigenvalues: np.ndarray  # (l,), or (..., l)
 
     @property
     def n(self) -> int:
-        return self.Y.shape[0]
+        return self.Y.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,10 @@ class LleWeights:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude entry positive (removes the
-    eigenvector sign ambiguity)."""
-    out = vectors.copy()
-    for c in range(out.shape[1]):
-        idx = int(np.argmax(np.abs(out[:, c])))
-        if out[idx, c] < 0:
-            out[:, c] = -out[:, c]
-    return out
+    eigenvector sign ambiguity); a tie goes to the first entry. Works on a
+    ``(..., n, l)`` stack of ``(n, l)`` blocks."""
+    top = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    return np.where(np.take_along_axis(vectors, top, axis=-2) < 0, -vectors, vectors)
 
 
 def geodesics(G: NeighborGraph) -> GeodesicDistances:
@@ -79,6 +76,15 @@ def geodesics(G: NeighborGraph) -> GeodesicDistances:
     return GeodesicDistances(D=D, connected=bool(np.all(np.isfinite(D))))
 
 
+def _double_center(D: GeodesicDistances) -> np.ndarray:
+    """-J D**2 J / 2 with J = I - 11'/n, symmetric to the last bit."""
+    Dsq = D.D**2
+    # from the row and column means
+    row, col = Dsq.mean(axis=1), Dsq.mean(axis=0)
+    tau = -0.5 * (Dsq - row[:, None] - col[None, :] + row.mean())
+    return 0.5 * (tau + tau.T)  # symmetrize against roundoff
+
+
 def classical_mds(D: GeodesicDistances, ell: int) -> Embedding:
     """Classical (Torgerson) MDS on a distance matrix.
 
@@ -94,12 +100,7 @@ def classical_mds(D: GeodesicDistances, ell: int) -> Embedding:
         )
     if not (1 <= ell < n):
         raise ParameterError(f"embedding dimension must be in [1, {n - 1}], got {ell}")
-    Dsq = D.D**2
-    # J Dsq J with J = I - 11'/n, from the row and column means
-    row, col = Dsq.mean(axis=1), Dsq.mean(axis=0)
-    tau = -0.5 * (Dsq - row[:, None] - col[None, :] + row.mean())
-    tau = 0.5 * (tau + tau.T)  # symmetrize against roundoff
-    evals, evecs = scipy.linalg.eigh(tau, subset_by_index=[n - ell, n - 1])
+    evals, evecs = scipy.linalg.eigh(_double_center(D), subset_by_index=[n - ell, n - 1])
     evals = evals[::-1]
     evecs = _fix_signs(evecs[:, ::-1])
     tol = 1e-12 * max(float(np.abs(evals).max(initial=0.0)), 1.0)

@@ -112,24 +112,27 @@ def embedding_error(W_full: LleWeights, Y: Embedding) -> float:
     return float(np.sum(residual**2))
 
 
-def procrustes_align(Y_ref: Embedding, Y: Embedding) -> tuple[Embedding, float]:
+def procrustes_align(Y_ref: Embedding, Y: Embedding) -> tuple[Embedding, float | np.ndarray]:
     """Optimal similarity transform (translation, rotation/reflection,
     isotropic scaling) of Y onto Y_ref.
 
-    Returns the aligned copy of Y and the Frobenius-norm residual.
+    Returns the aligned copy of Y and the Frobenius-norm residual. ``Y.Y``
+    may be a ``(..., n, l)`` stack, each set aligned on its own, with a
+    ``(...)`` residual. A set whose spread (centred Frobenius norm) is below
+    1e-12 of the reference's is roundoff, not a shape, and raises.
     """
-    if Y_ref.Y.shape != Y.Y.shape:
+    if Y.Y.shape[-2:] != Y_ref.Y.shape:
         raise ParameterError(f"shape mismatch: {Y_ref.Y.shape} vs {Y.Y.shape}")
-    A = Y.Y - Y.Y.mean(axis=0)
+    A = Y.Y - Y.Y.mean(axis=-2, keepdims=True)
     B = Y_ref.Y - Y_ref.Y.mean(axis=0)
-    norm_a_sq = float(np.sum(A**2))
-    if norm_a_sq == 0.0:
-        raise DegenerateDataError("cannot align an all-identical point set")
-    U, S, Vt = np.linalg.svd(A.T @ B)
+    norm_a_sq = np.sum(A**2, axis=(-2, -1))
+    if np.any(norm_a_sq <= 1e-24 * np.sum(B**2)):
+        raise DegenerateDataError("cannot align a point set with no spread")
+    U, S, Vt = np.linalg.svd(A.swapaxes(-2, -1) @ B)
     R = U @ Vt
-    scale = float(S.sum()) / norm_a_sq
-    aligned = scale * A @ R + Y_ref.Y.mean(axis=0)
-    disparity = float(np.linalg.norm(Y_ref.Y - aligned))
+    scale = S.sum(axis=-1) / norm_a_sq
+    aligned = scale[..., None, None] * A @ R + Y_ref.Y.mean(axis=0)
+    disparity = np.linalg.norm(Y_ref.Y - aligned, axis=(-2, -1))
     return Embedding(Y=aligned, eigenvalues=Y.eigenvalues), disparity
 
 

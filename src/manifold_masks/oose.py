@@ -7,12 +7,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .data import DataMatrix, NeighborGraph, _k_smallest, knn_graph
 from .embeddings import (
     Embedding,
     GeodesicDistances,
     LleWeights,
+    _double_center,
+    _fix_signs,
     classical_mds,
     geodesics,
     lle_embed,
@@ -24,6 +27,7 @@ from .errors import DisconnectedGraphError, ParameterError
 from .metrics import EvalReport, oose_embedding_error, oose_error_isomap, procrustes_align
 
 METHODS = ("isomap", "lle", "gaze")
+FOLD_ITERATIONS = 60  # block iteration steps before a fold is solved densely
 
 
 @dataclass(frozen=True)
@@ -95,20 +99,32 @@ def lle_oose(
     return w @ Y_train.Y[nn]
 
 
-def _isomap_extend(D_geo: GeodesicDistances, emb: Embedding, nn, dists) -> np.ndarray:
-    """The landmark-formula coordinates of a point whose k nearest training
-    points are ``nn``, at Euclidean distances ``dists``."""
+def _near_geodesics(D: np.ndarray, nn: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """Estimated geodesics to every training point from points whose k
+    nearest training points are ``nn`` (..., k), at Euclidean distances
+    ``dists`` (..., k): hop to a near training point, then follow the
+    training geodesics ``D``. One neighbor at a time, so no (..., k, m)
+    array is built."""
+    est = dists[..., 0, None] + D[nn[..., 0]]
+    for j in range(1, nn.shape[-1]):
+        np.minimum(est, dists[..., j, None] + D[nn[..., j]], out=est)
+    return est
+
+
+def _isomap_extend(col_means: np.ndarray, d_test: np.ndarray, emb: Embedding) -> np.ndarray:
+    """The landmark-formula coordinates of points at estimated geodesics
+    ``d_test`` (..., m) from the m training points of ``emb`` (one ``(m, l)``
+    training embedding per point), whose squared geodesics have column means
+    ``col_means`` (..., m)."""
     evals = emb.eigenvalues
     if np.any(evals <= 0):
         raise ParameterError(
             "isomap_oose needs strictly positive eigenvalues for every "
-            f"embedding component, got {evals}"
+            f"embedding component, got {evals.min():g}"
         )
-    # estimated geodesic: hop to a near training point, then follow the graph
-    d_test = np.min(dists[:, None] + D_geo.D[nn, :], axis=0)
-    col_means = np.mean(D_geo.D**2, axis=0)
-    vectors = emb.Y / np.sqrt(evals)[None, :]  # recover unit eigenvectors
-    return 0.5 / np.sqrt(evals) * ((col_means - d_test**2) @ vectors)
+    root = np.sqrt(evals)
+    vectors = emb.Y / root[..., None, :]  # recover unit eigenvectors
+    return 0.5 / root * ((col_means - d_test**2)[..., None, :] @ vectors)[..., 0, :]
 
 
 def isomap_oose(
@@ -125,7 +141,8 @@ def isomap_oose(
     landmark formula driven by the stored eigenpairs.
     """
     nn, dists = _test_neighbors(X_train, np.asarray(x_test, dtype=np.float64), k)
-    return _isomap_extend(D_geo, emb, nn, dists[nn])
+    d_test = _near_geodesics(D_geo.D, nn, dists[nn])
+    return _isomap_extend(np.mean(D_geo.D**2, axis=0), d_test, emb)
 
 
 def estimate_parameters(
@@ -172,6 +189,78 @@ def _lle_fold_weights(X: Reference):
         yield LleWeights(neighbors[train], weights[train]), neighbors[i], base[i]
 
 
+def _fold_project(V: np.ndarray, folds: np.ndarray) -> np.ndarray:
+    """Project the rows of each block ``V[j]`` (p, n), in place, onto the
+    space of fold ``folds[j]``: the vectors of R^n that are zero at the
+    held-out point and whose entries sum to 0."""
+    rows = np.arange(len(folds))
+    V[rows, :, folds] = 0.0
+    V -= V.sum(axis=2, keepdims=True) / (V.shape[2] - 1)
+    V[rows, :, folds] = 0.0
+    return V
+
+
+def _isomap_folds(D: GeodesicDistances, ell: int) -> Embedding:
+    """``classical_mds`` of every leave-one-out fold of ``D``, where fold f
+    embeds the points other than f by their distances in ``D``: a
+    ``(n, n, ell)`` stack holding fold f's coordinates in the rows of its
+    points, with row f zero, and the folds' ``(n, ell)`` eigenvalues.
+
+    Fold f's double-centred matrix is tau = -J D**2 J / 2 of all of ``D``
+    compressed onto the vectors of R^n that are zero at f and sum to 0, so
+    by Cauchy interlacing all of its eigenvalues but the top ``ell`` are at
+    most tau's (ell+1)-th, ``bound``. One block iteration solves every fold
+    at once: each fold's ell+1 vectors start from tau's top eigenvectors,
+    one product with tau applies every fold's matrix, and a batched
+    Rayleigh-Ritz step follows. A fold is accepted when each of its top
+    ``ell`` residuals is at most 1e-13 of its top Ritz value and its
+    residual, rounding included, over its gap to ``bound`` (Davis-Kahan)
+    puts its vectors within 1e-10 of the fold's. A fold not accepted within
+    ``FOLD_ITERATIONS`` steps (a gap at rounding level, say), or whose space
+    is no larger than the block, is solved densely by ``classical_mds``.
+    """
+    n, p = D.n, ell + 1
+    Y, evals = np.zeros((n, n, ell)), np.zeros((n, ell))
+    todo = np.arange(n)
+    if 1 <= ell and p < n - 2:
+        tau = _double_center(D)
+        lam, U = scipy.linalg.eigh(tau, subset_by_index=[n - p, n - 1])
+        bound = max(lam[0], 0.0)
+        # bounds the rounding in a computed residual and in bound
+        noise = n * np.finfo(float).eps * np.linalg.norm(tau)
+        # each fold's block is p rows of length n: LAPACK's column-major
+        # (n, p) layout, and one (folds * p, n) matrix for the product
+        V = _fold_project(np.repeat(U.T[None], n, axis=0), todo)
+        for _ in range(FOLD_ITERATIONS):
+            Q = np.linalg.qr(V.transpose(0, 2, 1))[0].transpose(0, 2, 1)
+            # each fold's matrix times Q is tau between two projections (on a
+            # copy, so that Q stays orthonormal)
+            W = _fold_project(Q.copy(), todo)
+            W = _fold_project((W.reshape(-1, n) @ tau).reshape(W.shape), todo)
+            theta, S = np.linalg.eigh(Q @ W.transpose(0, 2, 1))
+            S = S.transpose(0, 2, 1)
+            Q, V = S @ Q, S @ W  # Ritz vectors, and the fold matrices times them
+            res = np.sqrt(np.sum((V - theta[:, :, None] * Q) ** 2, axis=2))[:, :0:-1]
+            top = theta[:, :0:-1]  # the top ell, descending
+            # below classical_mds's clamp an eigenvalue reads as 0
+            floor = np.maximum(bound, 1e-12 * np.maximum(top[:, 0], 1.0))
+            ok = (res.max(axis=1) <= 1e-13 * top[:, 0]) & (
+                np.linalg.norm(res, axis=1) + noise < 1e-10 * (top[:, -1] - floor)
+            )
+            done = todo[ok]
+            vectors = _fold_project(Q[ok][:, :0:-1], done).transpose(0, 2, 1)
+            Y[done] = _fix_signs(vectors) * np.sqrt(top[ok])[:, None, :]
+            evals[done] = top[ok]
+            todo, V = todo[~ok], V[~ok]
+            if not todo.size:
+                break
+    for f in todo:
+        keep = np.arange(n) != f
+        emb = classical_mds(GeodesicDistances(D=D.D[np.ix_(keep, keep)], connected=True), ell)
+        Y[f, keep], evals[f] = emb.Y, emb.eigenvalues
+    return Embedding(Y=Y, eigenvalues=evals)
+
+
 def leave_one_out(
     X: Reference, method: str, ref: Reference, exact_folds: bool = False
 ) -> EvalReport:
@@ -185,7 +274,10 @@ def leave_one_out(
 
     ``isomap``: per fold, embed the masked training set, extend to the
     held-out masked point, align the assembled embedding to the full-data
-    Isomap embedding, and report the mean per-point distance.
+    Isomap embedding, and report the mean per-point distance. Folds sliced
+    from ``X``'s geodesics are embedded together by ``_isomap_folds``; with
+    ``exact_folds`` each fold builds its own graph and is embedded densely.
+    Either way, extension and alignment run once over all folds.
 
     ``lle``: per fold, run LLE on the masked training set, extend to the
     held-out point, and report the average reconstruction residual over
@@ -197,21 +289,31 @@ def leave_one_out(
     n, k, ell, points, params = X.n, X.k, X.ell, X.X.points, X.X.params
 
     if method == "isomap":
-        Y_ref, D_masked = ref.isomap, X.geodesics
-        Y_oose = np.empty((n, ell))
-        for i, nn in enumerate(X.G.neighbors):
-            keep = np.delete(np.arange(n), i)
-            if exact_folds:
+        Y_ref, D, nn = ref.isomap, X.geodesics, X.G.neighbors
+        dists = np.linalg.norm(points[nn] - points[:, None], axis=-1)
+        # fold i's arrays have a slot for every point; slot i is the held-out one
+        folds = np.arange(n)
+        if exact_folds:
+            Y_folds, evals = np.zeros((n, n, ell)), np.empty((n, ell))
+            col_means, d_test = np.zeros((n, n)), np.zeros((n, n))
+            for i in folds:
+                keep = folds != i
                 D_fold = Reference(DataMatrix(points=points[keep]), k, ell).geodesics
-            else:
-                D_fold = GeodesicDistances(D=D_masked.D[np.ix_(keep, keep)], connected=True)
-            Y_train = classical_mds(D_fold, ell)
-            # i's row of the table, renumbered for the fold's training set
-            dists = np.linalg.norm(points[nn] - points[i], axis=1)
-            y = _isomap_extend(D_fold, Y_train, nn - (nn > i), dists)
-            Z = np.insert(Y_train.Y, i, y, axis=0)
-            aligned, _ = procrustes_align(Y_ref, Embedding(Y=Z, eigenvalues=Y_train.eigenvalues))
-            Y_oose[i] = aligned.Y[i]
+                emb = classical_mds(D_fold, ell)
+                Y_folds[i, keep], evals[i] = emb.Y, emb.eigenvalues
+                col_means[i, keep] = np.mean(D_fold.D**2, axis=0)
+                # i's row of the table, renumbered for the fold's training set
+                d_test[i, keep] = _near_geodesics(D_fold.D, nn[i] - (nn[i] > i), dists[i])
+            train = Embedding(Y=Y_folds, eigenvalues=evals)
+        else:
+            Dsq = D.D**2
+            col_means = (Dsq.sum(axis=0) - Dsq) / (n - 1)
+            d_test = _near_geodesics(D.D, nn, dists)
+            train = _isomap_folds(D, ell)
+        # each held-out point joins its fold
+        train.Y[folds, folds] = _isomap_extend(col_means, d_test, train)
+        aligned, _ = procrustes_align(Y_ref, train)
+        Y_oose = aligned.Y[folds, folds]
         value = oose_error_isomap(Y_ref, Embedding(Y=Y_oose, eigenvalues=Y_ref.eigenvalues))
         return EvalReport(metric="oose_error", value=value)
 

@@ -8,6 +8,7 @@ from manifold_masks.data import DataMatrix, knn_graph, pairwise_distances, synth
 from manifold_masks.embeddings import (
     Embedding,
     GeodesicDistances,
+    _fix_signs,
     classical_mds,
     geodesics,
     isomap,
@@ -108,6 +109,29 @@ class TestGeodesics:
         assert D.connected
         assert D.D[0, 1] == 0.0 and D.D[1, 0] == 0.0
         assert D.D[1, 4] == pytest.approx(3.0)
+
+
+class TestFixSigns:
+    @staticmethod
+    def column_loop(vectors):
+        """One column at a time: flip it if its first largest-magnitude
+        entry is negative."""
+        out = vectors.copy()
+        for c in range(out.shape[1]):
+            idx = int(np.argmax(np.abs(out[:, c])))
+            if out[idx, c] < 0:
+                out[:, c] = -out[:, c]
+        return out
+
+    @pytest.mark.parametrize("shape", [(7, 3), (4, 7, 3), (2, 3, 6, 2)])
+    def test_matches_column_loop_with_tied_magnitudes(self, rng, shape):
+        # entries in -3..3 tie in magnitude with either sign; zeros flip to -0.0
+        stack = rng.integers(-3, 4, shape).astype(float) * rng.choice([1.0, 0.5], shape[-1])
+        got = _fix_signs(stack)
+        for index in np.ndindex(shape[:-2]):
+            want = self.column_loop(stack[index])
+            np.testing.assert_array_equal(got[index], want)
+            np.testing.assert_array_equal(np.signbit(got[index]), np.signbit(want))
 
 
 class TestClassicalMds:

@@ -177,6 +177,28 @@ class TestProcrustesAlign:
         with pytest.raises(DegenerateDataError):
             procrustes_align(emb(rng.random((5, 2))), emb(np.ones((5, 2))))
 
+    def test_roundoff_spread_is_no_spread(self, rng):
+        # a set that differs from a point only by roundoff has no shape to align
+        ref = rng.random((5, 2))
+        moved = 0.3 + 1e-15 * rng.random((5, 2))
+        with pytest.raises(DegenerateDataError):
+            procrustes_align(emb(ref), emb(moved))
+        # a small set whose spread is no roundoff still aligns
+        _, disparity = procrustes_align(emb(ref), emb(1e-9 * ref))
+        assert disparity == pytest.approx(0.0, abs=1e-9)
+
+    def test_stack_aligns_each_set(self, rng):
+        ref = rng.random((9, 2))
+        stack = rng.random((4, 9, 2))
+        aligned, disparity = procrustes_align(emb(ref), emb(stack))
+        assert aligned.Y.shape == stack.shape and disparity.shape == (4,)
+        for Y, got, d in zip(stack, aligned.Y, disparity):
+            want, want_d = procrustes_align(emb(ref), emb(Y))
+            np.testing.assert_allclose(got, want.Y, rtol=1e-13, atol=1e-13)
+            assert d == pytest.approx(want_d, rel=1e-12)
+        with pytest.raises(DegenerateDataError):
+            procrustes_align(emb(ref), emb(np.concatenate([stack, np.ones((1, 9, 2))])))
+
     def test_shape_mismatch(self, rng):
         with pytest.raises(ParameterError):
             procrustes_align(emb(rng.random((5, 2))), emb(rng.random((5, 3))))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from manifold_masks.data import DataMatrix, blob_image, knn_graph
+from manifold_masks.data import DataMatrix, blob_image, knn_graph, synth_dataset
 from manifold_masks.embeddings import (
     Embedding,
     GeodesicDistances,
@@ -14,11 +14,17 @@ from manifold_masks.embeddings import (
     lle_embed,
     lle_weights,
 )
-from manifold_masks.errors import DisconnectedGraphError, ManifoldMasksError, ParameterError
-from manifold_masks.masks import Mask, apply_mask
+from manifold_masks.errors import (
+    DegenerateDataError,
+    DisconnectedGraphError,
+    ManifoldMasksError,
+    ParameterError,
+)
+from manifold_masks.masks import Mask, apply_mask, pcoa, random_mask
 from manifold_masks.metrics import oose_embedding_error, oose_error_isomap, procrustes_align
 from manifold_masks.oose import (
     Reference,
+    _isomap_folds,
     _lle_fold_weights,
     _test_neighbors,
     _test_weights,
@@ -378,4 +384,92 @@ class TestHeldOutReads:
             if isinstance(want, type):
                 assert got is want
             else:
-                assert got == pytest.approx(want, rel=1e-12, abs=0)
+                # a true error of 0 reads as roundoff below 1e-12 on both sides
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def count_dense_folds(monkeypatch):
+    """The list that each dense fold solve, a call of classical_mds from
+    manifold_masks.oose, appends to."""
+    calls = []
+
+    def counting(D, ell):
+        calls.append(D.n)
+        return classical_mds(D, ell)
+
+    monkeypatch.setattr("manifold_masks.oose.classical_mds", counting)
+    return calls
+
+
+def dense_fold(D, f, ell):
+    """classical_mds of fold f: the geodesics ``D`` without point f."""
+    keep = np.arange(D.n) != f
+    return classical_mds(GeodesicDistances(D=D.D[np.ix_(keep, keep)], connected=True), ell)
+
+
+def polygon(n, height=0.0):
+    """A regular n-gon of radius 1, its vertices alternately at +height
+    and -height above its plane."""
+    angles = 2 * np.pi * np.arange(n) / n
+    z = height * (-1.0) ** np.arange(n)
+    return DataMatrix(points=np.column_stack([np.cos(angles), np.sin(angles), z]))
+
+
+class TestIsomapFolds:
+    """_isomap_folds against classical_mds of each fold's sliced geodesics."""
+
+    @pytest.fixture(scope="class")
+    def blob(self):
+        return synth_dataset("translating_blob", 120, seed=1, g=16)
+
+    @pytest.mark.parametrize("m", [16, 32])
+    @pytest.mark.parametrize("selector", ["pcoa", "random"])
+    def test_every_fold_converges_to_its_dense_solve(self, blob, selector, m, monkeypatch):
+        mask = pcoa(blob, m) if selector == "pcoa" else random_mask(blob.d, m, 1)
+        D = Reference(apply_mask(blob, mask), 8, ell=2).geodesics
+        dense = count_dense_folds(monkeypatch)
+        folds = _isomap_folds(D, 2)
+        assert dense == []
+        for f in range(D.n):
+            keep, want = np.arange(D.n) != f, dense_fold(D, f, 2)
+            np.testing.assert_allclose(folds.eigenvalues[f], want.eigenvalues, rtol=1e-12)
+            root = np.sqrt(want.eigenvalues)
+            np.testing.assert_allclose(folds.Y[f, keep] / root, want.Y / root, rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(folds.Y[f, f], 0.0)
+
+    def test_tied_gap_sends_every_fold_to_the_dense_solve(self, monkeypatch):
+        # k = n - 1 keeps the distances Euclidean, so tau's spectrum is the
+        # heights' 48, then 6 and 6 from the polygon: every fold's second
+        # eigenvalue is at most the third of tau, and none is certified
+        X = polygon(12, height=2.0)
+        want = reference_isomap_loo(X, full_mask(3), 11, ell=2)
+        ref = Reference(X, 11, ell=2)
+        ref.isomap
+        dense = count_dense_folds(monkeypatch)
+        got = leave_one_out(ref, "isomap", ref).value
+        assert dense == [11] * 12
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_gap_at_rounding_level_is_dense(self):
+        # tau's spectrum starts 3.64, 2, 0.34, and folds 0 and 2 have 2 at
+        # the top: a gap of rounding size, whose Ritz vector is no eigenvector
+        X = DataMatrix(points=np.array([[0, 3], [2, 3], [1, 2], [1, 3], [2, 2]], float))
+        ref = Reference(X, 2, ell=1)
+        want = reference_isomap_loo(X, full_mask(2), 2, ell=1)
+        assert leave_one_out(ref, "isomap", ref).value == pytest.approx(want, rel=1e-12)
+
+    def test_no_larger_than_the_block_is_dense(self, monkeypatch):
+        D = Reference(polygon(5), 2, ell=2).geodesics
+        dense = count_dense_folds(monkeypatch)
+        folds = _isomap_folds(D, 2)
+        assert dense == [4] * 5
+        for f in range(5):
+            np.testing.assert_array_equal(folds.Y[f, np.arange(5) != f], dense_fold(D, f, 2).Y)
+
+
+def test_extension_with_no_spread_raises():
+    # every held-out point extends to a spread of roundoff (~2e-16) against
+    # the reference's 1.41, so no alignment is defined
+    X = DataMatrix(points=np.array([[3, 1, 2], [2, 1, 2], [2, 1, 3], [2, 2, 2]], float))
+    with pytest.raises(DegenerateDataError):
+        masked_loo(X, full_mask(3), "isomap", knn_graph(X, 1), ell=1)
