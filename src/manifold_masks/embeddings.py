@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -161,6 +162,57 @@ def lle_weights(X: DataMatrix, G: NeighborGraph, reg: float = 1e-3) -> LleWeight
     return LleWeights(neighbors=G.neighbors, weights=_solve_weights(C, reg))
 
 
+def _lle_matrix(neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The dense (I-W)'(I-W) of an ``(n, k)`` weight table, with its
+    constant null mode shifted to the top of the spectrum."""
+    n = len(neighbors)
+    # M = I - W - W' + W'W, with (W'W)[a, b] the sum over rows r of
+    # W[r, a] W[r, b]: one term per ordered pair of slots in each row
+    pairs = (neighbors[:, :, None] * n + neighbors[:, None, :]).ravel()
+    products = (weights[:, :, None] * weights[:, None, :]).ravel()
+    M = np.bincount(pairs, weights=products, minlength=n * n).reshape(n, n)
+    rows = np.arange(n)[:, None]
+    M[rows, neighbors] -= weights
+    M[neighbors, rows] -= weights
+    M.flat[:: n + 1] += 1.0
+    M = 0.5 * (M + M.T)
+    # Row-stochastic W makes the constant vector an exact null mode of M.
+    # Adding (shift/n)*11' moves it to eigenvalue shift and leaves the
+    # spectrum on its orthogonal complement unchanged. Any shift >= ||M||_2
+    # puts it at the top of the spectrum, so it cannot mix with the tiny
+    # eigenvalues we keep, and the bottom ell eigenpairs are the answer.
+    # The largest absolute column sum ||M||_1 bounds ||M||_2 for symmetric M
+    # and costs one pass instead of an SVD.
+    shift = max(float(np.abs(M).sum(axis=0).max()), 1.0)
+    if not np.isfinite(shift):
+        raise NumericalError("LLE weights are not finite")
+    M += shift / n
+    return M
+
+
+@functools.lru_cache
+def _syevr(n: int):
+    """LAPACK's dsyevr for an ``(n, n)`` matrix's lower triangle, with the
+    workspace that ``scipy.linalg.eigh`` queries for it."""
+    solve, query = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"))
+    work, iwork, info = query(n, lower=1)
+    if info:
+        raise NumericalError(f"eigensolver workspace query failed (LAPACK info {info})")
+    return functools.partial(solve, lower=1, lwork=int(work), liwork=int(iwork))
+
+
+def _bottom_eigenpairs(M: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``ell`` smallest eigenvalues of symmetric ``M`` and their
+    eigenvectors, overwriting ``M``: one dsyevr call with the arguments of
+    ``scipy.linalg.eigh(M, subset_by_index=[0, ell - 1])``, so the same
+    values, without its per-call checks and workspace query."""
+    # M is symmetric, so its transpose is the same matrix in LAPACK's layout
+    evals, evecs, *_, info = _syevr(len(M))(M.T, range="I", il=1, iu=ell, overwrite_a=1)
+    if info:
+        raise NumericalError(f"eigendecomposition failed (LAPACK info {info})")
+    return evals[:ell], evecs
+
+
 def lle_embed(W: LleWeights, ell: int) -> Embedding:
     """Spectral embedding minimizing the local reconstruction error.
 
@@ -172,29 +224,6 @@ def lle_embed(W: LleWeights, ell: int) -> Embedding:
     n = W.n
     if not (1 <= ell <= n - 2):
         raise ParameterError(f"embedding dimension must be in [1, {n - 2}], got {ell}")
-    nb, w = W.neighbors, W.weights
-    # M = I - W - W' + W'W, with (W'W)[a, b] the sum over rows r of
-    # W[r, a] W[r, b]: one term per ordered pair of slots in each row
-    pairs = (nb[:, :, None] * n + nb[:, None, :]).ravel()
-    products = (w[:, :, None] * w[:, None, :]).ravel()
-    M = np.bincount(pairs, weights=products, minlength=n * n).reshape(n, n)
-    rows = np.arange(n)[:, None]
-    M[rows, nb] -= w
-    M[nb, rows] -= w
-    M.flat[:: n + 1] += 1.0
-    M = 0.5 * (M + M.T)
-    # Row-stochastic W makes the constant vector an exact null mode of M.
-    # Adding (shift/n)*11' moves it to eigenvalue shift and leaves the
-    # spectrum on its orthogonal complement unchanged. Any shift >= ||M||_2
-    # puts it at the top of the spectrum, so it cannot mix with the tiny
-    # eigenvalues we keep, and the bottom ell eigenpairs are the answer.
-    # The largest absolute column sum ||M||_1 bounds ||M||_2 for symmetric M
-    # and costs one pass instead of an SVD.
-    shift = max(float(np.abs(M).sum(axis=0).max()), 1.0)
-    M += shift / n
-    try:
-        evals, evecs = scipy.linalg.eigh(M, subset_by_index=[0, ell - 1])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    evals, evecs = _bottom_eigenpairs(_lle_matrix(W.neighbors, W.weights), ell)
     Y = _fix_signs(evecs) * np.sqrt(n)
     return Embedding(Y=Y, eigenvalues=evals)

@@ -143,27 +143,38 @@ def oose_error_isomap(Y_full: Embedding, Y_oose: Embedding) -> float:
     return float(np.mean(np.linalg.norm(Y_full.Y - aligned.Y, axis=1)))
 
 
-def affected_set(G: NeighborGraph, i0: int) -> np.ndarray:
-    """Indices of points whose neighborhoods contain i0, plus i0 itself."""
-    reverse = np.flatnonzero(np.any(G.neighbors == i0, axis=1))
-    return np.unique(np.append(reverse, i0))
+def affected_sets(G: NeighborGraph) -> np.ndarray:
+    """The ``(n, n)`` boolean whose row i0 marks the points whose
+    neighborhoods contain i0, and i0 itself."""
+    n = G.n
+    affected = np.eye(n, dtype=bool)
+    affected[G.neighbors, np.arange(n)[:, None]] = True
+    return affected
 
 
 def oose_embedding_error(
     W_full: LleWeights,
-    leave_one_out_embeddings: list[np.ndarray],
+    leave_one_out_embeddings: np.ndarray | list[np.ndarray],
     G: NeighborGraph,
 ) -> float:
     """Average over held-out points of the local reconstruction residuals
-    restricted to the points affected by each extension."""
+    restricted to the points affected by each extension.
+
+    ``leave_one_out_embeddings`` is an ``(n, n, l)`` stack, or a list of n
+    ``(n, l)`` embeddings: fold i0's coordinates of every point, i0's own
+    extended ones included. Each fold's residuals are summed by one ``np.sum``
+    and the sums added in fold order, so the value equals scoring the folds
+    one at a time, to the last bit.
+    """
     n = W_full.n
-    if len(leave_one_out_embeddings) != n:
-        raise ParameterError(
-            f"need {n} fold embeddings, got {len(leave_one_out_embeddings)}"
-        )
+    Y = np.asarray(leave_one_out_embeddings)
+    if len(Y) != n:
+        raise ParameterError(f"need {n} fold embeddings, got {len(Y)}")
+    # every fold's affected rows, fold by fold, each fold's in ascending order
+    folds, rows = np.nonzero(affected_sets(G))
+    near = Y[folds[:, None], W_full.neighbors[rows]]  # each row's neighbors, in its fold
+    residual = Y[folds, rows] - np.einsum("rk,rkl->rl", W_full.weights[rows], near)
     total = 0.0
-    for i0, Y_fold in enumerate(leave_one_out_embeddings):
-        affected = affected_set(G, i0)
-        residual = Y_fold[affected] - _reconstruct(W_full, Y_fold, affected)
-        total += float(np.sum(residual**2))
+    for squares in np.split(residual**2, np.flatnonzero(np.diff(folds)) + 1):
+        total += float(np.sum(squares))
     return total / n

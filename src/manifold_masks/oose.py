@@ -14,12 +14,13 @@ from .embeddings import (
     Embedding,
     GeodesicDistances,
     LleWeights,
+    _bottom_eigenpairs,
     _double_center,
     _fix_signs,
     classical_mds,
     geodesics,
-    lle_embed,
     lle_weights,
+    _lle_matrix,
     _local_grams,
     _solve_weights,
 )
@@ -161,8 +162,10 @@ def estimate_parameters(
 
 def _lle_fold_weights(X: Reference):
     """For every leave-one-out fold of ``X``, in fold order: the training
-    points' LLE weights, then the held-out point's k nearest training points
-    and its weights over them; all from ``X.weights`` and one (k+1)-NN graph.
+    points' ``(n - 1, k)`` LLE neighbor and weight tables, then the held-out
+    point's k nearest training points and its weights over them; all from
+    ``X.weights`` and one (k+1)-NN graph, which are built before the first
+    fold is asked for.
 
     With point i dropped, another point's k nearest training points are its
     k+1 nearest points without i (the k-NN table is the first k columns of
@@ -179,14 +182,35 @@ def _lle_fold_weights(X: Reference):
     slots = np.array([np.delete(np.arange(k + 1), s) for s in range(k)])
     C = _local_grams(points[near], points)[:, slots[:, :, None], slots[:, None, :]]
     dropped = _solve_weights(C.reshape(-1, k, k), X.reg).reshape(X.n, k, k)
-    for i in range(X.n):
+
+    def fold(i):
         rows, s = np.nonzero(table == i)
         neighbors, weights = table.copy(), base.copy()
         neighbors[rows] = near[rows[:, None], slots[s]]
         weights[rows] = dropped[rows, s]
         neighbors -= neighbors > i
         train = np.arange(X.n) != i
-        yield LleWeights(neighbors[train], weights[train]), neighbors[i], base[i]
+        return neighbors[train], weights[train], neighbors[i], base[i]
+
+    return map(fold, range(X.n))
+
+
+def _lle_folds(X: Reference) -> np.ndarray:
+    """``lle_embed`` of every leave-one-out fold of ``X``, extended to its
+    held-out point by ``lle_oose``'s weights: an ``(n, n, ell)`` stack holding
+    fold f's coordinates in the rows of its training points and the held-out
+    point's in row f. Each fold is one ``_lle_matrix`` and one
+    ``_bottom_eigenpairs`` call. Columns keep the eigensolver's signs, which
+    no reconstruction residual depends on."""
+    n, ell = X.n, X.ell
+    folds = _lle_fold_weights(X)  # a failed weight solve raises before a bad ell
+    if not (1 <= ell <= n - 3):
+        raise ParameterError(f"embedding dimension must be in [1, {n - 3}], got {ell}")
+    Y, scale = np.empty((n, n, ell)), np.sqrt(n - 1)
+    for i, (neighbors, weights, nn, w) in enumerate(folds):
+        train = _bottom_eigenpairs(_lle_matrix(neighbors, weights), ell)[1] * scale
+        Y[i, :i], Y[i, i + 1 :], Y[i, i] = train[:i], train[i:], w @ train[nn]
+    return Y
 
 
 def _fold_project(V: np.ndarray, folds: np.ndarray) -> np.ndarray:
@@ -324,11 +348,8 @@ def leave_one_out(
                 f"on {n - 1} points; got {k}"
             )
         # built before the folds' arrays: after them, it raised the peak RSS
-        W_ref, folds = ref.weights, []
-        for i, (W_train, nn, w) in enumerate(_lle_fold_weights(X)):
-            Y_train = lle_embed(W_train, ell)
-            folds.append(np.insert(Y_train.Y, i, w @ Y_train.Y[nn], axis=0))
-        value = oose_embedding_error(W_ref, folds, ref.G)
+        W_ref = ref.weights
+        value = oose_embedding_error(W_ref, _lle_folds(X), ref.G)
         return EvalReport(metric="oose_embedding_error", value=value)
 
     if method == "gaze":

@@ -57,3 +57,16 @@ def dense_weights(W):
     dense = np.zeros((n, n))
     dense[np.arange(n)[:, None], W.neighbors] = W.weights
     return dense
+
+
+def fail_eigensolver(monkeypatch):
+    """Make every LAPACK dsyevr call that the package makes report that it
+    did not converge (info > 0), without computing anything."""
+
+    def syevr(n):
+        def solve(a, *, iu, **kwargs):
+            return np.zeros(n), np.zeros((n, iu)), 0, np.zeros(0, np.int32), 1
+
+        return solve
+
+    monkeypatch.setattr("manifold_masks.embeddings._syevr", syevr)

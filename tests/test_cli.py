@@ -33,6 +33,8 @@ from manifold_masks.metrics import (
 from manifold_masks.oose import Reference, leave_one_out
 from manifold_masks.secants import build_secants
 
+from conftest import fail_eigensolver
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -348,6 +350,21 @@ class TestOoseCommand:
             "--out-dir", tmp_path,
         )
         assert code == 1
+        assert not (tmp_path / "oose_results.csv").exists()
+
+    def test_lle_eigensolver_failure_exit_code(self, tmp_path, line_files, monkeypatch):
+        data, meta = line_files
+        fail_eigensolver(monkeypatch)
+        code = run(
+            "oose",
+            "--data", data, "--meta", meta,
+            "--algorithms", "pcoa",
+            "--sizes", "2",
+            "--methods", "lle",
+            "--k", "3", "--l", "1",
+            "--out-dir", tmp_path,
+        )
+        assert code == 3
         assert not (tmp_path / "oose_results.csv").exists()
 
 

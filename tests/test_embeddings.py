@@ -2,7 +2,6 @@ import heapq
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from manifold_masks.data import DataMatrix, knn_graph, pairwise_distances, synth_dataset
 from manifold_masks.embeddings import (
@@ -18,7 +17,7 @@ from manifold_masks.embeddings import (
 from manifold_masks.errors import DisconnectedGraphError, NumericalError, ParameterError
 from manifold_masks.metrics import residual_variance
 
-from conftest import dense_weights
+from conftest import dense_weights, fail_eigensolver
 
 
 def mirrored_dijkstra(G):
@@ -342,13 +341,16 @@ class TestLleEmbed:
         )
         np.testing.assert_allclose(emb.Y, sign_fixed(evecs[:, keep]) * np.sqrt(n), rtol=0, atol=1e-6)
 
+    def test_non_finite_weights_are_numerical_error(self, rng):
+        X = DataMatrix(points=rng.random((20, 3)))
+        W = lle_weights(X, knn_graph(X, 4))
+        W.weights[3, 1] = np.nan
+        with pytest.raises(NumericalError, match="not finite"):
+            lle_embed(W, 2)
+
     def test_eigensolver_failure_is_numerical_error(self, rng, monkeypatch):
         X = DataMatrix(points=rng.random((20, 3)))
         W = lle_weights(X, knn_graph(X, 4))
-
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("did not converge")
-
-        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        fail_eigensolver(monkeypatch)
         with pytest.raises(NumericalError, match="eigendecomposition failed"):
             lle_embed(W, 2)

@@ -13,7 +13,7 @@ from manifold_masks.errors import DegenerateDataError, ParameterError
 from manifold_masks.metrics import (
     RESULTS_HEADER,
     EvalReport,
-    affected_set,
+    affected_sets,
     append_results,
     embedding_error,
     neighbor_preservation,
@@ -225,17 +225,18 @@ class TestAffectedSet:
     def test_matches_brute_force(self, rng):
         X = DataMatrix(points=rng.random((30, 3)))
         G = knn_graph(X, 4)
+        affected = affected_sets(G)
         for i0 in range(30):
             expected = {i0} | {
                 j for j in range(30) if i0 in set(int(v) for v in G.neighbors[j])
             }
-            assert set(affected_set(G, i0)) == expected
+            assert set(np.flatnonzero(affected[i0])) == expected
 
     def test_always_contains_self(self, rng):
         X = DataMatrix(points=rng.random((12, 2)))
-        G = knn_graph(X, 2)
+        affected = affected_sets(knn_graph(X, 2))
         for i0 in range(12):
-            assert i0 in affected_set(G, i0)
+            assert affected[i0, i0]
 
 
 class TestResultsTable:

@@ -8,6 +8,7 @@ from manifold_masks.data import DataMatrix, blob_image, knn_graph, synth_dataset
 from manifold_masks.embeddings import (
     Embedding,
     GeodesicDistances,
+    LleWeights,
     classical_mds,
     geodesics,
     isomap,
@@ -18,6 +19,7 @@ from manifold_masks.errors import (
     DegenerateDataError,
     DisconnectedGraphError,
     ManifoldMasksError,
+    NumericalError,
     ParameterError,
 )
 from manifold_masks.masks import Mask, apply_mask, pcoa, random_mask
@@ -33,6 +35,8 @@ from manifold_masks.oose import (
     leave_one_out,
     lle_oose,
 )
+
+from conftest import fail_eigensolver
 
 
 def full_mask(d):
@@ -231,17 +235,18 @@ class TestLleFoldWeights:
         k = data.draw(st.integers(1, X.n - 2))
         reg = 1e-3
         near = knn_graph(X, k + 1).neighbors
-        for i, (W_fold, nn, w) in enumerate(_lle_fold_weights(Reference(X, k, 1, reg))):
+        folds = _lle_fold_weights(Reference(X, k, 1, reg))
+        for i, (neighbors, weights, nn, w) in enumerate(folds):
             train = drop_point(X, i)
             want_nn, want_w = _test_weights(train, X.points[i], k, reg)
             np.testing.assert_array_equal(nn, want_nn)
             np.testing.assert_array_equal(w, want_w)
             G = knn_graph(train, k)
-            np.testing.assert_array_equal(W_fold.neighbors, G.neighbors)
+            np.testing.assert_array_equal(neighbors, G.neighbors)
             want = lle_weights(train, G, reg).weights
             listed = np.delete(np.any(near[:, :k] == i, axis=1), i)
-            np.testing.assert_array_equal(W_fold.weights[~listed], want[~listed])
-            np.testing.assert_allclose(W_fold.weights[listed], want[listed], rtol=1e-12)
+            np.testing.assert_array_equal(weights[~listed], want[~listed])
+            np.testing.assert_allclose(weights[listed], want[listed], rtol=1e-12)
 
 
 class TestLeaveOneOut:
@@ -321,6 +326,18 @@ class TestLeaveOneOut:
         with pytest.raises(ParameterError, match=r"train on 9 points; got 9"):
             masked_loo(X, full_mask(3), "lle", knn_graph(X, 9), ell=1)
 
+    def test_lle_ell_past_training_size(self, rng):
+        # each fold's lle_embed has 9 points, so ell is at most 9 - 2
+        X = DataMatrix(points=rng.random((10, 3)))
+        with pytest.raises(ParameterError, match=r"must be in \[1, 7\], got 8$"):
+            masked_loo(X, full_mask(3), "lle", knn_graph(X, 2), ell=8)
+        assert np.isfinite(masked_loo(X, full_mask(3), "lle", knn_graph(X, 2), ell=7).value)
+
+    def test_lle_eigensolver_failure_is_numerical_error(self, small_blob, monkeypatch):
+        fail_eigensolver(monkeypatch)
+        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+            masked_loo(small_blob, full_mask(small_blob.d), "lle", knn_graph(small_blob, 6), ell=2)
+
     def test_gaze_identity_mask(self, small_blob):
         G = knn_graph(small_blob, 6)
         rep = masked_loo(small_blob, full_mask(small_blob.d), "gaze", G, ell=2)
@@ -388,6 +405,39 @@ class TestHeldOutReads:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def blob():
+    """The blob of the loo_oose benchmark workload."""
+    return synth_dataset("translating_blob", 120, seed=1, g=16)
+
+
+def looped_lle_loo(masked, ref):
+    """leave_one_out(..., "lle") one fold at a time: each fold's lle_embed
+    with the held-out point inserted, and the residual sum over the rows
+    that list the held-out point, and its own, added in fold order."""
+    W, G, total = ref.weights, ref.G, 0.0
+    for i, (neighbors, weights, nn, w) in enumerate(_lle_fold_weights(masked)):
+        Y = lle_embed(LleWeights(neighbors, weights), masked.ell).Y
+        Y = np.insert(Y, i, w @ Y[nn], axis=0)
+        rows = np.unique(np.append(np.flatnonzero(np.any(G.neighbors == i, axis=1)), i))
+        residual = Y[rows] - np.einsum("rk,rkl->rl", W.weights[rows], Y[W.neighbors[rows]])
+        total += float(np.sum(residual**2))
+    return total / masked.n
+
+
+class TestLleFolds:
+    """leave_one_out(..., "lle") on the loo_oose benchmark's blob, against a
+    loop of one lle_embed per fold: the same value to the last bit."""
+
+    @pytest.mark.parametrize("m", [16, 32])
+    @pytest.mark.parametrize("selector", ["pcoa", "random"])
+    def test_bitwise_equal_to_one_lle_embed_per_fold(self, blob, selector, m):
+        mask = pcoa(blob, m) if selector == "pcoa" else random_mask(blob.d, m, 1)
+        ref = Reference(blob, 8, 2, 1e-2)
+        masked = Reference(apply_mask(blob, mask), 8, 2, 1e-2)
+        assert leave_one_out(masked, "lle", ref).value == looped_lle_loo(masked, ref)
+
+
 def count_dense_folds(monkeypatch):
     """The list that each dense fold solve, a call of classical_mds from
     manifold_masks.oose, appends to."""
@@ -417,10 +467,6 @@ def polygon(n, height=0.0):
 
 class TestIsomapFolds:
     """_isomap_folds against classical_mds of each fold's sliced geodesics."""
-
-    @pytest.fixture(scope="class")
-    def blob(self):
-        return synth_dataset("translating_blob", 120, seed=1, g=16)
 
     @pytest.mark.parametrize("m", [16, 32])
     @pytest.mark.parametrize("selector", ["pcoa", "random"])
