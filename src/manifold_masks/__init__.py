@@ -7,7 +7,6 @@ from .embeddings import (
     LleWeights,
     classical_mds,
     geodesics,
-    isomap,
     lle_embed,
     lle_weights,
 )

@@ -11,7 +11,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
-from .data import DataMatrix, NeighborGraph, knn_graph
+from .data import DataMatrix, NeighborGraph
 from .errors import DisconnectedGraphError, NumericalError, ParameterError
 
 
@@ -78,11 +78,15 @@ def geodesics(G: NeighborGraph) -> GeodesicDistances:
 
 
 def _double_center(D: GeodesicDistances) -> np.ndarray:
-    """-J D**2 J / 2 with J = I - 11'/n, symmetric to the last bit."""
+    """-J D**2 J / 2 with J = I - 11'/n, symmetric to the last bit. Distances
+    that are not all finite raise: any NaN or inf reaches the grand mean."""
     Dsq = D.D**2
     # from the row and column means
     row, col = Dsq.mean(axis=1), Dsq.mean(axis=0)
-    tau = -0.5 * (Dsq - row[:, None] - col[None, :] + row.mean())
+    grand = row.mean()
+    if not np.isfinite(grand):
+        raise NumericalError("distances are not finite")
+    tau = -0.5 * (Dsq - row[:, None] - col[None, :] + grand)
     return 0.5 * (tau + tau.T)  # symmetrize against roundoff
 
 
@@ -101,7 +105,7 @@ def classical_mds(D: GeodesicDistances, ell: int) -> Embedding:
         )
     if not (1 <= ell < n):
         raise ParameterError(f"embedding dimension must be in [1, {n - 1}], got {ell}")
-    evals, evecs = scipy.linalg.eigh(_double_center(D), subset_by_index=[n - ell, n - 1])
+    evals, evecs = _eigenpairs(_double_center(D), n - ell, n - 1)
     evals = evals[::-1]
     evecs = _fix_signs(evecs[:, ::-1])
     tol = 1e-12 * max(float(np.abs(evals).max(initial=0.0)), 1.0)
@@ -115,13 +119,6 @@ def classical_mds(D: GeodesicDistances, ell: int) -> Embedding:
     evals = np.where(evals > tol, evals, 0.0)
     Y = evecs * np.sqrt(evals)[None, :]
     return Embedding(Y=Y, eigenvalues=evals)
-
-
-def isomap(X: DataMatrix, k: int, ell: int) -> tuple[Embedding, GeodesicDistances]:
-    """k-NN graph -> geodesic distances -> classical MDS; a disconnected
-    graph raises."""
-    D = geodesics(knn_graph(X, k))
-    return classical_mds(D, ell), D
 
 
 def _local_grams(neighborhoods: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -193,7 +190,7 @@ def _lle_matrix(neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
 @functools.lru_cache
 def _syevr(n: int):
     """LAPACK's dsyevr for an ``(n, n)`` matrix's lower triangle, with the
-    workspace that ``scipy.linalg.eigh`` queries for it."""
+    workspace that SciPy's ``eigh`` queries for it."""
     solve, query = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"))
     work, iwork, info = query(n, lower=1)
     if info:
@@ -201,16 +198,18 @@ def _syevr(n: int):
     return functools.partial(solve, lower=1, lwork=int(work), liwork=int(iwork))
 
 
-def _bottom_eigenpairs(M: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``ell`` smallest eigenvalues of symmetric ``M`` and their
-    eigenvectors, overwriting ``M``: one dsyevr call with the arguments of
-    ``scipy.linalg.eigh(M, subset_by_index=[0, ell - 1])``, so the same
-    values, without its per-call checks and workspace query."""
+def _eigenpairs(M: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``lo`` to ``hi`` (0-based, ascending) of symmetric ``M``
+    and their eigenvectors, overwriting ``M``: one dsyevr call with the
+    arguments that SciPy's ``eigh`` passes for ``subset_by_index=[lo, hi]``,
+    so the same values, without its per-call checks and workspace query.
+    ``M`` must be finite: dsyevr does not check, and returns numbers for a
+    NaN. ``_double_center`` and ``_lle_matrix`` reject non-finite input."""
     # M is symmetric, so its transpose is the same matrix in LAPACK's layout
-    evals, evecs, *_, info = _syevr(len(M))(M.T, range="I", il=1, iu=ell, overwrite_a=1)
+    evals, evecs, *_, info = _syevr(len(M))(M.T, range="I", il=lo + 1, iu=hi + 1, overwrite_a=1)
     if info:
         raise NumericalError(f"eigendecomposition failed (LAPACK info {info})")
-    return evals[:ell], evecs
+    return evals[: hi - lo + 1], evecs
 
 
 def lle_embed(W: LleWeights, ell: int) -> Embedding:
@@ -224,6 +223,6 @@ def lle_embed(W: LleWeights, ell: int) -> Embedding:
     n = W.n
     if not (1 <= ell <= n - 2):
         raise ParameterError(f"embedding dimension must be in [1, {n - 2}], got {ell}")
-    evals, evecs = _bottom_eigenpairs(_lle_matrix(W.neighbors, W.weights), ell)
+    evals, evecs = _eigenpairs(_lle_matrix(W.neighbors, W.weights), 0, ell - 1)
     Y = _fix_signs(evecs) * np.sqrt(n)
     return Embedding(Y=Y, eigenvalues=evals)

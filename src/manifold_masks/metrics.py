@@ -143,22 +143,21 @@ def oose_error_isomap(Y_full: Embedding, Y_oose: Embedding) -> float:
     return float(np.mean(np.linalg.norm(Y_full.Y - aligned.Y, axis=1)))
 
 
-def affected_sets(G: NeighborGraph) -> np.ndarray:
-    """The ``(n, n)`` boolean whose row i0 marks the points whose
-    neighborhoods contain i0, and i0 itself."""
-    n = G.n
+def affected_sets(neighbors: np.ndarray) -> np.ndarray:
+    """The ``(n, n)`` boolean whose row i0 marks the points whose rows of the
+    ``(n, k)`` neighbor table ``neighbors`` contain i0, and i0 itself."""
+    n = len(neighbors)
     affected = np.eye(n, dtype=bool)
-    affected[G.neighbors, np.arange(n)[:, None]] = True
+    affected[neighbors, np.arange(n)[:, None]] = True
     return affected
 
 
 def oose_embedding_error(
-    W_full: LleWeights,
-    leave_one_out_embeddings: np.ndarray | list[np.ndarray],
-    G: NeighborGraph,
+    W_full: LleWeights, leave_one_out_embeddings: np.ndarray | list[np.ndarray]
 ) -> float:
     """Average over held-out points of the local reconstruction residuals
-    restricted to the points affected by each extension.
+    restricted to the points affected by each extension: those whose
+    neighborhoods in ``W_full`` contain the held-out point, and itself.
 
     ``leave_one_out_embeddings`` is an ``(n, n, l)`` stack, or a list of n
     ``(n, l)`` embeddings: fold i0's coordinates of every point, i0's own
@@ -171,7 +170,7 @@ def oose_embedding_error(
     if len(Y) != n:
         raise ParameterError(f"need {n} fold embeddings, got {len(Y)}")
     # every fold's affected rows, fold by fold, each fold's in ascending order
-    folds, rows = np.nonzero(affected_sets(G))
+    folds, rows = np.nonzero(affected_sets(W_full.neighbors))
     near = Y[folds[:, None], W_full.neighbors[rows]]  # each row's neighbors, in its fold
     residual = Y[folds, rows] - np.einsum("rk,rkl->rl", W_full.weights[rows], near)
     total = 0.0

@@ -7,15 +7,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .data import DataMatrix, NeighborGraph, _k_smallest, knn_graph
 from .embeddings import (
     Embedding,
     GeodesicDistances,
     LleWeights,
-    _bottom_eigenpairs,
     _double_center,
+    _eigenpairs,
     _fix_signs,
     classical_mds,
     geodesics,
@@ -199,16 +198,16 @@ def _lle_folds(X: Reference) -> np.ndarray:
     """``lle_embed`` of every leave-one-out fold of ``X``, extended to its
     held-out point by ``lle_oose``'s weights: an ``(n, n, ell)`` stack holding
     fold f's coordinates in the rows of its training points and the held-out
-    point's in row f. Each fold is one ``_lle_matrix`` and one
-    ``_bottom_eigenpairs`` call. Columns keep the eigensolver's signs, which
-    no reconstruction residual depends on."""
+    point's in row f. Each fold is one ``_lle_matrix`` and one ``_eigenpairs``
+    call. Columns keep the eigensolver's signs, which no reconstruction
+    residual depends on."""
     n, ell = X.n, X.ell
     folds = _lle_fold_weights(X)  # a failed weight solve raises before a bad ell
     if not (1 <= ell <= n - 3):
         raise ParameterError(f"embedding dimension must be in [1, {n - 3}], got {ell}")
     Y, scale = np.empty((n, n, ell)), np.sqrt(n - 1)
     for i, (neighbors, weights, nn, w) in enumerate(folds):
-        train = _bottom_eigenpairs(_lle_matrix(neighbors, weights), ell)[1] * scale
+        train = _eigenpairs(_lle_matrix(neighbors, weights), 0, ell - 1)[1] * scale
         Y[i, :i], Y[i, i + 1 :], Y[i, i] = train[:i], train[i:], w @ train[nn]
     return Y
 
@@ -248,7 +247,7 @@ def _isomap_folds(D: GeodesicDistances, ell: int) -> Embedding:
     todo = np.arange(n)
     if 1 <= ell and p < n - 2:
         tau = _double_center(D)
-        lam, U = scipy.linalg.eigh(tau, subset_by_index=[n - p, n - 1])
+        lam, U = _eigenpairs(tau.copy(), n - p, n - 1)  # the solve overwrites its input
         bound = max(lam[0], 0.0)
         # bounds the rounding in a computed residual and in bound
         noise = n * np.finfo(float).eps * np.linalg.norm(tau)
@@ -349,7 +348,7 @@ def leave_one_out(
             )
         # built before the folds' arrays: after them, it raised the peak RSS
         W_ref = ref.weights
-        value = oose_embedding_error(W_ref, _lle_folds(X), ref.G)
+        value = oose_embedding_error(W_ref, _lle_folds(X))
         return EvalReport(metric="oose_embedding_error", value=value)
 
     if method == "gaze":

@@ -64,8 +64,8 @@ def fail_eigensolver(monkeypatch):
     did not converge (info > 0), without computing anything."""
 
     def syevr(n):
-        def solve(a, *, iu, **kwargs):
-            return np.zeros(n), np.zeros((n, iu)), 0, np.zeros(0, np.int32), 1
+        def solve(a, *, il, iu, **kwargs):
+            return np.zeros(n), np.zeros((n, iu - il + 1)), 0, np.zeros(0, np.int32), 1
 
         return solve
 

@@ -20,7 +20,6 @@ from manifold_masks.embeddings import (
     Embedding,
     classical_mds,
     geodesics,
-    isomap,
     lle_embed,
     lle_weights,
 )
@@ -41,7 +40,7 @@ from manifold_masks.metrics import (
     procrustes_align,
     residual_variance,
 )
-from manifold_masks.oose import isomap_oose, lle_oose
+from manifold_masks.oose import Reference, isomap_oose, lle_oose
 from manifold_masks.secants import build_clique_array, build_secants
 
 from conftest import random_clique_array, random_secant_matrix
@@ -129,8 +128,9 @@ def test_criterion_03_nested_masks():
 def test_criterion_04_isomap_swiss_roll():
     """Isomap flattens the swiss roll and geodesics dominate chords."""
     X = synth_dataset("swiss_roll", 500, seed=7)
-    emb, D = isomap(X, 10, 2)
-    rv = residual_variance(D, emb)
+    ref = Reference(X, 10, 2)
+    D = ref.geodesics
+    rv = residual_variance(D, ref.isomap)
     dominated = bool(np.all(D.D >= pairwise_distances(X.points) - 1e-9))
     report(
         4,

@@ -185,6 +185,25 @@ class TestEvaluateCommand:
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == ["results.csv"]
 
+    def test_eigensolver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # each mask's first eigensolve is its Isomap embedding's, so the
+        # run fails there, before any LLE embedding
+        lle_calls = []
+        monkeypatch.setattr("manifold_masks.cli.lle_embed", lambda *args: lle_calls.append(args))
+        fail_eigensolver(monkeypatch)
+        code = run(
+            "evaluate",
+            "--synth", "translating_blob:n=40,g=5,seed=3",
+            "--algorithms", "pcoa",
+            "--sizes", "3",
+            "--k", "6", "--k-lle", "6", "--np-k", "5", "--l", "2",
+            "--out-dir", tmp_path,
+        )
+        assert code == 3
+        assert "eigendecomposition failed" in capsys.readouterr().err
+        assert lle_calls == []
+        assert not (tmp_path / "results.csv").exists()
+
 
 class TestPlanValues:
     """evaluate and oose rows equal the values the library computes for each

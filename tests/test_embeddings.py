@@ -2,6 +2,7 @@ import heapq
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from manifold_masks.data import DataMatrix, knn_graph, pairwise_distances, synth_dataset
 from manifold_masks.embeddings import (
@@ -10,12 +11,12 @@ from manifold_masks.embeddings import (
     _fix_signs,
     classical_mds,
     geodesics,
-    isomap,
     lle_embed,
     lle_weights,
 )
 from manifold_masks.errors import DisconnectedGraphError, NumericalError, ParameterError
 from manifold_masks.metrics import residual_variance
+from manifold_masks.oose import Reference
 
 from conftest import dense_weights, fail_eigensolver
 
@@ -51,6 +52,11 @@ def sign_fixed(vectors):
     """Columns flipped so that each one's largest-magnitude entry is positive."""
     peak = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
     return vectors * np.where(peak < 0, -1.0, 1.0)
+
+
+def scipy_eigenpairs(M, lo, hi):
+    """The reference for embeddings._eigenpairs, used in the tests only."""
+    return scipy.linalg.eigh(M, subset_by_index=[lo, hi])
 
 
 @pytest.fixture(params=[119, 200], ids=lambda n: f"blob{n}")
@@ -159,6 +165,20 @@ class TestClassicalMds:
         with pytest.raises(DisconnectedGraphError):
             classical_mds(D, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_distances_are_numerical_error(self, rng, bad):
+        # dsyevr does not check its input, so the double centring does
+        D = pairwise_distances(rng.random((12, 3)))
+        D[4, 7] = D[7, 4] = bad
+        with pytest.raises(NumericalError, match="not finite"):
+            classical_mds(GeodesicDistances(D=D, connected=True), 2)
+
+    def test_eigensolver_failure_is_numerical_error(self, rng, monkeypatch):
+        D = GeodesicDistances(D=pairwise_distances(rng.random((12, 3))), connected=True)
+        fail_eigensolver(monkeypatch)
+        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+            classical_mds(D, 2)
+
     def test_rank_deficit_warns_with_zero_columns(self):
         coords = np.array([0.0, 1.0, 2.0])
         D = GeodesicDistances(
@@ -191,18 +211,28 @@ class TestClassicalMds:
         np.testing.assert_allclose(emb.eigenvalues, evals, rtol=1e-12)
         np.testing.assert_allclose(emb.Y, evecs * np.sqrt(evals), rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_top_pairs_match_scipy_bitwise(self, blob_graph, ell, monkeypatch):
+        D = geodesics(blob_graph[1])
+        got = classical_mds(D, ell)
+        monkeypatch.setattr("manifold_masks.embeddings._eigenpairs", scipy_eigenpairs)
+        want = classical_mds(D, ell)
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+        np.testing.assert_array_equal(got.Y, want.Y)
+
 
 class TestIsomap:
+    """Isomap is a Reference's k-NN graph -> geodesics -> classical MDS."""
+
     def test_complete_graph_matches_mds(self, rng):
         pts = rng.random((15, 3))
-        X = DataMatrix(points=pts)
-        emb, _ = isomap(X, 14, 2)
+        emb = Reference(DataMatrix(points=pts), 14, 2).isomap
         D = GeodesicDistances(D=pairwise_distances(pts), connected=True)
         np.testing.assert_allclose(emb.Y, classical_mds(D, 2).Y, atol=1e-9)
 
     def test_swiss_roll_parameters_recovered(self):
         X = synth_dataset("swiss_roll", 500, seed=7)
-        emb, _ = isomap(X, 10, 2)
+        emb = Reference(X, 10, 2).isomap
         from manifold_masks.metrics import procrustes_align
 
         ref = Embedding(Y=X.params, eigenvalues=np.ones(2))
@@ -210,17 +240,15 @@ class TestIsomap:
         assert disparity / np.linalg.norm(X.params - X.params.mean(0)) < 0.1
 
     def test_blob_residual_variance(self):
-        X = synth_dataset("translating_blob", 100, seed=2, g=12)
-        emb, D = isomap(X, 8, 2)
-        assert residual_variance(D, emb) < 0.1
+        ref = Reference(synth_dataset("translating_blob", 100, seed=2, g=12), 8, 2)
+        assert residual_variance(ref.geodesics, ref.isomap) < 0.1
 
     def test_largest_component_flag(self):
-        """isomap has no largest-component fallback: a disconnected graph
+        """Isomap has no largest-component fallback: a disconnected graph
         raises."""
         pts = np.concatenate([np.arange(8.0), [100.0, 101.0, 102.0]])[:, None]
-        X = DataMatrix(points=pts)
         with pytest.raises(DisconnectedGraphError):
-            isomap(X, 2, 1)
+            Reference(DataMatrix(points=pts), 2, 1).isomap
 
 
 class TestLleWeights:
@@ -340,6 +368,15 @@ class TestLleEmbed:
             emb.eigenvalues, evals[keep], rtol=0, atol=1e-12 * np.abs(M).sum(axis=0).max()
         )
         np.testing.assert_allclose(emb.Y, sign_fixed(evecs[:, keep]) * np.sqrt(n), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_bottom_pairs_match_scipy_bitwise(self, blob_graph, ell, monkeypatch):
+        W = lle_weights(*blob_graph)
+        got = lle_embed(W, ell)
+        monkeypatch.setattr("manifold_masks.embeddings._eigenpairs", scipy_eigenpairs)
+        want = lle_embed(W, ell)
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+        np.testing.assert_array_equal(got.Y, want.Y)
 
     def test_non_finite_weights_are_numerical_error(self, rng):
         X = DataMatrix(points=rng.random((20, 3)))

@@ -225,7 +225,7 @@ class TestAffectedSet:
     def test_matches_brute_force(self, rng):
         X = DataMatrix(points=rng.random((30, 3)))
         G = knn_graph(X, 4)
-        affected = affected_sets(G)
+        affected = affected_sets(G.neighbors)
         for i0 in range(30):
             expected = {i0} | {
                 j for j in range(30) if i0 in set(int(v) for v in G.neighbors[j])
@@ -234,7 +234,7 @@ class TestAffectedSet:
 
     def test_always_contains_self(self, rng):
         X = DataMatrix(points=rng.random((12, 2)))
-        affected = affected_sets(knn_graph(X, 2))
+        affected = affected_sets(knn_graph(X, 2).neighbors)
         for i0 in range(12):
             assert affected[i0, i0]
 

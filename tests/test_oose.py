@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -9,9 +10,10 @@ from manifold_masks.embeddings import (
     Embedding,
     GeodesicDistances,
     LleWeights,
+    _double_center,
+    _eigenpairs,
     classical_mds,
     geodesics,
-    isomap,
     lle_embed,
     lle_weights,
 )
@@ -66,7 +68,7 @@ def reference_lle_loo(X, mask, G, ell, reg=1e-3):
         Y_train = lle_embed(lle_weights(train, knn_graph(train, k), reg), ell)
         res = lle_oose(train, Y_train, masked.points[i], k, reg)
         folds.append(np.insert(Y_train.Y, i, res, axis=0))
-    return oose_embedding_error(lle_weights(X, G, reg), folds, G)
+    return oose_embedding_error(lle_weights(X, G, reg), folds)
 
 
 def reference_isomap_loo(X, mask, k, ell):
@@ -338,6 +340,13 @@ class TestLeaveOneOut:
         with pytest.raises(NumericalError, match="eigendecomposition failed"):
             masked_loo(small_blob, full_mask(small_blob.d), "lle", knn_graph(small_blob, 6), ell=2)
 
+    def test_isomap_eigensolver_failure_is_numerical_error(self, small_blob, monkeypatch):
+        ref = Reference(small_blob, 6, ell=2)
+        ref.isomap  # built first, so the folds' own eigensolve is the one that fails
+        fail_eigensolver(monkeypatch)
+        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+            leave_one_out(ref, "isomap", ref)
+
     def test_gaze_identity_mask(self, small_blob):
         G = knn_graph(small_blob, 6)
         rep = masked_loo(small_blob, full_mask(small_blob.d), "gaze", G, ell=2)
@@ -503,6 +512,26 @@ class TestIsomapFolds:
         ref = Reference(X, 2, ell=1)
         want = reference_isomap_loo(X, full_mask(2), 2, ell=1)
         assert leave_one_out(ref, "isomap", ref).value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [119, 200])
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_start_pairs_match_scipy_bitwise(self, n, ell, monkeypatch):
+        """The top ell + 1 eigenpairs of tau that the block iteration starts
+        from equal scipy.linalg.eigh's, bit for bit."""
+        D = Reference(synth_dataset("translating_blob", n, seed=1, g=16), 8, ell).geodesics
+        starts = []
+
+        def spy(M, lo, hi):
+            starts.append((lo, hi, *_eigenpairs(M, lo, hi)))
+            return starts[-1][2:]
+
+        monkeypatch.setattr("manifold_masks.oose._eigenpairs", spy)
+        _isomap_folds(D, ell)
+        [(lo, hi, evals, evecs)] = starts
+        want = scipy.linalg.eigh(_double_center(D), subset_by_index=[n - ell - 1, n - 1])
+        assert (lo, hi) == (n - ell - 1, n - 1)
+        np.testing.assert_array_equal(evals, want[0])
+        np.testing.assert_array_equal(evecs, want[1])
 
     def test_no_larger_than_the_block_is_dense(self, monkeypatch):
         D = Reference(polygon(5), 2, ell=2).geodesics

@@ -32,3 +32,37 @@ def test_finds_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def scipy_linalg_references(source: str) -> list[int]:
+    """Lines where a module imports or reads ``scipy.linalg``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.") for name in names):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_finds_scipy_linalg():
+    source = (
+        "import scipy.linalg\nfrom scipy import linalg\nfrom scipy.linalg import eigh\n"
+        "import scipy\nscipy.linalg.eigh(a)\nimport scipy.sparse\nnp.linalg.eigh(a)\n"
+    )
+    assert scipy_linalg_references(source) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize(
+    "module", [p for p in MODULES if p.name != "embeddings.py"], ids=lambda p: p.name
+)
+def test_only_embeddings_reaches_scipy_linalg(module):
+    """embeddings._eigenpairs is the package's one symmetric eigensolver, so
+    no other module reaches SciPy's dense linear algebra."""
+    assert scipy_linalg_references(module.read_text(encoding="utf-8")) == []
