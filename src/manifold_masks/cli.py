@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -42,6 +43,7 @@ from .metrics import (
 from .oose import METHODS, Reference, leave_one_out
 from .secants import build_clique_array, build_secants
 
+SYNTH_INTEGERS = ("n", "g", "seed")  # synth options that take integers
 SELECTORS = ("maps_global", "maps_local", "pcoa", "random", "exact_global", "exact_local")
 
 
@@ -136,10 +138,31 @@ def _synth_from_spec(spec: str, seed: int) -> DataMatrix:
             key, _, value = item.partition("=")
             if not value:
                 raise ParameterError(f"bad synth option {item!r} in {spec!r}")
-            options[key.strip()] = float(value) if "." in value else int(value)
-    n = int(options.pop("n", 200))
-    seed = int(options.pop("seed", seed))
+            key = key.strip()
+            options[key] = _synth_number(key, value)
+    n = options.pop("n", 200)
+    seed = options.pop("seed", seed)
     return synth_dataset(kind, n, seed, **options)
+
+
+def _synth_number(key: str, value: str) -> int | float:
+    """A synth option's value, any finite numeric literal; the integer
+    options ``n``, ``g`` and ``seed`` must be integral and come out as int."""
+    try:
+        return int(value)  # exact, however large
+    except ValueError:
+        pass
+    try:
+        number = float(value)
+    except ValueError:
+        raise ParameterError(f"synth option {key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ParameterError(f"synth option {key} must be finite, got {value!r}")
+    if key in SYNTH_INTEGERS:
+        if not number.is_integer():
+            raise ParameterError(f"synth option {key} must be an integer, got {value!r}")
+        return int(number)
+    return number
 
 
 def _load_for_masks(cfg: RunConfig) -> tuple[DataMatrix, str]:

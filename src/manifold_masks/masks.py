@@ -108,6 +108,27 @@ def local_objective(B: CliqueSecantArray, mask: Mask) -> float:
     return _local_score(B, list(mask.selected), *_clique_alpha(B))
 
 
+def _reduce_rows(reduce, fill, rows: int, out: np.ndarray) -> np.ndarray:
+    """``reduce`` over axis 0 of a ``(rows, d)`` array that is never held
+    whole: ``fill(a, b, block)`` writes its rows ``[a, b)`` into ``block``,
+    one block of ``CHUNK_ENTRIES // d`` rows at a time. Returns ``out``, (d,).
+
+    The reduction of the blocks so far is carried as row 0 of the block
+    buffer. Axis-0 ``np.add.reduce`` adds rows one after another, so a sum
+    comes out bitwise equal to the unblocked one; a max does in any order.
+    """
+    d = out.shape[0]
+    h = max(1, CHUNK_ENTRIES // d)
+    buf = np.empty((min(h, rows) + 1, d))
+    for a in range(0, rows, h):
+        b = min(a + h, rows)
+        fill(a, b, buf[1 : b - a + 1])
+        first = 1 if a == 0 else 0  # the first block has nothing to carry
+        reduce(buf[first : b - a + 1], axis=0, out=out)
+        buf[0] = out
+    return out
+
+
 def maps_global(A: SecantMatrix, m: int, p: str = "L1") -> Mask:
     """Greedy selection matching masked secant norms to their expectation.
 
@@ -115,17 +136,24 @@ def maps_global(A: SecantMatrix, m: int, p: str = "L1") -> Mask:
     column sum closest (in the chosen norm) to (i/d) * 1 is selected; ties
     go to the lowest index. The result is nested: its first i entries are
     the size-i mask.
+
+    Each step's residuals are computed and reduced one block of secant rows
+    at a time (``_reduce_rows``), never as a whole ``(|S_k|, d)`` array.
     """
     d = A.d
     _check_m(m, d)
     reduce = _lp_reduce(p)
     running = np.zeros(A.A.shape[0])
-    residual = np.empty(A.A.shape)  # every column's residual, (|S_k|, d)
     costs = np.empty(d)
     selected: list[int] = []
+
+    def residuals(a, b, out):  # |A_j + running - i/d| of secant rows [a, b)
+        np.add(A.A[a:b], shift[a:b, None], out=out)
+        np.abs(out, out=out)
+
     for i in range(1, m + 1):
-        np.add(A.A, (running - i / d)[:, None], out=residual)
-        reduce(np.abs(residual, out=residual), axis=0, out=costs)
+        shift = running - i / d
+        _reduce_rows(reduce, residuals, A.A.shape[0], costs)
         costs[selected] = np.inf
         choice = int(np.argmin(costs))  # argmin keeps lowest index on ties
         selected.append(choice)
@@ -141,10 +169,13 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     against the full ones, so a per-point scale factor costs nothing. Ties
     go to the lowest index; masks are nested.
 
-    Every per-candidate quantity is ``(n, d)``, the layout of the sparse
-    product ``S @ B.B``: row i of the ``(n, P)`` matrix S puts point i's
-    clique weights at its pairs' rows of the store, and the product sums
-    each point's pairs in clique order. Rows follow a cache-friendly point
+    Per-point sums over clique pairs are rows of the sparse product
+    ``S @ B.B``: row i of the ``(n, P)`` matrix S puts point i's clique
+    weights at its pairs' rows of the store, and the product sums each
+    point's pairs in clique order. Two per-candidate constants are held
+    whole, in the product's ``(n, d)`` layout; each step computes the
+    product, the similarities and their column sum over points one block
+    of points at a time (``_reduce_rows``). Points follow a cache-friendly
     order, which changes only the order in which a score sums over points.
     """
     n, c, d = B.n, B.c, B.d
@@ -162,7 +193,7 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     S = sparse.csr_matrix((np.ones(n * c), rows.ravel(), indptr), shape=(n, P))
 
     # per-candidate constants ||B_j||^2 and <B_j, alpha>; the squares go a
-    # column chunk at a time, never a second (P, d) array
+    # column block at a time, never a second (P, d) array
     b_sq = np.empty((n, d))
     step = max(1, CHUNK_ENTRIES // P)
     for j in range(0, d, step):
@@ -171,25 +202,29 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     cross_alpha = S @ B.B
 
     theta = np.zeros((c, n))
-    num = np.empty((n, d))
+    scores = np.empty(d)
     selected: list[int] = []
-    for _ in range(m):
-        theta_alpha = np.sum(theta * alpha, axis=0)[:, None]
+
+    def similarities(a, b, out):  # cosine similarities of points [a, b)
         if selected:
             # ||theta + B_j||^2 = ||theta||^2 + 2 <B_j, theta> + ||B_j||^2
-            S.data[:] = theta.T.ravel()
-            den = S @ B.B
+            den = S[a:b] @ B.B
             den *= 2.0
-            den += np.sum(theta**2, axis=0)[:, None]
-            den += b_sq
+            den += theta_sq[a:b, None]
+            den += b_sq[a:b]
         else:
-            den = b_sq.copy()  # theta = 0
+            den = b_sq[a:b].copy()  # theta = 0
         den[den <= 0.0] = np.inf  # an all-zero masked vector has similarity 0
         np.sqrt(den, out=den)
-        den *= alpha_norm[:, None]
-        np.add(cross_alpha, theta_alpha, out=num)
-        num /= den
-        scores = num.sum(axis=0)
+        den *= alpha_norm[a:b, None]
+        np.add(cross_alpha[a:b], theta_alpha[a:b, None], out=out)
+        out /= den
+
+    for _ in range(m):
+        theta_alpha = np.sum(theta * alpha, axis=0)
+        theta_sq = np.sum(theta**2, axis=0)
+        S.data[:] = theta.T.ravel()
+        _reduce_rows(np.add.reduce, similarities, n, scores)
         scores[selected] = -np.inf
         choice = int(np.argmax(scores))  # first max = lowest index on ties
         selected.append(choice)

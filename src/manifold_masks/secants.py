@@ -10,7 +10,10 @@ import numpy as np
 from .data import DataMatrix, NeighborGraph
 from .errors import DegenerateDataError, ParameterError
 
-CHUNK_ENTRIES = 1 << 20  # float64 entries (8 MB) per chunked temporary
+# the one block size of all selector-side work, in float64 entries (1 MB):
+# the secant builders and both greedy selectors stream blocks of this many
+# entries, which stay in a 2 MB L2 cache through each pass made over them
+CHUNK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -72,20 +75,26 @@ def build_secants(X: DataMatrix, G: NeighborGraph) -> SecantMatrix:
     """Squared normalized secants over all distinct neighbor pairs.
 
     Directed duplicates (i in N(j) and j in N(i)) are merged: s and -s have
-    identical squared entries.
+    identical squared entries. A is filled in place, one block of
+    ``CHUNK_ENTRIES`` entries at a time.
     """
     pairs = neighbor_pairs(G)
-    diffs = X.points[pairs[:, 0]]
-    diffs -= X.points[pairs[:, 1]]
-    norms = np.linalg.norm(diffs, axis=1)
-    bad = np.where(norms == 0.0)[0]
-    if bad.size:
-        i, j = pairs[bad[0]]
-        raise DegenerateDataError(
-            f"zero-norm secant for neighbor pair ({i}, {j}): duplicate points"
-        )
-    diffs /= norms[:, None]
-    A = np.square(diffs, out=diffs)
+    A = np.empty((len(pairs), X.d))
+    step = max(1, CHUNK_ENTRIES // X.d)
+    for start in range(0, len(pairs), step):
+        part = pairs[start : start + step]
+        block = A[start : start + step]
+        np.take(X.points, part[:, 0], axis=0, out=block)
+        block -= X.points[part[:, 1]]
+        norms = np.linalg.norm(block, axis=1)
+        bad = np.flatnonzero(norms == 0.0)
+        if bad.size:
+            i, j = part[bad[0]]
+            raise DegenerateDataError(
+                f"zero-norm secant for neighbor pair ({i}, {j}): duplicate points"
+            )
+        block /= norms[:, None]
+        np.square(block, out=block)
     return SecantMatrix(A=A, pair_index=tuple(map(tuple, pairs.tolist())))
 
 
@@ -93,7 +102,8 @@ def build_clique_array(X: DataMatrix, G: NeighborGraph) -> CliqueSecantArray:
     """Squared clique secants for every point, each distinct pair once.
 
     Point i's clique is itself plus its k neighbors; all C(k+1, 2) pairwise
-    differences are squared entrywise, without normalization.
+    differences are squared entrywise, without normalization. The store is
+    filled in place, one block of ``CHUNK_ENTRIES`` entries at a time.
     """
     n, d, k = X.n, X.d, G.k
     if n < k + 1:

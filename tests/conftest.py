@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,39 @@ def line_dataset():
 @pytest.fixture
 def small_blob():
     return synth_dataset("translating_blob", 60, seed=11, g=8)
+
+
+@pytest.fixture(scope="session")
+def image_blob():
+    """A blob large enough that the builders and selectors stream several
+    1 MB blocks (d=576), with its k=8 graph."""
+    X = synth_dataset("translating_blob", 400, seed=1, g=24)
+    return X, knn_graph(X, 8)
+
+
+# bytes in one block of the selector-side work: CHUNK_ENTRIES float64
+# entries, half of a 2 MB L2 cache
+BLOCK = 1 << 20
+
+
+def traced_peak(f, *args):
+    """``f(*args)`` and the most memory it held at once beyond what was
+    allocated when it was called, in bytes, by tracemalloc (which sees
+    NumPy's buffers). The memory that the result holds counts too."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def block_rows(rows):
+    """Rows per block that split ``rows`` into one-row blocks, blocks with
+    a ragged last block, and blocks whose last block has one row."""
+    ragged = next(h for h in range(max(2, rows // 3), rows) if rows % h > 1)
+    return {"one_row": 1, "ragged": ragged, "last_one_row": rows - 1}
 
 
 def random_secant_matrix(rng, n_secants, d):

@@ -65,6 +65,41 @@ class TestSynthCommand:
         assert run("synth", "--out", tmp_path / "x") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "options, name",
+        [("n=40.5,g=5", "n"), ("n=40,g=5.5", "g"), ("n=40,g=5,seed=1.5", "seed")],
+    )
+    def test_non_integral_option_exit_code(self, tmp_path, capsys, options, name):
+        out = tmp_path / "masks"
+        assert run(
+            "mask",
+            "--synth", f"translating_blob:{options}",
+            "--algorithms", "pcoa",
+            "--sizes", "3",
+            "--out-dir", out,
+        ) == 1
+        assert f"synth option {name} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_non_numeric_or_non_finite_option_exit_code(self, tmp_path, capsys, value):
+        assert run("synth", "--synth", f"translating_blob:n=30,radius={value}", "--out", tmp_path / "x") == 1
+        assert "synth option radius must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_any_numeric_literal(self, tmp_path):
+        # the same blob however its numbers are written
+        spellings = {
+            "plain": "n=30,g=8,seed=3,radius=0.1",
+            "exponents": "n=3e1,g=8.0,seed=3.,radius=1e-1",
+        }
+        for name, options in spellings.items():
+            assert run("synth", "--synth", f"translating_blob:{options}", "--out", tmp_path / name) == 0
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "exponents.csv").read_bytes()
+        X = load_dataset(tmp_path / "plain.csv", meta=tmp_path / "plain.meta")
+        assert X.n == 30 and X.image_shape == (8, 8)
+        assert np.array_equal(X.points, synth_dataset("translating_blob", 30, seed=3, g=8, radius=0.1).points)
+
 
 class TestMaskCommand:
     def test_nested_prefix_files(self, tmp_path):

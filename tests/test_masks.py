@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from manifold_masks import masks
 from manifold_masks.data import DataMatrix, knn_graph
 from manifold_masks.errors import CapacityError, ParameterError
 from manifold_masks.masks import (
@@ -27,7 +30,15 @@ from manifold_masks.masks import (
 )
 from manifold_masks.secants import CliqueSecantArray, SecantMatrix, build_clique_array, build_secants
 
-from conftest import dense_clique_array, random_clique_array, random_secant_matrix, store_from_dense
+from conftest import (
+    BLOCK,
+    block_rows,
+    dense_clique_array,
+    random_clique_array,
+    random_secant_matrix,
+    store_from_dense,
+    traced_peak,
+)
 
 
 def dense_maps_local(dense, m):
@@ -52,6 +63,90 @@ def dense_maps_local(dense, m):
         selected.append(int(np.argmax(scores)))
         theta = theta + dense[:, selected[-1], :]
     return tuple(selected)
+
+
+def unblocked_maps_global(A, m, p):
+    """Every step's cost vector of maps_global, computed whole: one
+    (|S_k|, d) residual array per step, reduced over axis 0."""
+    d = A.d
+    reduce = np.add.reduce if p == "L1" else np.maximum.reduce
+    running = np.zeros(A.A.shape[0])
+    residual = np.empty(A.A.shape)
+    costs = np.empty(d)
+    steps, selected = [], []
+    for i in range(1, m + 1):
+        np.add(A.A, (running - i / d)[:, None], out=residual)
+        reduce(np.abs(residual, out=residual), axis=0, out=costs)
+        steps.append(costs.copy())
+        costs[selected] = np.inf
+        selected.append(int(np.argmin(costs)))
+        running += A.A[:, selected[-1]]
+    return steps
+
+
+def unblocked_maps_local(B, m):
+    """Every step's scores of maps_local, computed whole: each step's
+    product S @ B.B and similarities as (n, d) arrays, summed over axis 0,
+    with the points in the same reverse Cuthill-McKee order."""
+    n, c, d = B.n, B.c, B.d
+    alpha, alpha_norm = masks._clique_alpha(B)
+    P = B.B.shape[0]
+    indptr = np.arange(0, n * c + 1, c)
+    shared = sparse.csr_matrix((np.ones(n * c), B.rows.ravel(), indptr), shape=(n, P))
+    order = reverse_cuthill_mckee((shared @ shared.T).tocsr(), symmetric_mode=True)
+    rows, alpha, alpha_norm = B.rows[order], alpha[:, order], alpha_norm[order]
+    S = sparse.csr_matrix((np.ones(n * c), rows.ravel(), indptr), shape=(n, P))
+    b_sq = np.empty((n, d))
+    step = max(1, masks.CHUNK_ENTRIES // P)
+    for j in range(0, d, step):
+        b_sq[:, j : j + step] = S @ np.square(B.B[:, j : j + step])
+    S.data[:] = alpha.T.ravel()
+    cross_alpha = S @ B.B
+    theta = np.zeros((c, n))
+    num = np.empty((n, d))
+    steps, selected = [], []
+    for _ in range(m):
+        theta_alpha = np.sum(theta * alpha, axis=0)[:, None]
+        if selected:
+            S.data[:] = theta.T.ravel()
+            den = S @ B.B
+            den *= 2.0
+            den += np.sum(theta**2, axis=0)[:, None]
+            den += b_sq
+        else:
+            den = b_sq.copy()
+        den[den <= 0.0] = np.inf
+        np.sqrt(den, out=den)
+        den *= alpha_norm[:, None]
+        np.add(cross_alpha, theta_alpha, out=num)
+        num /= den
+        scores = num.sum(axis=0)
+        steps.append(scores.copy())
+        scores[selected] = -np.inf
+        selected.append(int(np.argmax(scores)))
+        theta += B.B[rows, selected[-1]].T
+    return steps
+
+
+def blocked_steps(monkeypatch, selector, *args):
+    """A selector's mask and every step's score or cost vector, as
+    masks._reduce_rows returns it."""
+    steps = []
+    reduce_rows = masks._reduce_rows
+
+    def record(*call):
+        out = reduce_rows(*call)
+        steps.append(out.copy())
+        return out
+
+    monkeypatch.setattr(masks, "_reduce_rows", record)
+    return selector(*args), steps
+
+
+def assert_steps_equal(got, want):
+    assert len(got) == len(want)
+    for step, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g, w), f"step {step} differs"
 
 
 def greedy_gap(score, d, m):
@@ -150,6 +245,14 @@ class TestMapsGlobal:
         assert maps_global(A, 3).selected == (0, 1, 2)
 
 
+    def test_peak_memory(self, image_blob):
+        A = build_secants(*image_blob)
+        assert A.A.nbytes > 4 * BLOCK
+        _, peak = traced_peak(maps_global, A, 8)
+        # the block buffer and O(|S_k|) vectors; no (|S_k|, d) residuals
+        assert peak <= 2 * BLOCK
+
+
 class TestMapsLocal:
     def test_single_pair_one_hot(self):
         # two points sharing their one clique pair, all energy in dim 0
@@ -237,12 +340,79 @@ class TestMapsLocal:
             warnings.simplefilter("error", RuntimeWarning)
             assert maps_local(B, 8).selected == dense_maps_local(dense, 8)
 
+    def test_peak_memory(self, image_blob):
+        X, G = image_blob
+        B = build_clique_array(X, G)
+        _, peak = traced_peak(maps_local, B, 8)
+        # b_sq and cross_alpha, the block buffer, one block of products and
+        # O(n c) clique weights, vectors and ordering; no other (n, d) array
+        assert peak <= 2 * X.n * X.d * 8 + 4 * BLOCK
+
     def test_leaves_store_unchanged(self, small_blob):
         B = build_clique_array(small_blob, knn_graph(small_blob, 8))
         store, rows = B.B.tobytes(), B.rows.tobytes()
         first = maps_local(B, 12)
         assert B.B.tobytes() == store and B.rows.tobytes() == rows
         assert maps_local(B, 12) == first
+
+
+class TestBlockedSelectors:
+    """Both selectors stream blocks of rows through masks._reduce_rows; every
+    step's vector is bitwise the whole-array loop's at any block size,
+    however the last block falls."""
+
+    def test_axis0_sum_adds_rows_in_sequence(self, rng):
+        # why a sum carried from block to block is the whole array's
+        X = rng.random((50, 37)) * 10.0 ** rng.integers(-8, 8, (50, 1))
+        running = X[0].copy()
+        for row in X[1:]:
+            running += row
+        assert np.array_equal(np.add.reduce(X, axis=0), running)
+
+    @pytest.mark.parametrize("p", NORMS)
+    @pytest.mark.parametrize("instance", ["blob", "random"])
+    def test_maps_global_steps(self, monkeypatch, rng, small_blob, instance, p):
+        if instance == "blob":
+            A = build_secants(small_blob, knn_graph(small_blob, 8))
+        else:
+            A = random_secant_matrix(rng, 25, 12)
+        want = unblocked_maps_global(A, 10, p)
+        for h in block_rows(A.A.shape[0]).values():
+            with monkeypatch.context() as patch:
+                patch.setattr(masks, "CHUNK_ENTRIES", h * A.d)
+                _, steps = blocked_steps(patch, maps_global, A, 10, p)
+            assert_steps_equal(steps, want)
+
+    @pytest.mark.parametrize("instance", ["blob", "random", "zero_cliques"])
+    def test_maps_local_steps(self, monkeypatch, rng, small_blob, instance):
+        if instance == "blob":
+            B = build_clique_array(small_blob, knn_graph(small_blob, 8))
+        elif instance == "random":
+            B = random_clique_array(rng, 6, 12, 15, k=3)
+        else:
+            dense = rng.random((6, 8, 10))
+            dense[:, 2, :4] = 0.0  # column 2 vanishes on the cliques of points 0-3
+            dense[:, 5, 3:6] = 0.0
+            B = store_from_dense(dense, k=3)
+        for h in block_rows(B.n).values():
+            with monkeypatch.context() as patch:
+                # b_sq's column blocks read the same constant, in both loops
+                patch.setattr(masks, "CHUNK_ENTRIES", h * B.d)
+                _, steps = blocked_steps(patch, maps_local, B, 8)
+                want = unblocked_maps_local(B, 8)
+            assert_steps_equal(steps, want)
+
+    def test_default_blocks(self, monkeypatch, image_blob):
+        # at d=576 a default block holds 227 rows: the secants take several
+        # blocks and the 400 points two, each with a ragged last block
+        X, G = image_blob
+        A, B = build_secants(X, G), build_clique_array(X, G)
+        h = masks.CHUNK_ENTRIES // X.d
+        assert A.A.shape[0] > 2 * h and A.A.shape[0] % h and X.n % h
+        _, steps = blocked_steps(monkeypatch, maps_global, A, 6, "L1")
+        assert_steps_equal(steps, unblocked_maps_global(A, 6, "L1"))
+        _, steps = blocked_steps(monkeypatch, maps_local, B, 4)
+        assert_steps_equal(steps, unblocked_maps_local(B, 4))
 
 
 class TestSelectorProperties:

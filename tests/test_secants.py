@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from itertools import combinations
 
+from manifold_masks import secants
 from manifold_masks.data import DataMatrix, knn_graph, synth_dataset
 from manifold_masks.errors import DegenerateDataError, ParameterError
 from manifold_masks.secants import build_clique_array, build_secants, neighbor_pairs
 
-from conftest import dense_clique_array
+from conftest import BLOCK, block_rows, dense_clique_array, traced_peak
 
 
 def make(points):
@@ -54,12 +55,23 @@ class TestBuildSecants:
                 seen.add(frozenset((i, int(j))))
         assert A.A.shape[0] == len(seen)
 
-    def test_matches_out_of_place_formula(self, blob_and_graph):
+    def test_matches_out_of_place_formula(self, monkeypatch, blob_and_graph):
         X, G = blob_and_graph
         pairs = neighbor_pairs(G)
         diffs = X.points[pairs[:, 0]] - X.points[pairs[:, 1]]
         expected = (diffs / np.linalg.norm(diffs, axis=1)[:, None]) ** 2
         assert np.array_equal(build_secants(X, G).A, expected)
+        # bitwise at any block size, however the last block falls
+        for h in block_rows(len(pairs)).values():
+            monkeypatch.setattr(secants, "CHUNK_ENTRIES", h * X.d)
+            assert np.array_equal(build_secants(X, G).A, expected), h
+
+    def test_row_norms_independent_of_other_rows(self, rng):
+        # why a block's row norms are the whole array's: a row's norm is its own
+        X = rng.random((40, 33)) * 10.0 ** rng.integers(-8, 8, (40, 1))
+        whole = np.linalg.norm(X, axis=1)
+        for a, b in [(0, 1), (3, 17), (17, 40), (39, 40)]:
+            assert np.array_equal(np.linalg.norm(X[a:b], axis=1), whole[a:b])
 
     def test_pairs_lexicographic(self, rng):
         X = DataMatrix(points=rng.random((20, 3)))
@@ -71,6 +83,20 @@ class TestBuildSecants:
         X = make([[1, 2], [1, 2], [5, 5]])
         with pytest.raises(DegenerateDataError, match=r"pair \(0, 1\)"):
             build_secants(X, knn_graph(X, 1))
+
+    def test_duplicate_points_in_a_later_block(self, monkeypatch):
+        # pairs (0, 1) and (2, 3), one per block; the second is degenerate
+        X = make([[0, 0], [1, 0], [5, 5], [5, 5]])
+        monkeypatch.setattr(secants, "CHUNK_ENTRIES", X.d)
+        with pytest.raises(DegenerateDataError, match=r"pair \(2, 3\)"):
+            build_secants(X, knn_graph(X, 1))
+
+    def test_peak_memory(self, image_blob):
+        A, peak = traced_peak(build_secants, *image_blob)
+        assert A.A.nbytes > 4 * BLOCK
+        # A itself, filled in place, one gathered block and the row norms'
+        # temporary of one block
+        assert peak <= A.A.nbytes + 2 * BLOCK
 
     def test_scale_invariance(self, rng):
         pts = rng.random((15, 4))
@@ -102,10 +128,21 @@ class TestBuildCliqueArray:
         B = build_clique_array(X, G)
         assert np.array_equal(dense_clique_array(B), loop_clique_array(X, G))
 
-    def test_matches_loop_reference(self, blob_and_graph):
+    def test_matches_loop_reference(self, monkeypatch, blob_and_graph):
         X, G = blob_and_graph
         B = build_clique_array(X, G)
-        assert np.array_equal(dense_clique_array(B), loop_clique_array(X, G))
+        expected = loop_clique_array(X, G)
+        assert np.array_equal(dense_clique_array(B), expected)
+        # bitwise at any block size, however the last block falls
+        for h in block_rows(B.B.shape[0]).values():
+            monkeypatch.setattr(secants, "CHUNK_ENTRIES", h * X.d)
+            assert np.array_equal(dense_clique_array(build_clique_array(X, G)), expected), h
+
+    def test_peak_memory(self, image_blob):
+        B, peak = traced_peak(build_clique_array, *image_blob)
+        # the store and its row table, the two gathered blocks of each
+        # subtraction and O(n c) pair codes
+        assert peak <= B.B.nbytes + B.rows.nbytes + 3 * BLOCK
 
     def test_store_rows_distinct(self, blob_and_graph):
         X, G = blob_and_graph
