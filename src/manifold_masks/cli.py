@@ -8,6 +8,7 @@ import csv
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -253,16 +254,77 @@ def full_references(cfg: RunConfig, X: DataMatrix) -> dict[int, Reference]:
     return refs
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS cannot say (macOS
+    and Windows, where fork is unsafe or missing)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _plan_masks(cfg: RunConfig) -> int:
+    """How many masks ``mask_plan`` gives over all of ``cfg.algorithms``."""
+    return len(cfg.sizes) * sum(cfg.trials if a == "random" else 1 for a in cfg.algorithms)
+
+
+_SCORE = None  # the run's score function, which forked workers inherit
+
+
+def _score_forked(mask: Mask) -> dict[tuple[str, str], float]:
+    return _SCORE(mask)
+
+
+@contextmanager
+def _scorer(score, masks: int):
+    """A function that takes a list of masks and returns their scores in
+    order, as an iterable that raises the first failing mask's error, for a
+    run that scores ``masks`` masks. With more than one mask and more than one
+    CPU, the masks go to one forked worker per CPU, at most one per mask.
+    The workers fork at the first call, so they inherit every full-data
+    reference built before it, and only masks and scores cross their pipes.
+    On exit, masks not yet scored are cancelled and every worker is reaped."""
+    workers = min(_cpus(), masks)
+    if workers < 2:
+        yield lambda batch: list(map(score, batch))
+        return
+    # imported here: at module level they would add to every command's start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _SCORE
+    _SCORE = score
+    # fork, since forkserver and spawn would import SciPy again in each
+    # worker; the pool forks every worker before it starts its own thread
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield lambda batch: pool.map(
+            _score_forked, batch, chunksize=max(1, len(batch) // (4 * workers))
+        )
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        _SCORE = None
+
+
 def _score_plans(cfg: RunConfig, ref: Reference, dataset_id: str, score, results_name: str) -> int:
     """Score every mask of every plan, then write all rows: a run that fails
     writes none. ``score`` maps a mask to ``{(metric, method): value}``; each
     key makes one row per size, the mean over the size's masks, with their
-    spread when they are random draws."""
+    spread when they are random draws.
+
+    Each algorithm's masks are selected here, one algorithm at a time, and
+    scored by ``_scorer`` while the next algorithm selects. Rows follow the
+    plan order, and a failure is the first failing mask's in that order."""
     base = {"dataset": dataset_id, "k": cfg.k, "l": cfg.l, "seed": cfg.seed}
-    rows = []
-    for algorithm in cfg.algorithms:
-        for m, masks in mask_plan(cfg, ref, algorithm):
-            scores = [score(mask) for mask in masks]
+    scored, rows = [], []  # (algorithm, m, masks, their scores) in plan order
+    with _scorer(score, _plan_masks(cfg)) as score_all:
+        for algorithm in cfg.algorithms:
+            try:
+                plan = mask_plan(cfg, ref, algorithm)
+            except Exception:
+                for *_, scores in scored:
+                    list(scores)  # an earlier mask's failure comes first
+                raise
+            scored += [(algorithm, m, masks, score_all(masks)) for m, masks in plan]
+        for algorithm, m, masks, scores in scored:
+            scores = list(scores)
             context = {**base, "algorithm": algorithm, "m": m, "trials": len(masks)}
             for metric, method in scores[0]:
                 values = [s[metric, method] for s in scores]
@@ -300,6 +362,11 @@ def cmd_oose(cfg: RunConfig, args) -> int:
         raise ParameterError("gaze evaluation needs ground-truth params")
     ref = Reference(X, cfg.k, cfg.l, cfg.reg)
     ref.G  # an out-of-range --k fails before any mask is selected
+    # what the folds are scored against, built before scoring workers fork
+    if "isomap" in cfg.methods:
+        ref.isomap
+    if "lle" in cfg.methods:
+        ref.weights
 
     def score(mask: Mask) -> dict[tuple[str, str], float]:
         Xm = Reference(apply_mask(X, mask), cfg.k, cfg.l, cfg.reg)

@@ -17,6 +17,24 @@ from .errors import (
 BINARY_MAGIC = b"MAPS"
 
 
+def _integer(key: str, value, error: type[Exception] = ParameterError) -> int:
+    """``value`` as an int. A bool, a non-number or a number with a fraction
+    raises ``error`` naming ``key``, where ``int()`` would pass or truncate it."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer()
+    )
+    if isinstance(value, (bool, np.bool_)) or not integral:
+        raise error(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integer_pair(key: str, values) -> tuple[int, int]:
+    """Metadata ``[a, b]`` as two ints; anything else raises MetadataError."""
+    if not isinstance(values, (list, tuple, np.ndarray)) or len(values) != 2:
+        raise MetadataError(f"{key} must be two integers, got {values!r}")
+    return tuple(_integer(key, v, MetadataError) for v in values)
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """n points in a d-dimensional ambient space.
@@ -46,12 +64,12 @@ class DataMatrix:
         if not np.all(np.isfinite(pts)):
             raise ParameterError("points contain non-finite values")
         if self.image_shape is not None:
-            h, w = self.image_shape
+            h, w = _integer_pair("image_shape", self.image_shape)
             if h * w != d:
                 raise MetadataError(
                     f"image_shape {self.image_shape} implies {h * w} dims, data has {d}"
                 )
-            object.__setattr__(self, "image_shape", (int(h), int(w)))
+            object.__setattr__(self, "image_shape", (h, w))
         if self.params is not None:
             par = np.asarray(self.params, dtype=np.float64)
             if par.ndim == 1:
@@ -188,7 +206,7 @@ def load_dataset(path, format: str = "csv", meta=None) -> DataMatrix:
     if meta is not None:
         sidecar = _parse_sidecar(meta)
         if "param_cols" in sidecar:
-            start, end = (int(v) for v in sidecar["param_cols"])
+            start, end = _integer_pair("param_cols", sidecar["param_cols"])
             if not (0 <= start < end <= raw.shape[1]):
                 raise MetadataError(
                     f"param_cols [{start},{end}) out of range for {raw.shape[1]} columns"
@@ -196,9 +214,7 @@ def load_dataset(path, format: str = "csv", meta=None) -> DataMatrix:
             params = raw[:, start:end]
             keep = [j for j in range(raw.shape[1]) if not (start <= j < end)]
             raw = raw[:, keep]
-        if "image_shape" in sidecar:
-            h, w = (int(v) for v in sidecar["image_shape"])
-            image_shape = (h, w)
+        image_shape = sidecar.get("image_shape")
     return DataMatrix(points=raw, image_shape=image_shape, params=params)
 
 
@@ -251,7 +267,7 @@ def synth_dataset(kind: str, n: int, seed: int, **options) -> DataMatrix:
         unknown = set(options) - {"g", "radius"}
         if unknown:
             raise ParameterError(f"unknown blob options {sorted(unknown)}")
-        g = int(options.get("g", 16))
+        g = _integer("g", options.get("g", 16))
         if g < 2:
             raise ParameterError(f"blob grid side must be >= 2, got {g}")
         radius = float(options.get("radius", 3.0 * g / 16.0))

@@ -1,10 +1,13 @@
 import csv
 import importlib
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from manifold_masks import cli
 from manifold_masks.cli import build_config, main, make_parser
 from manifold_masks.data import knn_graph, load_dataset, synth_dataset
 from manifold_masks.embeddings import (
@@ -520,20 +523,25 @@ class TestOneRunOneGraph:
     def test_oose_builds_masked_data_once(self, tmp_path, monkeypatch):
         """Each mask's k-NN graph and LLE weights are built once and shared by
         isomap, lle and gaze; lle adds one (k+1)-NN graph and one batch of
-        weight solves."""
-        calls = []
+        weight solves. The spies append to a file, so the calls of forked
+        scoring workers count too."""
+        log = tmp_path / "calls.txt"
+
+        def record(call):
+            with open(log, "a") as fh:
+                fh.write(call + "\n")
 
         def graph(X, k):
             if X.d < 64:
-                calls.append(f"masked knn_graph k+{k - 6}")
+                record(f"masked knn_graph k+{k - 6}")
             return knn_graph(X, k)
 
         def weights(X, G, reg=1e-3):
-            calls.append("masked lle_weights" if X.d < 64 else "lle_weights")
+            record("masked lle_weights" if X.d < 64 else "lle_weights")
             return lle_weights(X, G, reg)
 
         def solve(C, reg):
-            calls.append("solve")
+            record("solve")
             return _solve_weights(C, reg)
 
         self.spy(monkeypatch, knn_graph=graph, lle_weights=weights, _solve_weights=solve)
@@ -547,6 +555,7 @@ class TestOneRunOneGraph:
             "--out-dir", tmp_path,
         )
         assert code == 0
+        calls = log.read_text().splitlines()
         masks = 4
         assert calls.count("masked knn_graph k+0") == masks
         assert calls.count("masked knn_graph k+1") == masks
@@ -588,6 +597,129 @@ class TestOneRunOneGraph:
         )
         assert code == 1
         assert not list(tmp_path.iterdir())
+
+
+class TestForkedScoring:
+    """evaluate and oose score a run's masks in one forked worker per CPU
+    (``cli._cpus``, patched here), and write the same bytes, exit code and
+    message whatever the count; no worker outlives the run."""
+
+    SYNTH = "translating_blob:n=40,g=6,seed={seed}"
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """One entry per os.fork call of the test's process."""
+        calls, fork = [], os.fork
+
+        def counting():
+            calls.append("fork")  # before forking, so only this process counts
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        return calls
+
+    @staticmethod
+    def run_with(monkeypatch, cpus, *argv):
+        monkeypatch.setattr("manifold_masks.cli._cpus", lambda: cpus)
+        return run(*argv)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize(
+        "command, results, extra",
+        [
+            ("evaluate", "results.csv", ["--k-lle", "7", "--np-k", "5"]),
+            ("oose", "oose_results.csv", ["--methods", "isomap,lle,gaze"]),
+            ("oose", "oose_results.csv", ["--methods", "isomap", "--exact-folds"]),
+        ],
+    )
+    def test_same_bytes_for_any_worker_count(
+        self, tmp_path, monkeypatch, forks, seed, command, results, extra
+    ):
+        argv = [
+            command,
+            "--synth", self.SYNTH.format(seed=seed),
+            "--algorithms", "maps_global,pcoa,random",
+            "--sizes", "8,16",
+            "--k", "6", "--trials", "3", "--seed", seed,
+            *extra,
+        ]
+        written = {}
+        for cpus in (1, 2, 3):
+            out = tmp_path / str(cpus)
+            assert self.run_with(monkeypatch, cpus, *argv, "--out-dir", out) == 0
+            written[cpus] = (out / results).read_bytes()
+        assert written[2] == written[3] == written[1]
+        # 2 sizes x (1 + 1 + 3) masks, so every CPU gets a worker
+        assert len(forks) == 2 + 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            # each mask's first eigensolve is its Isomap embedding's
+            ("evaluate", []),
+            # lle: the full-data weights need no eigensolve, every fold does
+            ("oose", ["--methods", "lle"]),
+        ],
+    )
+    def test_worker_failure(self, tmp_path, monkeypatch, capsys, forks, command, extra):
+        fail_eigensolver(monkeypatch)  # forked workers inherit the patch
+        argv = [
+            command,
+            "--synth", self.SYNTH.format(seed=1),
+            "--algorithms", "pcoa,random",
+            "--sizes", "3,4",
+            "--k", "6", "--trials", "2",
+            "--out-dir", tmp_path,
+            *extra,
+        ]
+        outcomes = []
+        for cpus in (1, 2):
+            code = self.run_with(monkeypatch, cpus, *argv)
+            outcomes.append((code, capsys.readouterr().err))
+            assert not list(tmp_path.iterdir())
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[0][0] == 3
+        assert "eigendecomposition failed" in outcomes[0][1]
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_earlier_scoring_failure_beats_later_selection_failure(
+        self, tmp_path, monkeypatch, forks
+    ):
+        # in process, the random masks fail to score (exit 3) before
+        # exact_global selects; C(36, 8) subsets is past its budget (exit 2)
+        fail_eigensolver(monkeypatch)
+        argv = [
+            "evaluate",
+            "--synth", self.SYNTH.format(seed=1),
+            "--algorithms", "random,exact_global",
+            "--sizes", "8",
+            "--k", "6", "--trials", "2",
+            "--out-dir", tmp_path,
+        ]
+        assert self.run_with(monkeypatch, 1, *argv) == 3
+        assert self.run_with(monkeypatch, 2, *argv) == 3
+        assert len(forks) == 2
+        assert not list(tmp_path.iterdir())
+        assert multiprocessing.active_children() == []
+
+    def test_one_mask_forks_nothing(self, tmp_path, monkeypatch, forks):
+        code = self.run_with(
+            monkeypatch, 2,
+            "evaluate",
+            "--synth", self.SYNTH.format(seed=1),
+            "--algorithms", "pcoa",
+            "--sizes", "3",
+            "--k", "6",
+            "--out-dir", tmp_path,
+        )
+        assert code == 0
+        assert forks == []
+
+    def test_serial_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli._cpus() == 1
 
 
 class TestConfigMerging:

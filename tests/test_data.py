@@ -77,6 +77,31 @@ class TestLoadDataset:
         assert X.d == 2
         np.testing.assert_array_equal(X.params.ravel(), [5, 6, 7])
 
+    # int() would truncate 3.9 to 3 and read true as 1: columns [3, 5) or [1, 5)
+    @pytest.mark.parametrize("cols", ["[3.9, 5]", "[true, 5]"])
+    def test_param_cols_must_be_integers(self, tmp_path, cols):
+        path = write(tmp_path, "pts.csv", "0,0,0,5,6\n1,0,0,6,7\n0,1,0,7,8\n")
+        meta = write(tmp_path, "pts.meta", f"param_cols={cols}\n")
+        with pytest.raises(MetadataError, match="param_cols"):
+            load_dataset(path, meta=meta)
+
+    def test_integral_float_param_cols_accepted(self, tmp_path):
+        path = write(tmp_path, "pts.csv", "0,0,5\n1,0,6\n0,1,7\n")
+        meta = write(tmp_path, "pts.meta", "param_cols=[2.0, 3]\n")
+        X = load_dataset(path, meta=meta)
+        np.testing.assert_array_equal(X.params.ravel(), [5, 6, 7])
+
+    def test_image_shape_must_be_integers(self, tmp_path):
+        # 2.5 x 4 = 10 = d, which int() made a 2 x 4 image
+        path = write(tmp_path, "pts.csv", "0,1,2,3,4,5,6,7,8,9\n9,8,7,6,5,4,3,2,1,0\n")
+        meta = write(tmp_path, "pts.meta", "image_shape=[2.5, 4]\n")
+        with pytest.raises(MetadataError, match="image_shape"):
+            load_dataset(path, meta=meta)
+        with pytest.raises(MetadataError, match="image_shape"):
+            DataMatrix(points=np.zeros((2, 10)), image_shape=(2.5, 4))
+        with pytest.raises(MetadataError, match="image_shape"):
+            DataMatrix(points=np.zeros((2, 10)), image_shape=(True, 10))
+
     def test_binary_roundtrip(self, tmp_path, rng):
         pts = rng.random((5, 7))
         path = tmp_path / "pts.bin"
@@ -114,6 +139,12 @@ class TestSynthDataset:
         a = synth_dataset("swiss_roll", 50, seed=3)
         b = synth_dataset("swiss_roll", 50, seed=4)
         assert not np.array_equal(a.points, b.points)
+
+    def test_non_integral_grid_side_rejected(self):
+        # int() made this a 5 x 5 blob
+        with pytest.raises(ParameterError, match="g must be an integer"):
+            synth_dataset("translating_blob", 40, 1, g=5.5)
+        assert synth_dataset("translating_blob", 40, 1, g=5.0).image_shape == (5, 5)
 
     def test_bad_options(self):
         with pytest.raises(ParameterError):

@@ -19,6 +19,12 @@ def source_env():
     return env
 
 
+def pin_to_one_cpu():
+    """Pin the calling process to one of its CPUs, where the OS can."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 @pytest.mark.parametrize(
     "script, results, rows",
     [
@@ -45,7 +51,9 @@ def test_driver_runs(tmp_path, script, results, rows):
 @pytest.mark.parametrize("command", ["evaluate", "oose"])
 def test_tracer_reads_the_package(tmp_path, command):
     # the tracer reads call arguments by name (leave_one_out's X) and checks
-    # call edges (full_references > geodesics), so a renamed one fails here
+    # call edges (full_references > geodesics), so a renamed one fails here;
+    # it sees one process, so the CLI runs pinned to one CPU, where it
+    # scores every mask in process
     n, masks, methods = 40, 2 * 2, ("isomap", "lle", "gaze")
     extra = ["--methods", ",".join(methods)] if command == "oose" else []
     trace = tmp_path / "trace.json"
@@ -57,6 +65,7 @@ def test_tracer_reads_the_package(tmp_path, command):
             "--out-dir", str(tmp_path), *extra,
         ],
         env=source_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=pin_to_one_cpu,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(trace.read_text())
