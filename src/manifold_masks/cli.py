@@ -8,7 +8,6 @@ import csv
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -260,11 +259,6 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _plan_masks(cfg: RunConfig) -> int:
-    """How many masks ``mask_plan`` gives over all of ``cfg.algorithms``."""
-    return len(cfg.sizes) * sum(cfg.trials if a == "random" else 1 for a in cfg.algorithms)
-
-
 _SCORE = None  # the run's score function, which forked workers inherit
 
 
@@ -272,19 +266,15 @@ def _score_forked(mask: Mask) -> dict[tuple[str, str], float]:
     return _SCORE(mask)
 
 
-@contextmanager
-def _scorer(score, masks: int):
-    """A function that takes a list of masks and returns their scores in
-    order, as an iterable that raises the first failing mask's error, for a
-    run that scores ``masks`` masks. With more than one mask and more than one
-    CPU, the masks go to one forked worker per CPU, at most one per mask.
-    The workers fork at the first call, so they inherit every full-data
-    reference built before it, and only masks and scores cross their pipes.
-    On exit, masks not yet scored are cancelled and every worker is reaped."""
-    workers = min(_cpus(), masks)
+def _score_all(score, masks: list[Mask]) -> list[dict[tuple[str, str], float]]:
+    """Every mask's scores, in order; a failure is the first failing mask's.
+    With more than one mask and more than one CPU, the masks go to one forked
+    worker per CPU, at most one per mask. The workers fork here, after every
+    full-data reference is built, so they inherit them, and only masks and
+    scores cross their pipes. Every worker is reaped before this returns."""
+    workers = min(_cpus(), len(masks))
     if workers < 2:
-        yield lambda batch: list(map(score, batch))
-        return
+        return list(map(score, masks))
     # imported here: at module level they would add to every command's start-up
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -295,43 +285,34 @@ def _scorer(score, masks: int):
     # worker; the pool forks every worker before it starts its own thread
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        yield lambda batch: pool.map(
-            _score_forked, batch, chunksize=max(1, len(batch) // (4 * workers))
-        )
+        chunksize = max(1, len(masks) // (4 * workers))
+        return list(pool.map(_score_forked, masks, chunksize=chunksize))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         _SCORE = None
 
 
 def _score_plans(cfg: RunConfig, ref: Reference, dataset_id: str, score, results_name: str) -> int:
-    """Score every mask of every plan, then write all rows: a run that fails
-    writes none. ``score`` maps a mask to ``{(metric, method): value}``; each
-    key makes one row per size, the mean over the size's masks, with their
-    spread when they are random draws.
+    """Select every algorithm's masks, score them all, then write all rows: a
+    run that fails writes none. ``score`` maps a mask to ``{(metric, method):
+    value}``; each key makes one row per size, the mean over the size's
+    masks, with their spread when they are random draws.
 
-    Each algorithm's masks are selected here, one algorithm at a time, and
-    scored by ``_scorer`` while the next algorithm selects. Rows follow the
-    plan order, and a failure is the first failing mask's in that order."""
+    Rows follow the plan order. A failed selection stops the run before any
+    mask is scored; otherwise a failure is the first failing mask's."""
+    plans = [(a, m, masks) for a in cfg.algorithms for m, masks in mask_plan(cfg, ref, a)]
+    scores = iter(_score_all(score, [mask for *_, masks in plans for mask in masks]))
     base = {"dataset": dataset_id, "k": cfg.k, "l": cfg.l, "seed": cfg.seed}
-    scored, rows = [], []  # (algorithm, m, masks, their scores) in plan order
-    with _scorer(score, _plan_masks(cfg)) as score_all:
-        for algorithm in cfg.algorithms:
-            try:
-                plan = mask_plan(cfg, ref, algorithm)
-            except Exception:
-                for *_, scores in scored:
-                    list(scores)  # an earlier mask's failure comes first
-                raise
-            scored += [(algorithm, m, masks, score_all(masks)) for m, masks in plan]
-        for algorithm, m, masks, scores in scored:
-            scores = list(scores)
-            context = {**base, "algorithm": algorithm, "m": m, "trials": len(masks)}
-            for metric, method in scores[0]:
-                values = [s[metric, method] for s in scores]
-                ctx = {**context, "method": method}
-                if algorithm == "random":
-                    ctx["stddev"] = float(np.std(values))
-                rows.append(EvalReport(metric, float(np.mean(values)), ctx))
+    rows = []
+    for algorithm, m, masks in plans:
+        plan_scores = [next(scores) for _ in masks]
+        context = {**base, "algorithm": algorithm, "m": m, "trials": len(masks)}
+        for metric, method in plan_scores[0]:
+            values = [s[metric, method] for s in plan_scores]
+            ctx = {**context, "method": method}
+            if algorithm == "random":
+                ctx["stddev"] = float(np.std(values))
+            rows.append(EvalReport(metric, float(np.mean(values)), ctx))
     results = cfg.results or os.path.join(cfg.out_dir, results_name)
     append_results(results, rows)
     print(f"wrote {results}")

@@ -238,6 +238,7 @@ def synth_dataset(kind: str, n: int, seed: int, **options) -> DataMatrix:
     Options: ``g`` (image side, default 16), ``radius`` (blob sigma in
     pixels, default 3g/16).
     """
+    n, seed = _integer("n", n), _integer("seed", seed)
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .data import DataMatrix
+from .data import DataMatrix, _integer
 from .errors import CapacityError, DegenerateDataError, ParameterError
 from .secants import CHUNK_ENTRIES, CliqueSecantArray, SecantMatrix
 
@@ -31,8 +31,9 @@ class Mask:
     d: int
 
     def __post_init__(self):
-        sel = tuple(int(j) for j in self.selected)
+        sel = tuple(_integer("selected", j) for j in self.selected)
         object.__setattr__(self, "selected", sel)
+        object.__setattr__(self, "d", _integer("d", self.d))
         if len(set(sel)) != len(sel):
             raise ParameterError(f"duplicate indices in mask: {sel}")
         if sel and not all(0 <= j < self.d for j in sel):
@@ -306,7 +307,7 @@ def save_mask(path, mask: Mask) -> None:
 def load_mask(path) -> Mask:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    return Mask(selected=tuple(payload["selected"]), d=int(payload["d"]))
+    return Mask(selected=tuple(payload["selected"]), d=payload["d"])
 
 
 def mask_to_pgm(path, mask: Mask, image_shape: tuple[int, int]) -> None:

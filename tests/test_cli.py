@@ -684,11 +684,11 @@ class TestForkedScoring:
         assert len(forks) == 2
         assert multiprocessing.active_children() == []
 
-    def test_earlier_scoring_failure_beats_later_selection_failure(
-        self, tmp_path, monkeypatch, forks
+    def test_selection_failure_stops_the_run_before_scoring(
+        self, tmp_path, monkeypatch, capsys, forks
     ):
-        # in process, the random masks fail to score (exit 3) before
-        # exact_global selects; C(36, 8) subsets is past its budget (exit 2)
+        # the random masks would fail to score (exit 3), but exact_global
+        # fails to select first: C(36, 8) subsets is past its budget (exit 2)
         fail_eigensolver(monkeypatch)
         argv = [
             "evaluate",
@@ -698,9 +698,10 @@ class TestForkedScoring:
             "--k", "6", "--trials", "2",
             "--out-dir", tmp_path,
         ]
-        assert self.run_with(monkeypatch, 1, *argv) == 3
-        assert self.run_with(monkeypatch, 2, *argv) == 3
-        assert len(forks) == 2
+        for cpus in (1, 2):
+            assert self.run_with(monkeypatch, cpus, *argv) == 2
+            assert "oracle limit" in capsys.readouterr().err
+        assert forks == []
         assert not list(tmp_path.iterdir())
         assert multiprocessing.active_children() == []
 

@@ -146,6 +146,20 @@ class TestSynthDataset:
             synth_dataset("translating_blob", 40, 1, g=5.5)
         assert synth_dataset("translating_blob", 40, 1, g=5.0).image_shape == (5, 5)
 
+    def test_integral_float_size_accepted(self):
+        # rng.random(30.0) raised TypeError, which main does not catch
+        a = synth_dataset("swiss_roll", 30.0, 1)
+        np.testing.assert_array_equal(a.points, synth_dataset("swiss_roll", 30, 1).points)
+
+    def test_non_integral_size_rejected(self):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            synth_dataset("translating_blob", 40.5, 1)
+
+    def test_bool_seed_rejected(self):
+        # default_rng(True) ran seed 1
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            synth_dataset("swiss_roll", 30, True)
+
     def test_bad_options(self):
         with pytest.raises(ParameterError):
             synth_dataset("translating_blob", 10, seed=0, g=8, bogus=1)

@@ -604,6 +604,28 @@ class TestSerialization:
         payload = json.loads(path.read_text())
         assert payload == {"d": 8, "selected": [5, 1, 3]}
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"d": 4, "selected": [1.5, 2]}, "selected"),
+            ({"d": 4.7, "selected": [1, 2]}, "d"),
+            ({"d": 4, "selected": [True, 2]}, "selected"),
+            ({"d": 4, "selected": ["1", 2]}, "selected"),
+        ],
+        ids=["fraction", "fractional-d", "bool", "string"],
+    )
+    def test_non_integer_rejected(self, tmp_path, payload, key):
+        # int() read these as selected=(1, 2) and d=4
+        path = tmp_path / "mask.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParameterError, match=f"{key} must be an integer"):
+            load_mask(path)
+
+    def test_numpy_integers_accepted(self):
+        mask = Mask(selected=(np.int64(3), 0), d=np.int32(5))
+        assert mask == Mask(selected=(3, 0), d=5)
+        assert all(type(j) is int for j in (*mask.selected, mask.d))
+
     def test_pgm_raster(self, tmp_path):
         mask = Mask(selected=(0, 3), d=4)
         path = tmp_path / "mask.pgm"
