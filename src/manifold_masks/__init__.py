@@ -23,7 +23,6 @@ from .masks import (
     random_mask,
 )
 from .metrics import (
-    EvalReport,
     embedding_error,
     neighbor_preservation,
     oose_embedding_error,

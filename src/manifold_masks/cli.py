@@ -34,16 +34,15 @@ from .masks import (
     save_mask,
 )
 from .metrics import (
-    EvalReport,
     append_results,
+    check_results,
     embedding_error,
     neighbor_preservation,
     residual_variance,
 )
-from .oose import METHODS, Reference, leave_one_out
+from .oose import METRICS, Reference, leave_one_out
 from .secants import build_clique_array, build_secants
 
-SYNTH_INTEGERS = ("n", "g", "seed")  # synth options that take integers
 SELECTORS = ("maps_global", "maps_local", "pcoa", "random", "exact_global", "exact_local")
 
 
@@ -81,24 +80,29 @@ class RunConfig:
             if name not in SELECTORS:
                 raise ParameterError(f"unknown algorithm {name!r}; choose from {SELECTORS}")
         for name in self.methods:
-            if name not in METHODS:
+            if name not in METRICS:
                 raise ParameterError(
-                    f"unknown leave-one-out method {name!r}; choose from {METHODS}"
+                    f"unknown leave-one-out method {name!r}; choose from {tuple(METRICS)}"
                 )
 
 
 def _coerce(key: str, value):
-    """Coerce a config-file string to the RunConfig field type."""
+    """Coerce a config-file string to the RunConfig field type; a number that
+    does not parse raises ParameterError naming its key."""
     if not isinstance(value, str):
         return value
-    if key in ("sizes",):
-        return tuple(int(v) for v in value.split(",") if v)
     if key in ("algorithms", "methods"):
         return tuple(v.strip() for v in value.split(",") if v.strip())
-    if key in ("k", "k_lle", "l", "seed", "trials", "np_k"):
-        return int(value)
-    if key == "reg":
-        return float(value)
+    try:
+        if key == "sizes":
+            return tuple(int(v) for v in value.split(",") if v)
+        if key in ("k", "k_lle", "l", "seed", "trials", "np_k"):
+            return int(value)
+        if key == "reg":
+            return float(value)
+    except ValueError:
+        kind = "a number" if key == "reg" else "integers" if key == "sizes" else "an integer"
+        raise ParameterError(f"{key} must be {kind}, got {value!r}") from None
     if key == "exact_folds":
         flag = value.lower()
         if flag not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
@@ -146,8 +150,9 @@ def _synth_from_spec(spec: str, seed: int) -> DataMatrix:
 
 
 def _synth_number(key: str, value: str) -> int | float:
-    """A synth option's value, any finite numeric literal; the integer
-    options ``n``, ``g`` and ``seed`` must be integral and come out as int."""
+    """A synth option's value, any finite numeric literal: an int when it is
+    written as one, else a float, which ``synth_dataset`` accepts for its
+    integer options (``n``, ``g``, ``seed``) only when it is integral."""
     try:
         return int(value)  # exact, however large
     except ValueError:
@@ -158,10 +163,6 @@ def _synth_number(key: str, value: str) -> int | float:
         raise ParameterError(f"synth option {key} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ParameterError(f"synth option {key} must be finite, got {value!r}")
-    if key in SYNTH_INTEGERS:
-        if not number.is_integer():
-            raise ParameterError(f"synth option {key} must be an integer, got {value!r}")
-        return int(number)
     return number
 
 
@@ -298,8 +299,11 @@ def _score_plans(cfg: RunConfig, ref: Reference, dataset_id: str, score, results
     value}``; each key makes one row per size, the mean over the size's
     masks, with their spread when they are random draws.
 
-    Rows follow the plan order. A failed selection stops the run before any
-    mask is scored; otherwise a failure is the first failing mask's."""
+    Rows follow the plan order. A results file with another header, then a
+    failed selection, stops the run before any mask is scored; otherwise a
+    failure is the first failing mask's."""
+    results = cfg.results or os.path.join(cfg.out_dir, results_name)
+    check_results(results)
     plans = [(a, m, masks) for a in cfg.algorithms for m, masks in mask_plan(cfg, ref, a)]
     scores = iter(_score_all(score, [mask for *_, masks in plans for mask in masks]))
     base = {"dataset": dataset_id, "k": cfg.k, "l": cfg.l, "seed": cfg.seed}
@@ -309,11 +313,10 @@ def _score_plans(cfg: RunConfig, ref: Reference, dataset_id: str, score, results
         context = {**base, "algorithm": algorithm, "m": m, "trials": len(masks)}
         for metric, method in plan_scores[0]:
             values = [s[metric, method] for s in plan_scores]
-            ctx = {**context, "method": method}
+            row = {**context, "metric": metric, "value": float(np.mean(values)), "method": method}
             if algorithm == "random":
-                ctx["stddev"] = float(np.std(values))
-            rows.append(EvalReport(metric, float(np.mean(values)), ctx))
-    results = cfg.results or os.path.join(cfg.out_dir, results_name)
+                row["stddev"] = float(np.std(values))
+            rows.append(row)
     append_results(results, rows)
     print(f"wrote {results}")
     return 0
@@ -351,11 +354,10 @@ def cmd_oose(cfg: RunConfig, args) -> int:
 
     def score(mask: Mask) -> dict[tuple[str, str], float]:
         Xm = Reference(apply_mask(X, mask), cfg.k, cfg.l, cfg.reg)
-        scores = {}
-        for method in cfg.methods:
-            rep = leave_one_out(Xm, method, ref, cfg.exact_folds)
-            scores[rep.metric, method] = rep.value
-        return scores
+        return {
+            (METRICS[method], method): leave_one_out(Xm, method, ref, cfg.exact_folds)
+            for method in cfg.methods
+        }
 
     return _score_plans(cfg, ref, dataset_id, score, "oose_results.csv")
 

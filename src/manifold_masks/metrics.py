@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DataMatrix, NeighborGraph, knn_graph, pairwise_distances
 from .embeddings import Embedding, GeodesicDistances, LleWeights
-from .errors import DegenerateDataError, ParameterError
+from .errors import DegenerateDataError, FormatError, ParameterError
 
 RESULTS_HEADER = [
     "dataset",
@@ -27,42 +26,38 @@ RESULTS_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """One scored metric with the context needed to tabulate it."""
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
-    metric: str
-    value: float
-    context: dict = field(default_factory=dict)
 
-    def row(self) -> list:
-        ctx = self.context
-        fmt = lambda v: "" if v is None else (f"{v:.17g}" if isinstance(v, float) else v)
-        return [
-            ctx.get("dataset", ""),
-            ctx.get("algorithm", ""),
-            ctx.get("m", ""),
-            ctx.get("k", ""),
-            ctx.get("l", ""),
-            self.metric,
-            f"{self.value:.17g}",
-            ctx.get("trials", ""),
-            fmt(ctx.get("stddev")),
-            ctx.get("seed", ""),
-            ctx.get("method", ""),
-        ]
+def check_results(path) -> bool:
+    """Whether the results CSV ``path`` is missing or empty, so that the next
+    append writes RESULTS_HEADER first. A file whose first row is another
+    header raises FormatError: rows appended under it would be misread."""
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return True
+    # undecodable bytes read as U+FFFD, so a binary file fails as not a results CSV
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        header = next(csv.reader(fh), None)
+    if header != RESULTS_HEADER:
+        raise FormatError(f"{path} is not a results CSV: its first row is {header}")
+    return False
 
 
 def append_results(path, reports) -> None:
-    """Append EvalReport rows to a CSV results file, writing the header on
-    first use."""
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+    """Append one row per report, a dict keyed by RESULTS_HEADER names, to
+    the results CSV ``path``, writing the header on first use. A float is
+    written as ``.17g``, a missing key as an empty cell, anything else by
+    ``str``. A file with another header raises FormatError, unchanged."""
+    fresh = check_results(path)
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if fresh:
             writer.writerow(RESULTS_HEADER)
-        for rep in reports:
-            writer.writerow(rep.row())
+        for report in reports:
+            writer.writerow([_cell(report.get(name)) for name in RESULTS_HEADER])
 
 
 def _upper_triangle(D: np.ndarray) -> np.ndarray:

@@ -24,9 +24,10 @@ from .embeddings import (
     _solve_weights,
 )
 from .errors import DisconnectedGraphError, ParameterError
-from .metrics import EvalReport, oose_embedding_error, oose_error_isomap, procrustes_align
+from .metrics import oose_embedding_error, oose_error_isomap, procrustes_align
 
-METHODS = ("isomap", "lle", "gaze")
+# the metric each leave-one-out method reports, as its results rows name it
+METRICS = {"isomap": "oose_error", "lle": "oose_embedding_error", "gaze": "gaze_error"}
 FOLD_ITERATIONS = 60  # block iteration steps before a fold is solved densely
 
 
@@ -286,8 +287,9 @@ def _isomap_folds(D: GeodesicDistances, ell: int) -> Embedding:
 
 def leave_one_out(
     X: Reference, method: str, ref: Reference, exact_folds: bool = False
-) -> EvalReport:
-    """Score masked data ``X`` by leave-one-out out-of-sample extension.
+) -> float:
+    """Score masked data ``X`` by leave-one-out out-of-sample extension:
+    the value of ``METRICS[method]``.
 
     ``X`` holds the full data of ``ref`` restricted to a mask, point for
     point, with the same ``k``, ``ell`` and ``reg``; its k-NN graph,
@@ -337,8 +339,7 @@ def leave_one_out(
         train.Y[folds, folds] = _isomap_extend(col_means, d_test, train)
         aligned, _ = procrustes_align(Y_ref, train)
         Y_oose = aligned.Y[folds, folds]
-        value = oose_error_isomap(Y_ref, Embedding(Y=Y_oose, eigenvalues=Y_ref.eigenvalues))
-        return EvalReport(metric="oose_error", value=value)
+        return oose_error_isomap(Y_ref, Embedding(Y=Y_oose, eigenvalues=Y_ref.eigenvalues))
 
     if method == "lle":
         if k > n - 2:
@@ -348,8 +349,7 @@ def leave_one_out(
             )
         # built before the folds' arrays: after them, it raised the peak RSS
         W_ref = ref.weights
-        value = oose_embedding_error(W_ref, _lle_folds(X))
-        return EvalReport(metric="oose_embedding_error", value=value)
+        return oose_embedding_error(W_ref, _lle_folds(X))
 
     if method == "gaze":
         if params is None:
@@ -357,6 +357,6 @@ def leave_one_out(
         errors = np.empty(n)
         for i, (nn, w) in enumerate(zip(X.weights.neighbors, X.weights.weights)):
             errors[i] = np.linalg.norm(w @ params[nn] - params[i])
-        return EvalReport(metric="gaze_error", value=float(np.mean(errors)))
+        return float(np.mean(errors))
 
-    raise ParameterError(f"unknown leave-one-out method {method!r}; choose from {METHODS}")
+    raise ParameterError(f"unknown leave-one-out method {method!r}; choose from {tuple(METRICS)}")

@@ -33,7 +33,7 @@ from manifold_masks.metrics import (
     neighbor_preservation,
     residual_variance,
 )
-from manifold_masks.oose import Reference, leave_one_out
+from manifold_masks.oose import METRICS, Reference, leave_one_out
 from manifold_masks.secants import build_secants
 
 from conftest import fail_eigensolver
@@ -81,7 +81,7 @@ class TestSynthCommand:
             "--sizes", "3",
             "--out-dir", out,
         ) == 1
-        assert f"synth option {name} must be an integer" in capsys.readouterr().err
+        assert f"error: {name} must be an integer, got " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
@@ -333,12 +333,11 @@ class TestPlanValues:
         for algorithm, plan in library_masks.items():
             for m, masks in plan.items():
                 for method in methods:
-                    reports = [
+                    values = [
                         leave_one_out(Reference(apply_mask(X, mask), self.K, 2), method, ref)
                         for mask in masks
                     ]
-                    row = rows[(algorithm, m, reports[0].metric, method)]
-                    self.check_row(row, [r.value for r in reports], algorithm)
+                    self.check_row(rows[(algorithm, m, METRICS[method], method)], values, algorithm)
                     checked += 1
         assert checked == len(rows) == 4 * len(self.SIZES) * len(methods)
 
@@ -365,7 +364,7 @@ class TestOoseCommand:
             "--data", data, "--meta", meta,
             "--algorithms", "pcoa",
             "--sizes", "2",
-            "--methods", "isomap,gaze",
+            "--methods", "isomap,lle,gaze",
             "--k", "3", "--l", "1",
             "--out-dir", tmp_path,
             "--results", results,
@@ -374,10 +373,12 @@ class TestOoseCommand:
         with open(results, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == RESULTS_HEADER
+        assert len(rows) == 4
         idx = {name: RESULTS_HEADER.index(name) for name in RESULTS_HEADER}
         by_method = {row[idx["method"]]: row for row in rows[1:]}
-        assert set(by_method) == {"isomap", "gaze"}
+        assert set(by_method) == {"isomap", "lle", "gaze"}
         assert by_method["isomap"][idx["metric"]] == "oose_error"
+        assert by_method["lle"][idx["metric"]] == "oose_embedding_error"
         assert by_method["gaze"][idx["metric"]] == "gaze_error"
 
     def test_gaze_without_params_rejected_before_any_work(self, tmp_path, line_files):
@@ -598,6 +599,28 @@ class TestOneRunOneGraph:
         assert code == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["evaluate", "oose"])
+    def test_foreign_results_header_rejected_before_any_mask(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        results = tmp_path / "other.csv"
+        results.write_bytes(b"a,b\r\n1,2\r\n")
+        selections = []
+        monkeypatch.setattr(cli, "mask_plan", lambda *args: selections.append(args))
+        code = run(
+            command,
+            "--synth", self.SYNTH,
+            "--algorithms", "pcoa",
+            "--sizes", "2",
+            "--k", "6",
+            "--out-dir", tmp_path,
+            "--results", results,
+        )
+        assert code == 1
+        assert f"error: {results} is not a results CSV" in capsys.readouterr().err
+        assert selections == []
+        assert results.read_bytes() == b"a,b\r\n1,2\r\n"
+
 
 class TestForkedScoring:
     """evaluate and oose score a run's masks in one forked worker per CPU
@@ -785,6 +808,26 @@ class TestConfigMerging:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"exact_folds={value}\n")
         assert build_config(self.parse("oose", "--config", cfg_file)).exact_folds is expected
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("k", "1.5", "an integer"), ("reg", "abc", "a number"), ("sizes", "4,x", "integers")],
+    )
+    def test_malformed_number_names_its_key(self, tmp_path, capsys, key, value, kind):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key}={value}\n")
+        out = tmp_path / "out"
+        code = run(
+            "evaluate",
+            "--config", cfg_file,
+            "--synth", "translating_blob:n=20,g=8,seed=1",
+            "--algorithms", "pcoa",
+            "--sizes", "2",
+            "--out-dir", out,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {key} must be {kind}, got {value!r}\n"
+        assert not out.exists()
 
     def test_exact_folds_typo_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

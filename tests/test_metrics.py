@@ -9,10 +9,9 @@ from manifold_masks.embeddings import (
     GeodesicDistances,
     lle_weights,
 )
-from manifold_masks.errors import DegenerateDataError, ParameterError
+from manifold_masks.errors import DegenerateDataError, FormatError, ParameterError
 from manifold_masks.metrics import (
     RESULTS_HEADER,
-    EvalReport,
     affected_sets,
     append_results,
     embedding_error,
@@ -239,44 +238,54 @@ class TestAffectedSet:
             assert affected[i0, i0]
 
 
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 class TestResultsTable:
-    def test_row_layout(self):
-        rep = EvalReport(
-            metric="residual_variance",
-            value=0.25,
-            context={
-                "dataset": "blob",
-                "algorithm": "maps_global",
-                "m": 16,
-                "k": 8,
-                "l": 2,
-                "trials": 1,
-                "seed": 42,
-                "method": "isomap",
-            },
-        )
-        row = rep.row()
-        assert len(row) == len(RESULTS_HEADER)
-        assert row[RESULTS_HEADER.index("metric")] == "residual_variance"
-        assert float(row[RESULTS_HEADER.index("value")]) == 0.25
-        assert row[RESULTS_HEADER.index("stddev")] == ""
+    def test_row_layout(self, tmp_path):
+        path = tmp_path / "results.csv"
+        report = {
+            "dataset": "blob",
+            "algorithm": "maps_global",
+            "m": 16,
+            "k": 8,
+            "l": 2,
+            "metric": "residual_variance",
+            "value": 0.25,
+            "trials": 1,
+            "seed": 42,
+            "method": "isomap",
+        }
+        append_results(path, [report])
+        header, row = read_rows(path)
+        assert header == RESULTS_HEADER
+        assert row == [
+            "blob", "maps_global", "16", "8", "2", "residual_variance", "0.25", "1", "", "42", "isomap"
+        ]
 
     def test_append_results_writes_header_once(self, tmp_path):
         path = tmp_path / "results.csv"
-        rep = EvalReport(metric="x", value=1.0, context={"dataset": "d"})
-        append_results(path, [rep])
-        append_results(path, [rep, rep])
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        report = {"dataset": "d", "metric": "x", "value": 1.0}
+        append_results(path, [report])
+        append_results(path, [report, report])
+        rows = read_rows(path)
         assert rows[0] == RESULTS_HEADER
         assert len(rows) == 4
         assert all(r[0] == "d" for r in rows[1:])
 
     def test_stddev_formatting(self, tmp_path):
         path = tmp_path / "results.csv"
-        rep = EvalReport(metric="x", value=2.0, context={"trials": 20, "stddev": 0.125})
-        append_results(path, [rep])
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        append_results(path, [{"metric": "x", "value": 2.0, "trials": 20, "stddev": 0.125}])
+        rows = read_rows(path)
         assert rows[1][RESULTS_HEADER.index("trials")] == "20"
         assert float(rows[1][RESULTS_HEADER.index("stddev")]) == 0.125
+
+    @pytest.mark.parametrize("content", [b"a,b\r\n1,2\r\n", b"\xff\xfe\x00binary"])
+    def test_foreign_header_rejected(self, tmp_path, content):
+        path = tmp_path / "other.csv"
+        path.write_bytes(content)
+        with pytest.raises(FormatError, match="other.csv is not a results CSV"):
+            append_results(path, [{"metric": "x", "value": 1.0}])
+        assert path.read_bytes() == content

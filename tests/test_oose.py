@@ -27,6 +27,7 @@ from manifold_masks.errors import (
 from manifold_masks.masks import Mask, apply_mask, pcoa, random_mask
 from manifold_masks.metrics import oose_embedding_error, oose_error_isomap, procrustes_align
 from manifold_masks.oose import (
+    METRICS,
     Reference,
     _isomap_folds,
     _lle_fold_weights,
@@ -254,10 +255,9 @@ class TestLleFoldWeights:
 class TestLeaveOneOut:
     def test_isomap_line_near_exact(self, line_dataset):
         X, coords = line_dataset
-        rep = masked_loo(X, full_mask(3), "isomap", knn_graph(X, 2), ell=1)
+        value = masked_loo(X, full_mask(3), "isomap", knn_graph(X, 2), ell=1)
         diameter = coords.max() - coords.min()
-        assert rep.metric == "oose_error"
-        assert rep.value < 1e-3 * diameter
+        assert value < 1e-3 * diameter
 
     def test_isomap_exact_folds_agree_on_line(self, line_dataset):
         X, _ = line_dataset
@@ -265,21 +265,20 @@ class TestLeaveOneOut:
         ref = Reference(X, 3, ell=1)
         fast = leave_one_out(ref, "isomap", ref)
         exact = leave_one_out(ref, "isomap", ref, exact_folds=True)
-        assert exact.value == pytest.approx(fast.value, abs=1e-8)
+        assert exact == pytest.approx(fast, abs=1e-8)
 
     def test_lle_reports_nonnegative(self, rng):
         X = DataMatrix(points=rng.random((25, 4)))
-        rep = masked_loo(X, full_mask(4), "lle", knn_graph(X, 4), ell=2)
-        assert rep.metric == "oose_embedding_error"
-        assert np.isfinite(rep.value) and rep.value >= 0.0
+        value = masked_loo(X, full_mask(4), "lle", knn_graph(X, 4), ell=2)
+        assert np.isfinite(value) and value >= 0.0
 
     @pytest.mark.parametrize("selected", [(0, 9, 18, 27, 36, 45, 54, 63), tuple(range(0, 64, 2))])
     def test_lle_matches_folds_built_without_the_held_out_point(self, small_blob, selected):
         G = knn_graph(small_blob, 6)
         mask = Mask(selected=selected, d=small_blob.d)
-        rep = masked_loo(small_blob, mask, "lle", G, ell=2, reg=1e-2)
+        value = masked_loo(small_blob, mask, "lle", G, ell=2, reg=1e-2)
         want = reference_lle_loo(small_blob, mask, G, ell=2, reg=1e-2)
-        assert rep.value == pytest.approx(want, rel=1e-9)
+        assert value == pytest.approx(want, rel=1e-9)
 
     def test_lle_matches_reference_with_duplicates(self, rng):
         points = rng.random((30, 5))
@@ -287,8 +286,8 @@ class TestLeaveOneOut:
         X = DataMatrix(points=points)
         G = knn_graph(X, 5)
         mask = Mask(selected=(0, 2, 3, 4), d=5)
-        rep = masked_loo(X, mask, "lle", G, ell=2)
-        assert rep.value == pytest.approx(reference_lle_loo(X, mask, G, ell=2), rel=1e-9)
+        value = masked_loo(X, mask, "lle", G, ell=2)
+        assert value == pytest.approx(reference_lle_loo(X, mask, G, ell=2), rel=1e-9)
 
     def test_lle_builds_one_graph(self, small_blob, monkeypatch):
         """Past the two references' own k-NN graphs, lle builds only the
@@ -333,7 +332,7 @@ class TestLeaveOneOut:
         X = DataMatrix(points=rng.random((10, 3)))
         with pytest.raises(ParameterError, match=r"must be in \[1, 7\], got 8$"):
             masked_loo(X, full_mask(3), "lle", knn_graph(X, 2), ell=8)
-        assert np.isfinite(masked_loo(X, full_mask(3), "lle", knn_graph(X, 2), ell=7).value)
+        assert np.isfinite(masked_loo(X, full_mask(3), "lle", knn_graph(X, 2), ell=7))
 
     def test_lle_eigensolver_failure_is_numerical_error(self, small_blob, monkeypatch):
         fail_eigensolver(monkeypatch)
@@ -349,9 +348,8 @@ class TestLeaveOneOut:
 
     def test_gaze_identity_mask(self, small_blob):
         G = knn_graph(small_blob, 6)
-        rep = masked_loo(small_blob, full_mask(small_blob.d), "gaze", G, ell=2)
-        assert rep.metric == "gaze_error"
-        assert 0.0 <= rep.value < 8.0  # grid side bounds the center error
+        value = masked_loo(small_blob, full_mask(small_blob.d), "gaze", G, ell=2)
+        assert 0.0 <= value < 8.0  # grid side bounds the center error
 
     def test_gaze_needs_params(self, rng):
         X = DataMatrix(points=rng.random((10, 3)))
@@ -363,12 +361,18 @@ class TestLeaveOneOut:
         with pytest.raises(ParameterError):
             masked_loo(X, full_mask(3), "umap", knn_graph(X, 2), ell=1)
 
+    def test_metric_names(self):
+        # the metric column of each method's results rows
+        assert METRICS == {
+            "isomap": "oose_error", "lle": "oose_embedding_error", "gaze": "gaze_error"
+        }
+
     def test_masked_isomap_still_accurate_on_line(self, line_dataset):
         # the line varies along every ambient axis, so a single coordinate
         # already determines geodesic order
         X, coords = line_dataset
-        rep = masked_loo(X, Mask(selected=(0,), d=3), "isomap", knn_graph(X, 2), ell=1)
-        assert rep.value < 1e-3 * (coords.max() - coords.min())
+        value = masked_loo(X, Mask(selected=(0,), d=3), "isomap", knn_graph(X, 2), ell=1)
+        assert value < 1e-3 * (coords.max() - coords.min())
 
 
 class TestHeldOutReads:
@@ -384,7 +388,7 @@ class TestHeldOutReads:
             ("isomap", reference_isomap_loo(small_blob, mask, 6, ell=2)),
             ("gaze", reference_gaze_loo(small_blob, mask, 6, reg=1e-2)),
         ]:
-            got = masked_loo(small_blob, mask, method, G, ell=2, reg=1e-2).value
+            got = masked_loo(small_blob, mask, method, G, ell=2, reg=1e-2)
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     # grids whose masked points coincide embed with a zero eigenvalue
@@ -406,7 +410,7 @@ class TestHeldOutReads:
             ("gaze", outcome(reference_gaze_loo, X, mask, k)),
         ]:
             masked = Reference(apply_mask(X, mask), k, ell=1)
-            got = outcome(lambda: leave_one_out(masked, method, ref).value)
+            got = outcome(lambda: leave_one_out(masked, method, ref))
             if isinstance(want, type):
                 assert got is want
             else:
@@ -444,7 +448,7 @@ class TestLleFolds:
         mask = pcoa(blob, m) if selector == "pcoa" else random_mask(blob.d, m, 1)
         ref = Reference(blob, 8, 2, 1e-2)
         masked = Reference(apply_mask(blob, mask), 8, 2, 1e-2)
-        assert leave_one_out(masked, "lle", ref).value == looped_lle_loo(masked, ref)
+        assert leave_one_out(masked, "lle", ref) == looped_lle_loo(masked, ref)
 
 
 def count_dense_folds(monkeypatch):
@@ -501,7 +505,7 @@ class TestIsomapFolds:
         ref = Reference(X, 11, ell=2)
         ref.isomap
         dense = count_dense_folds(monkeypatch)
-        got = leave_one_out(ref, "isomap", ref).value
+        got = leave_one_out(ref, "isomap", ref)
         assert dense == [11] * 12
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -511,7 +515,7 @@ class TestIsomapFolds:
         X = DataMatrix(points=np.array([[0, 3], [2, 3], [1, 2], [1, 3], [2, 2]], float))
         ref = Reference(X, 2, ell=1)
         want = reference_isomap_loo(X, full_mask(2), 2, ell=1)
-        assert leave_one_out(ref, "isomap", ref).value == pytest.approx(want, rel=1e-12)
+        assert leave_one_out(ref, "isomap", ref) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n", [119, 200])
     @pytest.mark.parametrize("ell", [1, 2, 3])
