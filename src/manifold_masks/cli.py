@@ -293,17 +293,15 @@ def _score_all(score, masks: list[Mask]) -> list[dict[tuple[str, str], float]]:
         _SCORE = None
 
 
-def _score_plans(cfg: RunConfig, ref: Reference, dataset_id: str, score, results_name: str) -> int:
-    """Select every algorithm's masks, score them all, then write all rows: a
-    run that fails writes none. ``score`` maps a mask to ``{(metric, method):
-    value}``; each key makes one row per size, the mean over the size's
-    masks, with their spread when they are random draws.
+def _score_plans(cfg: RunConfig, ref: Reference, dataset_id: str, score, results: str) -> int:
+    """Select every algorithm's masks, score them all, then write all rows
+    to the results CSV ``results``: a run that fails writes none. ``score``
+    maps a mask to ``{(metric, method): value}``; each key makes one row per
+    size, the mean over the size's masks, with their spread when they are
+    random draws.
 
-    Rows follow the plan order. A results file with another header, then a
-    failed selection, stops the run before any mask is scored; otherwise a
-    failure is the first failing mask's."""
-    results = cfg.results or os.path.join(cfg.out_dir, results_name)
-    check_results(results)
+    Rows follow the plan order. A failed selection stops the run before any
+    mask is scored; otherwise a failure is the first failing mask's."""
     plans = [(a, m, masks) for a in cfg.algorithms for m, masks in mask_plan(cfg, ref, a)]
     scores = iter(_score_all(score, [mask for *_, masks in plans for mask in masks]))
     base = {"dataset": dataset_id, "k": cfg.k, "l": cfg.l, "seed": cfg.seed}
@@ -323,6 +321,8 @@ def _score_plans(cfg: RunConfig, ref: Reference, dataset_id: str, score, results
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
+    results = cfg.results or os.path.join(cfg.out_dir, "results.csv")
+    check_results(results)  # another header fails before anything is built
     X, dataset_id = _load_for_masks(cfg)
     refs = full_references(cfg, X)
 
@@ -337,10 +337,12 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
             ("embedding_error", ""): embedding_error(refs[cfg.k_lle].weights, Y_lle),
         }
 
-    return _score_plans(cfg, refs[cfg.k], dataset_id, score, "results.csv")
+    return _score_plans(cfg, refs[cfg.k], dataset_id, score, results)
 
 
 def cmd_oose(cfg: RunConfig, args) -> int:
+    results = cfg.results or os.path.join(cfg.out_dir, "oose_results.csv")
+    check_results(results)  # another header fails before anything is built
     X, dataset_id = _load_for_masks(cfg)
     if "gaze" in cfg.methods and X.params is None:
         raise ParameterError("gaze evaluation needs ground-truth params")
@@ -359,7 +361,7 @@ def cmd_oose(cfg: RunConfig, args) -> int:
             for method in cfg.methods
         }
 
-    return _score_plans(cfg, ref, dataset_id, score, "oose_results.csv")
+    return _score_plans(cfg, ref, dataset_id, score, results)
 
 
 _LOADS = ("mask", "evaluate", "oose")

@@ -34,15 +34,16 @@ def _cell(value) -> str:
 
 def check_results(path) -> bool:
     """Whether the results CSV ``path`` is missing or empty, so that the next
-    append writes RESULTS_HEADER first. A file whose first row is another
+    append writes RESULTS_HEADER first. A file whose first line is not that
     header raises FormatError: rows appended under it would be misread."""
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         return True
-    # undecodable bytes read as U+FFFD, so a binary file fails as not a results CSV
+    expected = ",".join(RESULTS_HEADER)  # the header line csv.writer writes
+    # read at most that line, bad bytes as U+FFFD: a binary or huge file fails
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        header = next(csv.reader(fh), None)
-    if header != RESULTS_HEADER:
-        raise FormatError(f"{path} is not a results CSV: its first row is {header}")
+        header = fh.readline(len(expected) + 2).rstrip("\r\n")
+    if header != expected:
+        raise FormatError(f"{path} is not a results CSV: its first line is {header!r}")
     return False
 
 

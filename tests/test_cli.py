@@ -603,22 +603,24 @@ class TestOneRunOneGraph:
     def test_foreign_results_header_rejected_before_any_mask(
         self, tmp_path, monkeypatch, capsys, command
     ):
-        results = tmp_path / "other.csv"
+        results, out_dir = tmp_path / "other.csv", tmp_path / "out"
         results.write_bytes(b"a,b\r\n1,2\r\n")
-        selections = []
-        monkeypatch.setattr(cli, "mask_plan", lambda *args: selections.append(args))
+        loads = []
+        monkeypatch.setattr(cli, "_load_for_masks", lambda *args: loads.append(args))
         code = run(
             command,
             "--synth", self.SYNTH,
             "--algorithms", "pcoa",
             "--sizes", "2",
             "--k", "6",
-            "--out-dir", tmp_path,
+            "--out-dir", out_dir,
             "--results", results,
         )
         assert code == 1
         assert f"error: {results} is not a results CSV" in capsys.readouterr().err
-        assert selections == []
+        # no data loaded, so no reference built and no mask selected
+        assert loads == []
+        assert not out_dir.exists()
         assert results.read_bytes() == b"a,b\r\n1,2\r\n"
 
 

@@ -282,7 +282,17 @@ class TestResultsTable:
         assert rows[1][RESULTS_HEADER.index("trials")] == "20"
         assert float(rows[1][RESULTS_HEADER.index("stddev")]) == 0.125
 
-    @pytest.mark.parametrize("content", [b"a,b\r\n1,2\r\n", b"\xff\xfe\x00binary"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"a,b\r\n1,2\r\n",
+            b"\xff\xfe\x00binary",
+            # one line longer than csv.field_size_limit(), with no comma
+            b"\x01" * 200_000,
+            (",".join(RESULTS_HEADER) + ",extra\r\n").encode(),
+        ],
+        ids=["csv", "binary", "huge", "extra-column"],
+    )
     def test_foreign_header_rejected(self, tmp_path, content):
         path = tmp_path / "other.csv"
         path.write_bytes(content)
