@@ -37,6 +37,6 @@ from .oose import (
     leave_one_out,
     lle_oose,
 )
-from .secants import CliqueSecantArray, SecantMatrix, build_clique_array, build_secants
+from .secants import CliqueSecantArray, build_clique_array
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ from .metrics import (
     residual_variance,
 )
 from .oose import METRICS, Reference, leave_one_out
-from .secants import build_clique_array, build_secants
+from .secants import build_clique_array
 
 SELECTORS = ("maps_global", "maps_local", "pcoa", "random", "exact_global", "exact_local")
 
@@ -184,7 +184,9 @@ def _load_for_masks(cfg: RunConfig) -> tuple[DataMatrix, str]:
 
 def mask_plan(cfg: RunConfig, ref: Reference, algorithm: str) -> list[tuple[int, list[Mask]]]:
     """The masks to use at each of ``cfg.sizes``, as ``(m, masks)`` pairs;
-    the secant selectors read ``ref.G``, the run's full-data ``cfg.k`` graph.
+    the secant selectors read a clique secant store on ``ref.G``, the run's
+    full-data ``cfg.k`` graph. The store is built per call, not kept on
+    ``ref``, so the forked scoring workers never inherit it.
 
     The greedy selectors, ``pcoa`` and ``random`` are nested, so each runs
     once at the largest size and every size takes prefixes: ``random`` makes
@@ -196,16 +198,16 @@ def mask_plan(cfg: RunConfig, ref: Reference, algorithm: str) -> list[tuple[int,
         full = [random_mask(X.d, top, cfg.seed + trial) for trial in range(cfg.trials)]
     elif algorithm == "pcoa":
         full = [pcoa(X, top)]
-    elif algorithm == "maps_global":
-        full = [maps_global(build_secants(X, ref.G), top, cfg.p)]
-    elif algorithm == "maps_local":
-        full = [maps_local(build_clique_array(X, ref.G), top)]
-    elif algorithm == "exact_global":
-        A = build_secants(X, ref.G)
-        return [(m, [exact_mask_global(A, m, cfg.p)[0]]) for m in cfg.sizes]
-    else:  # exact_local
+    else:
         B = build_clique_array(X, ref.G)
-        return [(m, [exact_mask_local(B, m)[0]]) for m in cfg.sizes]
+        if algorithm == "maps_global":
+            full = [maps_global(B, top, cfg.p)]
+        elif algorithm == "maps_local":
+            full = [maps_local(B, top)]
+        elif algorithm == "exact_global":
+            return [(m, [exact_mask_global(B, m, cfg.p)[0]]) for m in cfg.sizes]
+        else:  # exact_local
+            return [(m, [exact_mask_local(B, m)[0]]) for m in cfg.sizes]
     return [(m, [mask.prefix(m) for mask in full]) for m in cfg.sizes]
 
 

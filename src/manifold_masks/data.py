@@ -219,12 +219,13 @@ def load_dataset(path, format: str = "csv", meta=None) -> DataMatrix:
 
 
 def blob_image(g: int, center, radius: float) -> np.ndarray:
-    """Render a g x g Gaussian blob centered at (row, col) as a flat vector."""
-    rows = np.arange(g, dtype=np.float64)
-    rr, cc = np.meshgrid(rows, rows, indexing="ij")
-    cy, cx = center
-    img = np.exp(-((rr - cy) ** 2 + (cc - cx) ** 2) / (2.0 * radius**2))
-    return img.ravel()
+    """Render g x g Gaussian blobs centered at (row, col), shape (..., 2),
+    as flat vectors, shape (..., g * g)."""
+    center = np.asarray(center, dtype=np.float64)
+    cy, cx = center[..., 0, None, None], center[..., 1, None, None]
+    axis = np.arange(g, dtype=np.float64)
+    img = np.exp(-((axis[:, None] - cy) ** 2 + (axis - cx) ** 2) / (2.0 * radius**2))
+    return img.reshape(center.shape[:-1] + (g * g,))
 
 
 def synth_dataset(kind: str, n: int, seed: int, **options) -> DataMatrix:
@@ -275,7 +276,7 @@ def synth_dataset(kind: str, n: int, seed: int, **options) -> DataMatrix:
         if radius <= 0:
             raise ParameterError(f"blob radius must be positive, got {radius}")
         centers = rng.random((n, 2)) * g
-        points = np.stack([blob_image(g, c, radius) for c in centers])
+        points = blob_image(g, centers, radius)
         return DataMatrix(points=points, image_shape=(g, g), params=centers)
     raise ParameterError(f"unknown synthetic kind {kind!r}")
 

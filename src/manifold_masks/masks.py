@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .data import DataMatrix, _integer
 from .errors import CapacityError, DegenerateDataError, ParameterError
-from .secants import CHUNK_ENTRIES, CliqueSecantArray, SecantMatrix
+from .secants import CHUNK_ENTRIES, CliqueSecantArray
 
 ORACLE_SUBSET_LIMIT = 10**6
 NORMS = ("L1", "Linf")  # the norms of the global objective
@@ -70,14 +70,17 @@ def _lp_reduce(p: str):
     return np.add.reduce if p == "L1" else np.maximum.reduce
 
 
-def _global_cost(A: SecantMatrix, cols, p: str) -> float:
-    """The global objective of the columns ``cols`` of A."""
-    return float(_lp_reduce(p)(np.abs(A.A[:, cols].sum(axis=1) - len(cols) / A.d)))
+def _global_cost(B: CliqueSecantArray, cols, p: str) -> float:
+    """The global objective of the columns ``cols`` of B's neighbor rows."""
+    s = B.sums
+    raw = B.B[: len(s), cols].sum(axis=1)
+    return float(_lp_reduce(p)(np.abs(raw - len(cols) / B.d * s) / s))
 
 
-def global_objective(A: SecantMatrix, mask: Mask, p: str = "L1") -> float:
-    """Distortion of masked squared secant norms from their m/d expectation."""
-    return _global_cost(A, list(mask.selected), p)
+def global_objective(B: CliqueSecantArray, mask: Mask, p: str = "L1") -> float:
+    """Distortion of masked squared neighbor secant norms, each secant
+    normalized, from their m/d expectation."""
+    return _global_cost(B, list(mask.selected), p)
 
 
 def _clique_alpha(B: CliqueSecantArray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,56 +112,74 @@ def local_objective(B: CliqueSecantArray, mask: Mask) -> float:
     return _local_score(B, list(mask.selected), *_clique_alpha(B))
 
 
-def _reduce_rows(reduce, fill, rows: int, out: np.ndarray) -> np.ndarray:
+def _reduce_rows(reduce, fill, rows: int, out: np.ndarray, weights=None) -> np.ndarray:
     """``reduce`` over axis 0 of a ``(rows, d)`` array that is never held
     whole: ``fill(a, b, block)`` writes its rows ``[a, b)`` into ``block``,
     one block of ``CHUNK_ENTRIES // d`` rows at a time. Returns ``out``, (d,).
+    With ``weights``, (rows,), the reduction is the sum of row r times
+    ``weights[r]`` instead.
 
     The reduction of the blocks so far is carried as row 0 of the block
-    buffer. Axis-0 ``np.add.reduce`` adds rows one after another, so a sum
-    comes out bitwise equal to the unblocked one; a max does in any order.
+    buffer, with weight 1. Axis-0 ``np.add.reduce`` and the einsum
+    ``r,rj->j`` add rows one after another, so a sum comes out bitwise equal
+    to the unblocked one; a max does in any order.
     """
     d = out.shape[0]
     h = max(1, CHUNK_ENTRIES // d)
     buf = np.empty((min(h, rows) + 1, d))
+    w = np.ones(min(h, rows) + 1)
     for a in range(0, rows, h):
         b = min(a + h, rows)
         fill(a, b, buf[1 : b - a + 1])
         first = 1 if a == 0 else 0  # the first block has nothing to carry
-        reduce(buf[first : b - a + 1], axis=0, out=out)
+        if weights is None:
+            reduce(buf[first : b - a + 1], axis=0, out=out)
+        else:
+            w[1 : b - a + 1] = weights[a:b]
+            np.einsum("r,rj->j", w[first : b - a + 1], buf[first : b - a + 1], out=out)
         buf[0] = out
     return out
 
 
-def maps_global(A: SecantMatrix, m: int, p: str = "L1") -> Mask:
+def maps_global(B: CliqueSecantArray, m: int, p: str = "L1") -> Mask:
     """Greedy selection matching masked secant norms to their expectation.
 
-    At step i the remaining dimension whose addition brings the running
-    column sum closest (in the chosen norm) to (i/d) * 1 is selected; ties
-    go to the lowest index. The result is nested: its first i entries are
-    the size-i mask.
+    Neighbor secant r is ``B.B[r] / s_r`` with ``s = B.sums``. At step i the
+    remaining dimension whose addition brings the running column sum of
+    these secants closest (in the chosen norm) to (i/d) * 1 is selected;
+    ties go to the lowest index. The result is nested: its first i entries
+    are the size-i mask.
 
-    Each step's residuals are computed and reduced one block of secant rows
-    at a time (``_reduce_rows``), never as a whole ``(|S_k|, d)`` array.
+    The selector works in store units: with ``raw`` the running column sum
+    of the store rows, candidate j's residual at secant r is
+    ``|B_rj + u_r| / s_r``, where ``u_r = raw_r - (i/d) s_r``. Each step's
+    residuals are computed and reduced one block of neighbor rows at a time
+    (``_reduce_rows``), never as a whole ``(|S_k|, d)`` array: L1 sums them
+    with weights ``1/s``, and Linf scales each block by ``1/s`` before its
+    max.
     """
-    d = A.d
+    d, S = B.d, len(B.sums)
     _check_m(m, d)
     reduce = _lp_reduce(p)
-    running = np.zeros(A.A.shape[0])
+    secants = B.B[:S]  # the neighbor rows lead the store: a view, no gather
+    w = 1.0 / B.sums
+    running = np.zeros(S)
     costs = np.empty(d)
     selected: list[int] = []
 
-    def residuals(a, b, out):  # |A_j + running - i/d| of secant rows [a, b)
-        np.add(A.A[a:b], shift[a:b, None], out=out)
+    def residuals(a, b, out):  # |B_j + u| of neighbor rows [a, b)
+        np.add(secants[a:b], shift[a:b, None], out=out)
         np.abs(out, out=out)
+        if p == "Linf":
+            out *= w[a:b, None]
 
     for i in range(1, m + 1):
-        shift = running - i / d
-        _reduce_rows(reduce, residuals, A.A.shape[0], costs)
+        shift = running - i / d * B.sums
+        _reduce_rows(reduce, residuals, S, costs, w if p == "L1" else None)
         costs[selected] = np.inf
         choice = int(np.argmin(costs))  # argmin keeps lowest index on ties
         selected.append(choice)
-        running += A.A[:, choice]
+        running += secants[:, choice]
     return Mask(selected=tuple(selected), d=d)
 
 
@@ -260,17 +281,17 @@ def _guard_subsets(d: int, m: int) -> None:
         )
 
 
-def exact_mask_global(A: SecantMatrix, m: int, p: str = "L1") -> tuple[Mask, float]:
+def exact_mask_global(B: CliqueSecantArray, m: int, p: str = "L1") -> tuple[Mask, float]:
     """Exhaustive minimizer of the global-distortion objective.
 
     Returns the lexicographically smallest optimal subset and its objective.
     """
-    d = A.d
+    d = B.d
     _check_m(m, d)
     _guard_subsets(d, m)
     # min keeps the first (lexicographic) of equal costs
-    best = min(combinations(range(d), m), key=lambda cols: _global_cost(A, cols, p))
-    return Mask(selected=best, d=d), _global_cost(A, best, p)
+    best = min(combinations(range(d), m), key=lambda cols: _global_cost(B, cols, p))
+    return Mask(selected=best, d=d), _global_cost(B, best, p)
 
 
 def exact_mask_local(B: CliqueSecantArray, m: int) -> tuple[Mask, float]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from manifold_masks.data import DataMatrix, knn_graph, synth_dataset
-from manifold_masks.secants import CliqueSecantArray, SecantMatrix
+from manifold_masks.secants import CliqueSecantArray
 
 
 @pytest.fixture
@@ -59,12 +59,27 @@ def block_rows(rows):
     return {"one_row": 1, "ragged": ragged, "last_one_row": rows - 1}
 
 
-def random_secant_matrix(rng, n_secants, d):
-    """Random rows that mimic squared normalized secants (sum to 1)."""
-    raw = rng.random((n_secants, d)) ** 2
-    raw /= raw.sum(axis=1, keepdims=True)
-    pairs = tuple((0, i + 1) for i in range(n_secants))
-    return SecantMatrix(A=raw, pair_index=pairs)
+def loop_neighbor_pairs(G):
+    """Reference list of the distinct neighbor pairs (i, j), i < j, one
+    neighbor at a time, in lexicographic order."""
+    pairs = set()
+    for i in range(G.n):
+        for j in G.neighbors[i].tolist():
+            pairs.add((min(i, j), max(i, j)))
+    return sorted(pairs)
+
+
+def neighbor_store(B, rows=None, k=1):
+    """The store over rows B, every one counted as a neighbor pair, with
+    the row table ``rows`` (default: point i's one pair is row i)."""
+    B = np.asarray(B, dtype=float)
+    rows = np.arange(len(B))[:, None] if rows is None else np.asarray(rows)
+    return CliqueSecantArray(B=B, rows=rows, sums=B.sum(axis=1), k=k)
+
+
+def random_neighbor_store(rng, n_secants, d):
+    """Random rows that mimic squared neighbor secants, of random norm."""
+    return neighbor_store(rng.random((n_secants, d)) ** 2)
 
 
 def random_clique_array(rng, c, d, n, k=2):
@@ -77,7 +92,7 @@ def store_from_dense(dense, k):
     """The store with identity rows over a (c, d, n) clique array."""
     c, d, n = dense.shape
     store = np.ascontiguousarray(dense.transpose(2, 0, 1).reshape(n * c, d))
-    return CliqueSecantArray(B=store, rows=np.arange(n * c).reshape(n, c), k=k)
+    return neighbor_store(store, np.arange(n * c).reshape(n, c), k)
 
 
 def dense_clique_array(B):

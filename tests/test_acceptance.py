@@ -41,9 +41,9 @@ from manifold_masks.metrics import (
     residual_variance,
 )
 from manifold_masks.oose import Reference, isomap_oose, lle_oose
-from manifold_masks.secants import build_clique_array, build_secants
+from manifold_masks.secants import build_clique_array
 
-from conftest import random_clique_array, random_secant_matrix
+from conftest import random_clique_array, random_neighbor_store
 
 
 def report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -78,9 +78,9 @@ def test_criterion_02_greedy_vs_exhaustive():
         d = int(rng.integers(6, 13))
         m = int(rng.integers(1, 5))
         if i % 2 == 0:
-            A = random_secant_matrix(rng, int(rng.integers(5, 41)), d)
-            greedy = global_objective(A, maps_global(A, m, "L1"), "L1")
-            _, optimum = exact_mask_global(A, m, "L1")
+            B = random_neighbor_store(rng, int(rng.integers(5, 41)), d)
+            greedy = global_objective(B, maps_global(B, m, "L1"), "L1")
+            _, optimum = exact_mask_global(B, m, "L1")
             if greedy < optimum - 1e-9:
                 violations += 1
             if abs(greedy - optimum) <= 1e-9:
@@ -110,10 +110,9 @@ def test_criterion_03_nested_masks():
     for trial in range(10):
         X = DataMatrix(points=rng.random((30, 12)))
         G = knn_graph(X, 3)
-        A = build_secants(X, G)
         B = build_clique_array(X, G)
         chains = {
-            "maps_global": [maps_global(A, m) for m in sizes],
+            "maps_global": [maps_global(B, m) for m in sizes],
             "maps_local": [maps_local(B, m) for m in sizes],
             "pcoa": [pcoa(X, m) for m in sizes],
             "random": [random_mask(12, m, seed=trial) for m in sizes],
@@ -191,10 +190,9 @@ def _blob_scores():
     D_full = geodesics(knn_graph(X, k))
     W_full = lle_weights(X, knn_graph(X, k), reg)
     G = knn_graph(X, k)
-    A = build_secants(X, G)
     B = build_clique_array(X, G)
     sizes = (16, 32, 64)
-    mg_full = maps_global(A, max(sizes))
+    mg_full = maps_global(B, max(sizes))
     ml_full = maps_local(B, max(sizes))
 
     def score(mask):
@@ -287,12 +285,12 @@ def test_criterion_10_runtime_scales_linearly_in_d():
     # sizes timed in alternation, so that a slow stretch of the machine
     # weighs on both
     m, n_secants = 20, 4000
-    secants = {d: random_secant_matrix(rng, n_secants, d) for d in (400, 800)}
+    secants = {d: random_neighbor_store(rng, n_secants, d) for d in (400, 800)}
     best = {d: np.inf for d in secants}
     for _ in range(5):
-        for d, A in secants.items():
+        for d, B in secants.items():
             t0 = time.perf_counter()
-            maps_global(A, m)
+            maps_global(B, m)
             best[d] = min(best[d], time.perf_counter() - t0)
     t_small, t_big = best[400], best[800]
     ratio = t_big / t_small

@@ -34,7 +34,7 @@ from manifold_masks.metrics import (
     residual_variance,
 )
 from manifold_masks.oose import METRICS, Reference, leave_one_out
-from manifold_masks.secants import build_secants
+from manifold_masks.secants import build_clique_array
 
 from conftest import fail_eigensolver
 
@@ -161,6 +161,24 @@ class TestMaskCommand:
     def test_missing_dataset_exit_code(self, tmp_path):
         assert run("mask", "--data", tmp_path / "nope.csv", "--sizes", "2") == 1
 
+    @pytest.mark.parametrize("algorithm", ["maps_global", "maps_local"])
+    def test_underflowing_secant_exit_code(self, tmp_path, capsys, algorithm):
+        # the secant of points 0 and 1 squares to zero by underflow
+        data = tmp_path / "points.csv"
+        data.write_text("0,0\n1e-170,0\n1,1\n2,0\n0,3\n")
+        out = tmp_path / "masks"
+        code = run(
+            "mask",
+            "--data", data,
+            "--algorithms", algorithm,
+            "--sizes", "1",
+            "--k", "2",
+            "--out-dir", out,
+        )
+        assert code == 1
+        assert "zero-norm clique secant (0, 1)" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_more_than_one_algorithm_rejected(self, tmp_path):
         code = run(
             "mask",
@@ -259,15 +277,15 @@ class TestPlanValues:
 
     @pytest.fixture(scope="class")
     def library_masks(self, X):
-        A = build_secants(X, knn_graph(X, self.K))
+        B = build_clique_array(X, knn_graph(X, self.K))
         return {
-            "maps_global": {m: [maps_global(A, m)] for m in self.SIZES},
+            "maps_global": {m: [maps_global(B, m)] for m in self.SIZES},
             "pcoa": {m: [pcoa(X, m)] for m in self.SIZES},
             "random": {
                 m: [random_mask(X.d, m, self.SEED + t) for t in range(self.TRIALS)]
                 for m in self.SIZES
             },
-            "exact_global": {m: [exact_mask_global(A, m)[0]] for m in self.SIZES},
+            "exact_global": {m: [exact_mask_global(B, m)[0]] for m in self.SIZES},
         }
 
     def run_command(self, command, tmp_path, *extra):

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from manifold_masks.data import (
     DataMatrix,
+    blob_image,
     knn_graph,
     load_dataset,
     pairwise_distances,
@@ -128,6 +129,15 @@ class TestSynthDataset:
         assert X.points.shape == (100, 256)
         assert X.image_shape == (16, 16)
         assert np.all((X.params >= 0) & (X.params < 16))
+
+    @pytest.mark.parametrize("g, radius", [(5, 0.9), (16, 3.0), (32, 6.0)])
+    def test_blob_stack_matches_single_blobs(self, rng, g, radius):
+        # a stack of centers renders bitwise as its centers one at a time
+        centers = rng.random((3, 7, 2)) * g
+        stack = blob_image(g, centers, radius)
+        assert stack.shape == (3, 7, g * g)
+        singles = [[blob_image(g, c, radius) for c in row] for row in centers]
+        assert np.array_equal(stack, np.array(singles))
 
     def test_determinism(self):
         a = synth_dataset("translating_blob", 50, seed=3, g=8)

@@ -28,14 +28,16 @@ from manifold_masks.masks import (
     random_mask,
     save_mask,
 )
-from manifold_masks.secants import CliqueSecantArray, SecantMatrix, build_clique_array, build_secants
+from manifold_masks.secants import build_clique_array
 
 from conftest import (
     BLOCK,
     block_rows,
     dense_clique_array,
+    loop_neighbor_pairs,
+    neighbor_store,
     random_clique_array,
-    random_secant_matrix,
+    random_neighbor_store,
     store_from_dense,
     traced_peak,
 )
@@ -65,23 +67,49 @@ def dense_maps_local(dense, m):
     return tuple(selected)
 
 
-def unblocked_maps_global(A, m, p):
-    """Every step's cost vector of maps_global, computed whole: one
-    (|S_k|, d) residual array per step, reduced over axis 0."""
-    d = A.d
-    reduce = np.add.reduce if p == "L1" else np.maximum.reduce
-    running = np.zeros(A.A.shape[0])
-    residual = np.empty(A.A.shape)
-    costs = np.empty(d)
+def unblocked_maps_global(B, m, p):
+    """Every step's cost vector of maps_global, computed whole in store
+    units: one (|S_k|, d) residual array |B_rj + u_r| per step, summed with
+    weights 1/s_r (L1) or scaled by them and maxed (Linf) over axis 0."""
+    d, s = B.d, B.sums
+    secants, w = B.B[: len(s)], 1.0 / s
+    running = np.zeros(len(s))
     steps, selected = [], []
     for i in range(1, m + 1):
-        np.add(A.A, (running - i / d)[:, None], out=residual)
-        reduce(np.abs(residual, out=residual), axis=0, out=costs)
+        residual = np.abs(secants + (running - i / d * s)[:, None])
+        if p == "L1":
+            costs = np.einsum("r,rj->j", w, residual)
+        else:
+            costs = np.maximum.reduce(residual * w[:, None], axis=0)
         steps.append(costs.copy())
         costs[selected] = np.inf
         selected.append(int(np.argmin(costs)))
-        running += A.A[:, selected[-1]]
+        running += secants[:, selected[-1]]
     return steps
+
+
+def normalized_secants(X, G):
+    """The squared normalized neighbor secants (x/||x||)^2, one row per
+    neighbor pair in (i, j) order, out of place."""
+    lo, hi = np.array(loop_neighbor_pairs(G)).T
+    diffs = X.points[lo] - X.points[hi]
+    return (diffs / np.linalg.norm(diffs, axis=1)[:, None]) ** 2
+
+
+def normalized_maps_global(A, m, p):
+    """Reference greedy global selector over normalized secant rows A:
+    each step adds the column that brings the masked row sums closest to
+    i/d, in the norm p."""
+    d = A.shape[1]
+    reduce = np.add.reduce if p == "L1" else np.maximum.reduce
+    running = np.zeros(A.shape[0])
+    selected = []
+    for i in range(1, m + 1):
+        costs = reduce(np.abs(A + (running - i / d)[:, None]), axis=0)
+        costs[selected] = np.inf
+        selected.append(int(np.argmin(costs)))
+        running += A[:, selected[-1]]
+    return tuple(selected)
 
 
 def unblocked_maps_local(B, m):
@@ -161,8 +189,8 @@ def greedy_gap(score, d, m):
 
 
 def two_block_secants():
-    A = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
-    return SecantMatrix(A=A, pair_index=((0, 1), (2, 3)))
+    # normalized, each row is [0.5, 0.5, 0, 0] or [0, 0, 0.5, 0.5]
+    return neighbor_store([[2.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 3.0]])
 
 
 class TestMask:
@@ -192,30 +220,30 @@ class TestMapsGlobal:
 
     @pytest.mark.parametrize("p", ["L1", "Linf"])
     def test_full_mask_zero_cost(self, p, rng):
-        A = random_secant_matrix(rng, 1, 6)
-        mask = maps_global(A, 6, p)
-        assert global_objective(A, mask, p) == pytest.approx(0.0, abs=1e-12)
+        B = random_neighbor_store(rng, 1, 6)
+        mask = maps_global(B, 6, p)
+        assert global_objective(B, mask, p) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", ["L1", "Linf"])
     def test_greedy_never_beats_oracle(self, p, rng):
         for _ in range(10):
-            A = random_secant_matrix(rng, 40, 12)
-            greedy = maps_global(A, 4, p)
-            _, optimum = exact_mask_global(A, 4, p)
-            assert global_objective(A, greedy, p) >= optimum - 1e-12
+            B = random_neighbor_store(rng, 40, 12)
+            greedy = maps_global(B, 4, p)
+            _, optimum = exact_mask_global(B, 4, p)
+            assert global_objective(B, greedy, p) >= optimum - 1e-12
 
     def test_nested(self, rng):
-        A = random_secant_matrix(rng, 20, 10)
-        big = maps_global(A, 7)
+        B = random_neighbor_store(rng, 20, 10)
+        big = maps_global(B, 7)
         for m in range(1, 7):
-            assert maps_global(A, m).selected == big.selected[:m]
+            assert maps_global(B, m).selected == big.selected[:m]
 
     @pytest.mark.parametrize("p", ["L1", "Linf"])
     def test_step_replay(self, p, rng):
         """Each greedy choice is the argmin of global_objective over the
         remaining columns."""
-        A = random_secant_matrix(rng, 15, 10)
-        mask = maps_global(A, 4, p)
+        B = random_neighbor_store(rng, 15, 10)
+        mask = maps_global(B, 4, p)
         chosen: list[int] = []
         for step in range(4):
             costs = []
@@ -223,40 +251,50 @@ class TestMapsGlobal:
                 if j in chosen:
                     costs.append(np.inf)
                 else:
-                    costs.append(global_objective(A, Mask(selected=tuple(chosen) + (j,), d=10), p))
+                    costs.append(global_objective(B, Mask(selected=tuple(chosen) + (j,), d=10), p))
             expected = int(np.argmin(costs))
             assert mask.selected[step] == expected
             chosen.append(expected)
 
     def test_unknown_norm(self, rng):
         with pytest.raises(ParameterError):
-            maps_global(random_secant_matrix(rng, 5, 4), 2, "L3")
+            maps_global(random_neighbor_store(rng, 5, 4), 2, "L3")
 
     def test_m_out_of_range(self, rng):
-        A = random_secant_matrix(rng, 5, 4)
+        B = random_neighbor_store(rng, 5, 4)
         with pytest.raises(ParameterError):
-            maps_global(A, 0)
+            maps_global(B, 0)
         with pytest.raises(ParameterError):
-            maps_global(A, 5)
+            maps_global(B, 5)
 
     def test_tie_lowest_index(self):
         # all columns identical: every step ties, indices chosen in order
-        A = SecantMatrix(A=np.full((3, 4), 0.25), pair_index=((0, 1), (0, 2), (0, 3)))
-        assert maps_global(A, 3).selected == (0, 1, 2)
+        B = neighbor_store(np.full((3, 4), 0.25))
+        assert maps_global(B, 3).selected == (0, 1, 2)
 
+    @pytest.mark.parametrize("p", NORMS)
+    @pytest.mark.parametrize("m, instance", [(32, "small_blob"), (48, "image_blob")])
+    def test_matches_normalized_secants(self, request, m, instance, p):
+        # the selector in store units picks the mask of the normalized
+        # secants (x/||x||)^2 that it no longer builds
+        X = request.getfixturevalue(instance)
+        X, G = X if instance == "image_blob" else (X, knn_graph(X, 8))
+        want = normalized_maps_global(normalized_secants(X, G), m, p)
+        assert maps_global(build_clique_array(X, G), m, p).selected == want
 
     def test_peak_memory(self, image_blob):
-        A = build_secants(*image_blob)
-        assert A.A.nbytes > 4 * BLOCK
-        _, peak = traced_peak(maps_global, A, 8)
-        # the block buffer and O(|S_k|) vectors; no (|S_k|, d) residuals
+        B = build_clique_array(*image_blob)
+        assert B.B[: len(B.sums)].nbytes > 4 * BLOCK
+        _, peak = traced_peak(maps_global, B, 8)
+        # the block buffer and O(|S_k|) vectors; no (|S_k|, d) residuals,
+        # and the neighbor rows read in place
         assert peak <= 2 * BLOCK
 
 
 class TestMapsLocal:
     def test_single_pair_one_hot(self):
         # two points sharing their one clique pair, all energy in dim 0
-        B = CliqueSecantArray(B=np.array([[4.0, 0.0]]), rows=np.array([[0], [0]]), k=1)
+        B = neighbor_store([[4.0, 0.0]], [[0], [0]])
         mask = maps_local(B, 1)
         assert mask.selected == (0,)
         assert local_objective(B, mask) == pytest.approx(2.0)  # cosine 1 per point
@@ -318,14 +356,14 @@ class TestMapsLocal:
 
     def test_tie_lowest_index(self):
         # all columns identical: every step ties, indices chosen in order
-        B = CliqueSecantArray(B=np.full((2, 4), 0.25), rows=np.array([[0], [1], [0]]), k=1)
+        B = neighbor_store(np.full((2, 4), 0.25), [[0], [1], [0]])
         assert maps_local(B, 3).selected == (0, 1, 2)
 
     def test_zero_clique_vector_scores_zero(self):
         # one pair per point: a column scores 1 at each point where its
         # clique vector is nonzero, and 0 where it is all zero
         store = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-        B = CliqueSecantArray(B=store, rows=np.array([[0], [1]]), k=1)
+        B = neighbor_store(store)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert local_objective(B, Mask(selected=(0,), d=3)) == 1.0
@@ -369,18 +407,33 @@ class TestBlockedSelectors:
             running += row
         assert np.array_equal(np.add.reduce(X, axis=0), running)
 
+    def test_weighted_sum_adds_rows_in_sequence(self, rng):
+        # why a weighted sum carried from block to block, with weight 1 on
+        # the carried row, is the whole array's
+        X = rng.random((50, 37)) * 10.0 ** rng.integers(-8, 8, (50, 1))
+        w = rng.random(50) * 10.0 ** rng.integers(-8, 8, 50)
+        running = w[0] * X[0]
+        for weight, row in zip(w[1:], X[1:]):
+            running += weight * row
+        assert np.array_equal(np.einsum("r,rj->j", w, X), running)
+        # a carried row of weight 1 goes on where the rows before it left off
+        head = np.einsum("r,rj->j", w[:20], X[:20])
+        out = np.empty(37)
+        np.einsum("r,rj->j", np.r_[1.0, w[20:]], np.vstack([head, X[20:]]), out=out)
+        assert np.array_equal(out, running)
+
     @pytest.mark.parametrize("p", NORMS)
     @pytest.mark.parametrize("instance", ["blob", "random"])
     def test_maps_global_steps(self, monkeypatch, rng, small_blob, instance, p):
         if instance == "blob":
-            A = build_secants(small_blob, knn_graph(small_blob, 8))
+            B = build_clique_array(small_blob, knn_graph(small_blob, 8))
         else:
-            A = random_secant_matrix(rng, 25, 12)
-        want = unblocked_maps_global(A, 10, p)
-        for h in block_rows(A.A.shape[0]).values():
+            B = random_neighbor_store(rng, 25, 12)
+        want = unblocked_maps_global(B, 10, p)
+        for h in block_rows(len(B.sums)).values():
             with monkeypatch.context() as patch:
-                patch.setattr(masks, "CHUNK_ENTRIES", h * A.d)
-                _, steps = blocked_steps(patch, maps_global, A, 10, p)
+                patch.setattr(masks, "CHUNK_ENTRIES", h * B.d)
+                _, steps = blocked_steps(patch, maps_global, B, 10, p)
             assert_steps_equal(steps, want)
 
     @pytest.mark.parametrize("instance", ["blob", "random", "zero_cliques"])
@@ -406,11 +459,11 @@ class TestBlockedSelectors:
         # at d=576 a default block holds 227 rows: the secants take several
         # blocks and the 400 points two, each with a ragged last block
         X, G = image_blob
-        A, B = build_secants(X, G), build_clique_array(X, G)
-        h = masks.CHUNK_ENTRIES // X.d
-        assert A.A.shape[0] > 2 * h and A.A.shape[0] % h and X.n % h
-        _, steps = blocked_steps(monkeypatch, maps_global, A, 6, "L1")
-        assert_steps_equal(steps, unblocked_maps_global(A, 6, "L1"))
+        B = build_clique_array(X, G)
+        h, S = masks.CHUNK_ENTRIES // X.d, len(B.sums)
+        assert S > 2 * h and S % h and X.n % h
+        _, steps = blocked_steps(monkeypatch, maps_global, B, 6, "L1")
+        assert_steps_equal(steps, unblocked_maps_global(B, 6, "L1"))
         _, steps = blocked_steps(monkeypatch, maps_local, B, 4)
         assert_steps_equal(steps, unblocked_maps_local(B, 4))
 
@@ -430,13 +483,12 @@ class TestSelectorProperties:
         Xp = DataMatrix(points=X.points[:, perm])  # pixel q of Xp is pixel perm[q] of X
         G, Gp = knn_graph(X, 3), knn_graph(Xp, 3)
         assume(np.array_equal(np.sort(G.neighbors, axis=1), np.sort(Gp.neighbors, axis=1)))
-        A, B = build_secants(X, G), build_clique_array(X, G)
+        B, Bp = build_clique_array(X, G), build_clique_array(Xp, Gp)
         # instances with a clear winner at every greedy step
-        assume(greedy_gap(lambda cols: -global_objective(A, Mask(tuple(cols), d)), d, m) > 1e-9)
+        assume(greedy_gap(lambda cols: -global_objective(B, Mask(tuple(cols), d)), d, m) > 1e-9)
         assume(greedy_gap(lambda cols: local_objective(B, Mask(tuple(cols), d)), d, m) > 1e-9)
-        mg = maps_global(build_secants(Xp, Gp), m).selected
-        ml = maps_local(build_clique_array(Xp, Gp), m).selected
-        assert tuple(perm[q] for q in mg) == maps_global(A, m).selected
+        mg, ml = maps_global(Bp, m).selected, maps_local(Bp, m).selected
+        assert tuple(perm[q] for q in mg) == maps_global(B, m).selected
         assert tuple(perm[q] for q in ml) == maps_local(B, m).selected
 
     @settings(max_examples=25, deadline=None)
@@ -452,9 +504,9 @@ class TestSelectorProperties:
         m = data.draw(st.integers(1, d))
         X = DataMatrix(points=np.random.default_rng(seed).random((n, d)))
         X2 = DataMatrix(points=2.0**e * X.points)
-        A = build_secants(X, knn_graph(X, 3))
-        A2 = build_secants(X2, knn_graph(X2, 3))
-        assert maps_global(A2, m, p).selected == maps_global(A, m, p).selected
+        B = build_clique_array(X, knn_graph(X, 3))
+        B2 = build_clique_array(X2, knn_graph(X2, 3))
+        assert maps_global(B2, m, p).selected == maps_global(B, m, p).selected
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -524,8 +576,8 @@ class TestExactOracles:
         assert mask.selected == (0, 2)  # smallest of the four zero-cost masks
 
     def test_full_mask_objective_zero(self, rng):
-        A = random_secant_matrix(rng, 8, 6)
-        _, objective = exact_mask_global(A, 6, "L1")
+        B = random_neighbor_store(rng, 8, 6)
+        _, objective = exact_mask_global(B, 6, "L1")
         assert objective == pytest.approx(0.0, abs=1e-9)
 
     def test_local_full_mask_objective_n(self, rng):
@@ -534,9 +586,9 @@ class TestExactOracles:
         assert objective == pytest.approx(9.0)
 
     def test_capacity_guard(self, rng):
-        A = random_secant_matrix(rng, 4, 50)
+        B = random_neighbor_store(rng, 4, 50)
         with pytest.raises(CapacityError):
-            exact_mask_global(A, 10, "L1")
+            exact_mask_global(B, 10, "L1")
 
 
 class TestApplyMask:
@@ -559,15 +611,15 @@ class TestApplyMask:
         """||masked secant||^2 equals the indicator inner product."""
         X = DataMatrix(points=rng.random((30, 10)))
         G = knn_graph(X, 3)
-        A = build_secants(X, G)
+        B = build_clique_array(X, G)
         mask = random_mask(10, 4, seed=2)
         z = mask.indicator()
         Xm = apply_mask(X, mask)
-        cols = sorted(mask.selected)
-        for row, (i, j) in zip(A.A[:100], A.pair_index[:100]):
-            secant = X.points[i] - X.points[j]
-            secant = secant / np.linalg.norm(secant)
-            masked_sq = np.sum(secant[cols] ** 2)
+        # the store's neighbor rows, each over its sum, in (i, j) order
+        rows = B.B[: len(B.sums)] / B.sums[:, None]
+        for row, (i, j) in zip(rows[:100], loop_neighbor_pairs(G)[:100]):
+            masked_sq = np.sum((Xm.points[i] - Xm.points[j]) ** 2)
+            masked_sq /= np.sum((X.points[i] - X.points[j]) ** 2)
             assert masked_sq == pytest.approx(row @ z, abs=1e-12)
 
 
