@@ -17,10 +17,18 @@ from .errors import DisconnectedGraphError, NumericalError, ParameterError
 
 @dataclass(frozen=True)
 class GeodesicDistances:
-    """All-pairs shortest-path distances over the symmetrized k-NN graph."""
+    """All-pairs shortest-path distances over the symmetrized k-NN graph.
+    Every entry is finite: the infinite distance between the components of
+    a disconnected graph raises here, as does a NaN."""
 
     D: np.ndarray  # (n, n)
-    connected: bool
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.D)):
+            raise DisconnectedGraphError(
+                "geodesic distances are not all finite: the k-NN graph is "
+                "disconnected; increase k"
+            )
 
     @property
     def n(self) -> int:
@@ -66,26 +74,25 @@ def geodesics(G: NeighborGraph) -> GeodesicDistances:
     An edge exists when either endpoint lists the other as a neighbor; edge
     weight is the Euclidean distance, the same from both ends. The edge
     between duplicate points has length zero and stays an explicit entry,
-    since a sparse graph reads a missing entry as no edge. Disconnection is
-    reported via the ``connected`` flag, not raised.
+    since a sparse graph reads a missing entry as no edge. A disconnected
+    graph raises DisconnectedGraphError.
     """
     n, k = G.neighbors.shape
     table = sp.csr_matrix(
         (G.distances.ravel(), G.neighbors.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n)
     )
-    D = shortest_path(table, method="D", directed=False)
-    return GeodesicDistances(D=D, connected=bool(np.all(np.isfinite(D))))
+    return GeodesicDistances(D=shortest_path(table, method="D", directed=False))
 
 
 def _double_center(D: GeodesicDistances) -> np.ndarray:
-    """-J D**2 J / 2 with J = I - 11'/n, symmetric to the last bit. Distances
-    that are not all finite raise: any NaN or inf reaches the grand mean."""
+    """-J D**2 J / 2 with J = I - 11'/n, symmetric to the last bit. Finite
+    distances whose squares overflow raise: any inf reaches the grand mean."""
     Dsq = D.D**2
     # from the row and column means
     row, col = Dsq.mean(axis=1), Dsq.mean(axis=0)
     grand = row.mean()
     if not np.isfinite(grand):
-        raise NumericalError("distances are not finite")
+        raise NumericalError("squared distances are not finite")
     tau = -0.5 * (Dsq - row[:, None] - col[None, :] + grand)
     return 0.5 * (tau + tau.T)  # symmetrize against roundoff
 
@@ -98,11 +105,6 @@ def classical_mds(D: GeodesicDistances, ell: int) -> Embedding:
     roots of their eigenvalues.
     """
     n = D.n
-    if not D.connected:
-        raise DisconnectedGraphError(
-            "distance matrix has infinite entries: the k-NN graph is "
-            "disconnected; increase k"
-        )
     if not (1 <= ell < n):
         raise ParameterError(f"embedding dimension must be in [1, {n - 1}], got {ell}")
     evals, evecs = _eigenpairs(_double_center(D), n - ell, n - 1)

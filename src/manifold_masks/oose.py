@@ -18,12 +18,12 @@ from .embeddings import (
     _fix_signs,
     classical_mds,
     geodesics,
+    lle_embed,
     lle_weights,
-    _lle_matrix,
     _local_grams,
     _solve_weights,
 )
-from .errors import DisconnectedGraphError, ParameterError
+from .errors import ParameterError
 from .metrics import oose_embedding_error, oose_error_isomap, procrustes_align
 
 # the metric each leave-one-out method reports, as its results rows name it
@@ -53,10 +53,7 @@ class Reference:
 
     @cached_property
     def geodesics(self) -> GeodesicDistances:
-        D = geodesics(self.G)
-        if not D.connected:
-            raise DisconnectedGraphError(f"k={self.k} graph of {self.X.d}-d data is disconnected")
-        return D
+        return geodesics(self.G)
 
     @cached_property
     def isomap(self) -> Embedding:
@@ -199,16 +196,13 @@ def _lle_folds(X: Reference) -> np.ndarray:
     """``lle_embed`` of every leave-one-out fold of ``X``, extended to its
     held-out point by ``lle_oose``'s weights: an ``(n, n, ell)`` stack holding
     fold f's coordinates in the rows of its training points and the held-out
-    point's in row f. Each fold is one ``_lle_matrix`` and one ``_eigenpairs``
-    call. Columns keep the eigensolver's signs, which no reconstruction
-    residual depends on."""
-    n, ell = X.n, X.ell
-    folds = _lle_fold_weights(X)  # a failed weight solve raises before a bad ell
-    if not (1 <= ell <= n - 3):
-        raise ParameterError(f"embedding dimension must be in [1, {n - 3}], got {ell}")
-    Y, scale = np.empty((n, n, ell)), np.sqrt(n - 1)
-    for i, (neighbors, weights, nn, w) in enumerate(folds):
-        train = _eigenpairs(_lle_matrix(neighbors, weights), 0, ell - 1)[1] * scale
+    point's in row f. The first fold's ``lle_embed`` checks ``ell``, after
+    the weight solves."""
+    Y = None
+    for i, (neighbors, weights, nn, w) in enumerate(_lle_fold_weights(X)):
+        train = lle_embed(LleWeights(neighbors, weights), X.ell).Y
+        if Y is None:
+            Y = np.empty((X.n, X.n, X.ell))
         Y[i, :i], Y[i, i + 1 :], Y[i, i] = train[:i], train[i:], w @ train[nn]
     return Y
 
@@ -280,7 +274,7 @@ def _isomap_folds(D: GeodesicDistances, ell: int) -> Embedding:
                 break
     for f in todo:
         keep = np.arange(n) != f
-        emb = classical_mds(GeodesicDistances(D=D.D[np.ix_(keep, keep)], connected=True), ell)
+        emb = classical_mds(GeodesicDistances(D=D.D[np.ix_(keep, keep)]), ell)
         Y[f, keep], evals[f] = emb.Y, emb.eigenvalues
     return Embedding(Y=Y, eigenvalues=evals)
 
@@ -314,7 +308,7 @@ def leave_one_out(
     n, k, ell, points, params = X.n, X.k, X.ell, X.X.points, X.X.params
 
     if method == "isomap":
-        Y_ref, D, nn = ref.isomap, X.geodesics, X.G.neighbors
+        Y_ref, nn = ref.isomap, X.G.neighbors
         dists = np.linalg.norm(points[nn] - points[:, None], axis=-1)
         # fold i's arrays have a slot for every point; slot i is the held-out one
         folds = np.arange(n)
@@ -331,6 +325,7 @@ def leave_one_out(
                 d_test[i, keep] = _near_geodesics(D_fold.D, nn[i] - (nn[i] > i), dists[i])
             train = Embedding(Y=Y_folds, eigenvalues=evals)
         else:
+            D = X.geodesics
             Dsq = D.D**2
             col_means = (Dsq.sum(axis=0) - Dsq) / (n - 1)
             d_test = _near_geodesics(D.D, nn, dists)

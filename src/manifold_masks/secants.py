@@ -34,7 +34,6 @@ class CliqueSecantArray:
     B: np.ndarray  # (P, d)
     rows: np.ndarray  # (n, c), indices into B
     sums: np.ndarray  # (S,), row sums of B[:S]
-    k: int
 
     @property
     def n(self) -> int:
@@ -90,4 +89,4 @@ def build_clique_array(X: DataMatrix, G: NeighborGraph) -> CliqueSecantArray:
             f"zero-norm clique secant ({lo[rows[i, ell]]}, {hi[rows[i, ell]]}) "
             f"in clique of point {i}"
         )
-    return CliqueSecantArray(B=B, rows=rows, sums=sums[: np.searchsorted(codes, n * n)], k=k)
+    return CliqueSecantArray(B=B, rows=rows, sums=sums[: np.searchsorted(codes, n * n)])

@@ -69,12 +69,12 @@ def loop_neighbor_pairs(G):
     return sorted(pairs)
 
 
-def neighbor_store(B, rows=None, k=1):
+def neighbor_store(B, rows=None):
     """The store over rows B, every one counted as a neighbor pair, with
     the row table ``rows`` (default: point i's one pair is row i)."""
     B = np.asarray(B, dtype=float)
     rows = np.arange(len(B))[:, None] if rows is None else np.asarray(rows)
-    return CliqueSecantArray(B=B, rows=rows, sums=B.sum(axis=1), k=k)
+    return CliqueSecantArray(B=B, rows=rows, sums=B.sum(axis=1))
 
 
 def random_neighbor_store(rng, n_secants, d):
@@ -82,17 +82,17 @@ def random_neighbor_store(rng, n_secants, d):
     return neighbor_store(rng.random((n_secants, d)) ** 2)
 
 
-def random_clique_array(rng, c, d, n, k=2):
+def random_clique_array(rng, c, d, n):
     """A store whose every (point, pair) has its own random row: store row
     i * c + l is entry [l, :, i] of a random (c, d, n) draw."""
-    return store_from_dense(rng.random((c, d, n)), k)
+    return store_from_dense(rng.random((c, d, n)))
 
 
-def store_from_dense(dense, k):
+def store_from_dense(dense):
     """The store with identity rows over a (c, d, n) clique array."""
     c, d, n = dense.shape
     store = np.ascontiguousarray(dense.transpose(2, 0, 1).reshape(n * c, d))
-    return neighbor_store(store, np.arange(n * c).reshape(n, c), k)
+    return neighbor_store(store, np.arange(n * c).reshape(n, c))
 
 
 def dense_clique_array(B):

@@ -603,7 +603,7 @@ class TestOneRunOneGraph:
             ("oose", ["--algorithms", "pcoa", "--methods", "gaze,isomap"]),
         ],
     )
-    def test_failed_run_writes_no_row(self, tmp_path, command, names):
+    def test_failed_run_writes_no_row(self, tmp_path, capsys, command, names):
         # the pcoa mask's k-NN graph is disconnected; the maps_global mask
         # and the gaze method score before it does
         code = run(
@@ -615,6 +615,10 @@ class TestOneRunOneGraph:
             "--out-dir", tmp_path,
         )
         assert code == 1
+        assert capsys.readouterr().err == (
+            "error: geodesic distances are not all finite: the k-NN graph is "
+            "disconnected; increase k\n"
+        )
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["evaluate", "oose"])

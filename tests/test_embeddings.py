@@ -69,7 +69,6 @@ class TestGeodesics:
     def test_collinear_path_sum(self):
         X = DataMatrix(points=np.array([[0.0], [1.0], [2.0]]))
         D = geodesics(knn_graph(X, 1))
-        assert D.connected
         assert D.D[0, 2] == pytest.approx(2.0)
 
     def test_complete_graph_equals_euclidean(self, rng):
@@ -83,11 +82,10 @@ class TestGeodesics:
         euclid = pairwise_distances(X.points)
         assert np.all(D.D >= euclid - 1e-9)
 
-    def test_disconnection_reported_not_raised(self):
+    def test_disconnected_graph_raises(self):
         X = DataMatrix(points=np.array([[0.0], [0.1], [100.0], [100.1]]))
-        D = geodesics(knn_graph(X, 1))
-        assert not D.connected
-        assert np.isinf(D.D[0, 2])
+        with pytest.raises(DisconnectedGraphError, match="disconnected; increase k"):
+            geodesics(knn_graph(X, 1))
 
     def test_symmetric_zero_diagonal(self, rng):
         X = DataMatrix(points=rng.random((20, 4)))
@@ -111,7 +109,6 @@ class TestGeodesics:
     def test_duplicate_points_keep_zero_weight_edge(self):
         X = DataMatrix(points=np.array([[0.0], [0.0], [1.0], [2.0], [3.0]]))
         D = geodesics(knn_graph(X, 2))
-        assert D.connected
         assert D.D[0, 1] == 0.0 and D.D[1, 0] == 0.0
         assert D.D[1, 4] == pytest.approx(3.0)
 
@@ -139,10 +136,19 @@ class TestFixSigns:
             np.testing.assert_array_equal(np.signbit(got[index]), np.signbit(want))
 
 
+class TestGeodesicDistances:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_raise(self, rng, bad):
+        D = pairwise_distances(rng.random((12, 3)))
+        D[4, 7] = D[7, 4] = bad
+        with pytest.raises(DisconnectedGraphError, match="not all finite"):
+            GeodesicDistances(D=D)
+
+
 class TestClassicalMds:
     def test_right_triangle_distances_reproduced(self):
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
-        D = GeodesicDistances(D=pairwise_distances(pts), connected=True)
+        D = GeodesicDistances(D=pairwise_distances(pts))
         emb = classical_mds(D, 2)
         np.testing.assert_allclose(
             pairwise_distances(emb.Y), D.D, atol=1e-9
@@ -151,7 +157,7 @@ class TestClassicalMds:
     def test_line_recovered_up_to_sign_translation(self):
         coords = np.array([0.0, 1.0, 2.5, 4.0])
         D = GeodesicDistances(
-            D=np.abs(coords[:, None] - coords[None, :]), connected=True
+            D=np.abs(coords[:, None] - coords[None, :])
         )
         emb = classical_mds(D, 1)
         recovered = emb.Y[:, 0]
@@ -160,21 +166,16 @@ class TestClassicalMds:
             recovered, -centered, atol=1e-9
         )
 
-    def test_disconnected_raises(self):
-        D = GeodesicDistances(D=np.array([[0.0, np.inf], [np.inf, 0.0]]), connected=False)
-        with pytest.raises(DisconnectedGraphError):
-            classical_mds(D, 1)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_distances_are_numerical_error(self, rng, bad):
-        # dsyevr does not check its input, so the double centring does
-        D = pairwise_distances(rng.random((12, 3)))
-        D[4, 7] = D[7, 4] = bad
-        with pytest.raises(NumericalError, match="not finite"):
-            classical_mds(GeodesicDistances(D=D, connected=True), 2)
+    def test_overflowing_distances_are_numerical_error(self, rng):
+        # finite distances whose squares overflow: dsyevr does not check its
+        # input, so the double centring does
+        D = GeodesicDistances(D=pairwise_distances(rng.random((12, 3))) * 1e160)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalError, match="squared distances are not finite"):
+                classical_mds(D, 2)
 
     def test_eigensolver_failure_is_numerical_error(self, rng, monkeypatch):
-        D = GeodesicDistances(D=pairwise_distances(rng.random((12, 3))), connected=True)
+        D = GeodesicDistances(D=pairwise_distances(rng.random((12, 3))))
         fail_eigensolver(monkeypatch)
         with pytest.raises(NumericalError, match="eigendecomposition failed"):
             classical_mds(D, 2)
@@ -182,7 +183,7 @@ class TestClassicalMds:
     def test_rank_deficit_warns_with_zero_columns(self):
         coords = np.array([0.0, 1.0, 2.0])
         D = GeodesicDistances(
-            D=np.abs(coords[:, None] - coords[None, :]), connected=True
+            D=np.abs(coords[:, None] - coords[None, :])
         )
         with pytest.warns(UserWarning, match="only 1 positive eigenvalues"):
             emb = classical_mds(D, 2)
@@ -191,7 +192,7 @@ class TestClassicalMds:
 
     def test_deterministic_sign(self, rng):
         pts = rng.random((10, 3))
-        D = GeodesicDistances(D=pairwise_distances(pts), connected=True)
+        D = GeodesicDistances(D=pairwise_distances(pts))
         a = classical_mds(D, 3)
         b = classical_mds(D, 3)
         np.testing.assert_array_equal(a.Y, b.Y)
@@ -227,7 +228,7 @@ class TestIsomap:
     def test_complete_graph_matches_mds(self, rng):
         pts = rng.random((15, 3))
         emb = Reference(DataMatrix(points=pts), 14, 2).isomap
-        D = GeodesicDistances(D=pairwise_distances(pts), connected=True)
+        D = GeodesicDistances(D=pairwise_distances(pts))
         np.testing.assert_allclose(emb.Y, classical_mds(D, 2).Y, atol=1e-9)
 
     def test_swiss_roll_parameters_recovered(self):

@@ -303,7 +303,7 @@ class TestMapsLocal:
         B = random_clique_array(rng, 3, 6, 8)
         arr = np.zeros_like(dense_clique_array(B))
         arr[:, 4, :] = rng.random((3, 8)) + 0.5  # all energy in dim 4
-        dominated = store_from_dense(arr, k=2)
+        dominated = store_from_dense(arr)
         mask = maps_local(dominated, 1)
         assert mask.selected == (4,)
         assert local_objective(dominated, mask) == pytest.approx(8.0)
@@ -332,7 +332,7 @@ class TestMapsLocal:
             chosen.append(expected)
 
     def test_nested(self, rng):
-        B = random_clique_array(rng, 6, 8, 10, k=3)
+        B = random_clique_array(rng, 6, 8, 10)
         big = maps_local(B, 6)
         for m in range(1, 6):
             assert maps_local(B, m).selected == big.selected[:m]
@@ -347,7 +347,7 @@ class TestMapsLocal:
 
     def test_matches_dense_reference_random(self, rng):
         for _ in range(10):
-            B = random_clique_array(rng, 6, 12, 15, k=3)
+            B = random_clique_array(rng, 6, 12, 15)
             assert maps_local(B, 11).selected == dense_maps_local(dense_clique_array(B), 11)
 
     def test_matches_dense_reference_blob(self, small_blob):
@@ -373,7 +373,7 @@ class TestMapsLocal:
         dense = rng.random((6, 8, 10))
         dense[:, 2, :4] = 0.0  # column 2 vanishes on the cliques of points 0-3
         dense[:, 5, 3:6] = 0.0
-        B = store_from_dense(dense, k=3)
+        B = store_from_dense(dense)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert maps_local(B, 8).selected == dense_maps_local(dense, 8)
@@ -441,12 +441,12 @@ class TestBlockedSelectors:
         if instance == "blob":
             B = build_clique_array(small_blob, knn_graph(small_blob, 8))
         elif instance == "random":
-            B = random_clique_array(rng, 6, 12, 15, k=3)
+            B = random_clique_array(rng, 6, 12, 15)
         else:
             dense = rng.random((6, 8, 10))
             dense[:, 2, :4] = 0.0  # column 2 vanishes on the cliques of points 0-3
             dense[:, 5, 3:6] = 0.0
-            B = store_from_dense(dense, k=3)
+            B = store_from_dense(dense)
         for h in block_rows(B.n).values():
             with monkeypatch.context() as patch:
                 # b_sq's column blocks read the same constant, in both loops

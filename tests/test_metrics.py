@@ -30,7 +30,7 @@ def emb(Y):
 
 
 def geo(points):
-    return GeodesicDistances(D=pairwise_distances(np.asarray(points, float)), connected=True)
+    return GeodesicDistances(D=pairwise_distances(np.asarray(points, float)))
 
 
 class TestResidualVariance:
@@ -66,11 +66,6 @@ class TestResidualVariance:
     def test_size_mismatch(self, rng):
         with pytest.raises(ParameterError):
             residual_variance(geo(rng.random((5, 2))), emb(rng.random((6, 2))))
-
-    def test_disconnected_rejected(self):
-        D = GeodesicDistances(D=np.array([[0.0, np.inf], [np.inf, 0.0]]), connected=False)
-        with pytest.raises(ParameterError):
-            residual_variance(D, emb(np.array([[0.0], [1.0]])))
 
     def test_degenerate_embedding(self):
         D = geo(np.array([[0.0], [1.0], [3.0]]))

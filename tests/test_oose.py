@@ -78,12 +78,10 @@ def reference_isomap_loo(X, mask, k, ell):
     masked = apply_mask(X, mask)
     Y_ref = classical_mds(geodesics(knn_graph(X, k)), ell)
     D_masked = geodesics(knn_graph(masked, k))
-    if not D_masked.connected:
-        raise DisconnectedGraphError("masked graph disconnected")
     Y_oose = np.empty((X.n, ell))
     for i in range(X.n):
         keep = np.delete(np.arange(X.n), i)
-        D_fold = GeodesicDistances(D=D_masked.D[np.ix_(keep, keep)], connected=True)
+        D_fold = GeodesicDistances(D=D_masked.D[np.ix_(keep, keep)])
         Y_train = classical_mds(D_fold, ell)
         res = isomap_oose(drop_point(masked, i), D_fold, Y_train, masked.points[i], k)
         Z = np.insert(Y_train.Y, i, res, axis=0)
@@ -267,6 +265,16 @@ class TestLeaveOneOut:
         exact = leave_one_out(ref, "isomap", ref, exact_folds=True)
         assert exact == pytest.approx(fast, abs=1e-8)
 
+    def test_isomap_exact_folds_need_no_connected_masked_graph(self):
+        # the masked k=2 graph splits the values {1, 2, 3} from {7, 11, 11},
+        # but every fold's own graph, one point short, is connected
+        X = DataMatrix(points=np.array([[2, 3], [11, 2], [11, 10], [1, 6], [3, 5], [7, 10]], float))
+        masked = Reference(apply_mask(X, Mask(selected=(0,), d=2)), 2, ell=1)
+        with pytest.raises(DisconnectedGraphError):
+            masked.geodesics
+        value = leave_one_out(masked, "isomap", Reference(X, 2, ell=1), exact_folds=True)
+        assert value == pytest.approx(1.4923, abs=1e-4)
+
     def test_lle_reports_nonnegative(self, rng):
         X = DataMatrix(points=rng.random((25, 4)))
         value = masked_loo(X, full_mask(4), "lle", knn_graph(X, 4), ell=2)
@@ -332,6 +340,9 @@ class TestLeaveOneOut:
         X = DataMatrix(points=rng.random((10, 3)))
         with pytest.raises(ParameterError, match=r"must be in \[1, 7\], got 8$"):
             masked_loo(X, full_mask(3), "lle", knn_graph(X, 2), ell=8)
+        # checked before the folds' (n, n, ell) stack is allocated
+        with pytest.raises(ParameterError, match=r"must be in \[1, 7\], got -1$"):
+            masked_loo(X, full_mask(3), "lle", knn_graph(X, 2), ell=-1)
         assert np.isfinite(masked_loo(X, full_mask(3), "lle", knn_graph(X, 2), ell=7))
 
     def test_lle_eigensolver_failure_is_numerical_error(self, small_blob, monkeypatch):
@@ -467,7 +478,7 @@ def count_dense_folds(monkeypatch):
 def dense_fold(D, f, ell):
     """classical_mds of fold f: the geodesics ``D`` without point f."""
     keep = np.arange(D.n) != f
-    return classical_mds(GeodesicDistances(D=D.D[np.ix_(keep, keep)], connected=True), ell)
+    return classical_mds(GeodesicDistances(D=D.D[np.ix_(keep, keep)]), ell)
 
 
 def polygon(n, height=0.0):
