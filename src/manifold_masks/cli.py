@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DataMatrix, load_dataset, read_key_values, synth_dataset
-from .embeddings import lle_embed
+from .embeddings import _scipy, lle_embed
 from .errors import (
     CapacityError,
     ManifoldMasksError,
@@ -284,8 +284,11 @@ def _score_all(score, masks: list[Mask]) -> list[dict[tuple[str, str], float]]:
 
     global _SCORE
     _SCORE = score
-    # fork, since forkserver and spawn would import SciPy again in each
-    # worker; the pool forks every worker before it starts its own thread
+    # SciPy is imported on first use: load it once here, or every worker
+    # would import it again. Fork, since forkserver and spawn would import
+    # it again too; the pool forks every worker before it starts its own
+    # thread
+    _scipy()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         chunksize = max(1, len(masks) // (4 * workers))

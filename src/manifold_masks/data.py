@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -11,6 +12,7 @@ import numpy as np
 from .errors import (
     FormatError,
     MetadataError,
+    NumericalError,
     ParameterError,
 )
 
@@ -63,6 +65,15 @@ class DataMatrix:
             raise ParameterError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
         if not np.all(np.isfinite(pts)):
             raise ParameterError("points contain non-finite values")
+        # every sum of squares the package forms (of entries or differences:
+        # distances, secant norms, variances) is at most 4 max(n, d) max|x|^2;
+        # Python floats overflow to inf without a warning
+        top = max(float(pts.max()), -float(pts.min()))
+        if not math.isfinite(4.0 * max(n, d) * top * top):
+            raise NumericalError(
+                f"squares of the data overflow: largest |x| is {top:g} with n={n}, d={d}; "
+                "rescale the data"
+            )
         if self.image_shape is not None:
             h, w = _integer_pair("image_shape", self.image_shape)
             if h * w != d:
@@ -224,7 +235,9 @@ def blob_image(g: int, center, radius: float) -> np.ndarray:
     center = np.asarray(center, dtype=np.float64)
     cy, cx = center[..., 0, None, None], center[..., 1, None, None]
     axis = np.arange(g, dtype=np.float64)
-    img = np.exp(-((axis[:, None] - cy) ** 2 + (axis - cx) ** 2) / (2.0 * radius**2))
+    # a tiny radius overflows the exponent to -inf, whose exp is the exact 0
+    with np.errstate(over="ignore"):
+        img = np.exp(-((axis[:, None] - cy) ** 2 + (axis - cx) ** 2) / (2.0 * radius**2))
     return img.reshape(center.shape[:-1] + (g * g,))
 
 
@@ -273,8 +286,12 @@ def synth_dataset(kind: str, n: int, seed: int, **options) -> DataMatrix:
         if g < 2:
             raise ParameterError(f"blob grid side must be >= 2, got {g}")
         radius = float(options.get("radius", 3.0 * g / 16.0))
-        if radius <= 0:
-            raise ParameterError(f"blob radius must be positive, got {radius}")
+        # blob_image divides by radius**2, which must neither overflow nor
+        # underflow to zero; a float product never raises, and a NaN fails
+        if not (radius > 0 and 0 < radius * radius < np.inf):
+            raise ParameterError(
+                f"blob radius must be positive with a positive finite square, got {radius}"
+            )
         centers = rng.random((n, 2)) * g
         points = blob_image(g, centers, radius)
         return DataMatrix(points=points, image_shape=(g, g), params=centers)

@@ -7,9 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.csgraph import shortest_path
 
 from .data import DataMatrix, NeighborGraph
 from .errors import DisconnectedGraphError, NumericalError, ParameterError
@@ -68,6 +65,17 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(np.take_along_axis(vectors, top, axis=-2) < 0, -vectors, vectors)
 
 
+def _scipy():
+    """SciPy, with the modules this package calls loaded: ``linalg`` (the
+    eigensolver) and ``sparse.csgraph`` (Dijkstra). They are imported on
+    first use, since at module level they would take about half of every
+    command's start-up, and most commands never call them."""
+    import scipy.linalg
+    import scipy.sparse.csgraph
+
+    return scipy
+
+
 def geodesics(G: NeighborGraph) -> GeodesicDistances:
     """Shortest-path distances over the OR-symmetrized k-NN graph.
 
@@ -77,11 +85,13 @@ def geodesics(G: NeighborGraph) -> GeodesicDistances:
     since a sparse graph reads a missing entry as no edge. A disconnected
     graph raises DisconnectedGraphError.
     """
+    scipy = _scipy()
     n, k = G.neighbors.shape
-    table = sp.csr_matrix(
+    table = scipy.sparse.csr_matrix(
         (G.distances.ravel(), G.neighbors.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n)
     )
-    return GeodesicDistances(D=shortest_path(table, method="D", directed=False))
+    D = scipy.sparse.csgraph.shortest_path(table, method="D", directed=False)
+    return GeodesicDistances(D=D)
 
 
 def _double_center(D: GeodesicDistances) -> np.ndarray:
@@ -134,6 +144,8 @@ def _local_grams(neighborhoods: np.ndarray, points: np.ndarray) -> np.ndarray:
 def _solve_weights(C: np.ndarray, reg: float) -> np.ndarray:
     """Constrained least-squares weights from a ``(b, k, k)`` stack of local
     Gram matrices: each row of the ``(b, k)`` result sums to 1."""
+    if not 0 <= reg < np.inf:  # a NaN fails this too
+        raise ParameterError(f"reg must be finite and >= 0, got {reg}")
     k = C.shape[1]
     trace = np.trace(C, axis1=1, axis2=2)
     ridge = np.where(trace > 0, reg * (trace / k), reg)
@@ -155,8 +167,6 @@ def lle_weights(X: DataMatrix, G: NeighborGraph, reg: float = 1e-3) -> LleWeight
     Each row solves the regularized local Gram system over the point's k
     neighbors and is normalized to sum to 1.
     """
-    if reg < 0:
-        raise ParameterError(f"reg must be >= 0, got {reg}")
     C = _local_grams(X.points[G.neighbors], X.points)
     return LleWeights(neighbors=G.neighbors, weights=_solve_weights(C, reg))
 
@@ -193,7 +203,7 @@ def _lle_matrix(neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _syevr(n: int):
     """LAPACK's dsyevr for an ``(n, n)`` matrix's lower triangle, with the
     workspace that SciPy's ``eigh`` queries for it."""
-    solve, query = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"))
+    solve, query = _scipy().linalg.get_lapack_funcs(("syevr", "syevr_lwork"))
     work, iwork, info = query(n, lower=1)
     if info:
         raise NumericalError(f"eigensolver workspace query failed (LAPACK info {info})")

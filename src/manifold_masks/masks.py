@@ -8,8 +8,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .data import DataMatrix, _integer
 from .errors import CapacityError, DegenerateDataError, ParameterError
@@ -200,6 +198,10 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     of points at a time (``_reduce_rows``). Points follow a cache-friendly
     order, which changes only the order in which a score sums over points.
     """
+    # imported here: at module level they would add to every command's start-up
+    from scipy import sparse
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     n, c, d = B.n, B.c, B.d
     _check_m(m, d)
     alpha, alpha_norm = _clique_alpha(B)

@@ -3,6 +3,9 @@ import importlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from manifold_masks.masks import (
     exact_mask_global,
     load_mask,
     maps_global,
+    maps_local,
     pcoa,
     random_mask,
     save_mask,
@@ -646,6 +650,81 @@ class TestOneRunOneGraph:
         assert results.read_bytes() == b"a,b\r\n1,2\r\n"
 
 
+class TestNumbersOutOfRange:
+    """A number that would overflow or turn to NaN on its way fails where it
+    enters, with one error line, no warning and nothing written."""
+
+    BLOB = "translating_blob:n=40,g=8,seed=1"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("reg", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("evaluate", []), ("oose", ["--methods", "lle"]), ("oose", ["--methods", "gaze"])],
+    )
+    def test_non_finite_reg(self, tmp_path, capsys, reg, command, extra):
+        # nan exited 3 ("LLE weights are not finite"); inf warned first
+        code = run(
+            command,
+            "--synth", self.BLOB,
+            "--algorithms", "pcoa,random", "--trials", "2",
+            "--sizes", "3",
+            "--k", "6",
+            "--reg", reg,
+            "--out-dir", tmp_path,
+            *extra,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: reg must be finite and >= 0, got {reg}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radius", ["1e300", "1e-300"])
+    @pytest.mark.parametrize("command", ["synth", "mask"])
+    def test_radius_without_a_positive_finite_square(self, tmp_path, capsys, radius, command):
+        # 1e300 died with an OverflowError traceback; 1e-300 warned, then
+        # blamed a zero-norm clique secant
+        spec = f"{self.BLOB},radius={radius}"
+        out = tmp_path / "out"
+        if command == "synth":
+            code = run("synth", "--synth", spec, "--out", out)
+        else:
+            code = run("mask", "--synth", spec, "--algorithms", "maps_global",
+                       "--sizes", "3", "--k", "6", "--out-dir", out)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: blob radius must be positive with a positive finite square, "
+            f"got {float(radius)}\n"
+        )
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mask", "--algorithms", "maps_global"],
+            ["mask", "--algorithms", "maps_local"],
+            ["mask", "--algorithms", "pcoa"],
+            ["evaluate", "--algorithms", "pcoa", "--k-lle", "2", "--np-k", "2", "--l", "1"],
+            ["oose", "--algorithms", "pcoa", "--methods", "isomap,lle", "--l", "1"],
+        ],
+        ids=["maps_global", "maps_local", "pcoa", "evaluate", "oose"],
+    )
+    def test_data_whose_squares_overflow(self, tmp_path, capsys, argv):
+        # evaluate blamed a disconnected graph, the secant selectors a
+        # zero-norm secant (0, 0), and pcoa chose from infinite variances
+        data = tmp_path / "big.csv"
+        data.write_text("1e308,0,1\n-1e308,1,0\n0,1e308,2\n3,-1e308,1\n1,2,3\n")
+        out = tmp_path / "out"
+        code = run(*argv, "--data", data, "--sizes", "2", "--k", "2", "--out-dir", out)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: squares of the data overflow: largest |x| is 1e+308 with n=5, d=3; "
+            "rescale the data\n"
+        )
+        assert not out.exists()
+
+
 class TestForkedScoring:
     """evaluate and oose score a run's masks in one forked worker per CPU
     (``cli._cpus``, patched here), and write the same bytes, exit code and
@@ -768,6 +847,93 @@ class TestForkedScoring:
     def test_serial_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert cli._cpus() == 1
+
+
+class TestStartUp:
+    """SciPy is imported on first use, so a command that never calls it
+    never loads it, and evaluate and oose load it once, before their
+    scoring workers fork. Each check runs in a fresh interpreter: this one
+    has loaded SciPy already."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+    # prints the outcome of a main() call and then the SciPy modules loaded
+    MAIN = """
+import sys
+from manifold_masks.cli import main
+try:
+    code = main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+print(code, sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+    def fresh(self, code, cwd):
+        """What ``code`` prints in a fresh interpreter importing this checkout."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "code",
+        ["import manifold_masks", "import manifold_masks.cli as cli; cli.make_parser()"],
+    )
+    def test_import_loads_no_scipy(self, tmp_path, code):
+        loaded = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        assert self.fresh(f"import sys; {code}; {loaded}", tmp_path) == "[]"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--help"], 0),
+            (["mask", "--trials", "2"], 2),  # a usage error
+            (["synth", "--synth", "translating_blob:n=20,g=3,seed=1", "--out", "blob"], 0),
+            *[
+                (["mask", "--synth", "translating_blob:n=20,g=3,seed=1", "--algorithms",
+                  algorithm, "--sizes", "1,2", "--k", "4", "--out-dir", "masks"], 0)
+                for algorithm in ("maps_global", "pcoa", "random", "exact_global", "exact_local")
+            ],
+        ],
+        ids=["help", "usage", "synth", "maps_global", "pcoa", "random", "exact_global",
+             "exact_local"],
+    )
+    def test_command_loads_no_scipy(self, tmp_path, argv, expected):
+        assert self.fresh(self.MAIN.format(argv=argv), tmp_path) == f"{expected} []"
+
+    def test_maps_local_loads_scipy_and_writes_the_same_masks(self, tmp_path):
+        spec = "translating_blob:n=40,g=6,seed=1"
+        argv = ["mask", "--synth", spec, "--algorithms", "maps_local",
+                "--sizes", "4,8", "--k", "6", "--out-dir", "masks"]
+        code, loaded = self.fresh(self.MAIN.format(argv=argv), tmp_path).split(" ", 1)
+        assert code == "0" and "'scipy.sparse.csgraph'" in loaded
+        X = synth_dataset("translating_blob", 40, seed=1, g=6)
+        expected = maps_local(build_clique_array(X, knn_graph(X, 6)), 8)
+        # the mask written when the package imported SciPy at start-up
+        assert expected.selected == (29, 33, 22, 8, 4, 1, 34, 15)
+        for m in (4, 8):
+            assert load_mask(tmp_path / "masks" / f"mask_{m}.json") == expected.prefix(m)
+
+    def test_scoring_workers_inherit_scipy(self, tmp_path):
+        code = """
+import os, sys
+from manifold_masks import cli
+from manifold_masks.masks import Mask
+
+parent = os.getpid()
+cli._cpus = lambda: 2
+
+def score(mask):  # run in a worker, which has not imported SciPy itself
+    return (
+        os.getpid() != parent,
+        "scipy.linalg" in sys.modules and "scipy.sparse.csgraph" in sys.modules,
+    )
+
+print(cli._score_all(score, [Mask((j,), 4) for j in range(4)]))
+"""
+        assert self.fresh(code, tmp_path) == str([(True, True)] * 4)
 
 
 class TestConfigMerging:

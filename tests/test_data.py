@@ -13,7 +13,9 @@ from manifold_masks.data import (
     save_binary,
     synth_dataset,
 )
-from manifold_masks.errors import FormatError, MetadataError, ParameterError
+from manifold_masks.errors import FormatError, MetadataError, NumericalError, ParameterError
+from manifold_masks.masks import pcoa
+from manifold_masks.secants import build_clique_array
 
 
 def stable_sort_knn(points, k):
@@ -170,6 +172,19 @@ class TestSynthDataset:
         with pytest.raises(ParameterError, match="seed must be an integer"):
             synth_dataset("swiss_roll", 30, True)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radius", [1e300, 1e-300, float("nan")])
+    def test_radius_without_a_positive_finite_square_rejected(self, radius):
+        # 1e300 raised OverflowError from radius**2; 1e-300 squared to zero
+        # and divided by it with a RuntimeWarning
+        with pytest.raises(ParameterError, match="blob radius must be positive"):
+            synth_dataset("translating_blob", 40, 1, g=8, radius=radius)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_radius_renders_exact_zeros(self):
+        # the exponent overflows to -inf, whose exp is the exact 0
+        assert not np.any(blob_image(8, [[3.5, 3.5]], 1e-154))
+
     def test_bad_options(self):
         with pytest.raises(ParameterError):
             synth_dataset("translating_blob", 10, seed=0, g=8, bogus=1)
@@ -177,6 +192,35 @@ class TestSynthDataset:
             synth_dataset("no_such_kind", 10, seed=0)
         with pytest.raises(ParameterError):
             synth_dataset("swiss_roll", 1, seed=0)
+
+
+class TestOverflowingSquares:
+    """Data whose sums of squares would overflow is rejected when it is
+    built: below the bound 4 max(n, d) max|x|^2, no sum of squares that the
+    package forms overflows."""
+
+    @pytest.mark.parametrize("n, d", [(5, 3), (3, 8)])
+    def test_rejected(self, n, d):
+        points = np.zeros((n, d))
+        points[1, 2] = -1e308
+        with pytest.raises(NumericalError, match="squares of the data overflow"):
+            DataMatrix(points=points)
+        # the bound depends on max(n, d)
+        points[1, 2] = -(np.finfo(float).max / (4 * max(n, d))) ** 0.5 * 1.001
+        with pytest.raises(NumericalError, match="overflow"):
+            DataMatrix(points=points)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, d", [(6, 3), (5, 8)])
+    def test_largest_accepted_values_overflow_nowhere(self, n, d):
+        top = (np.finfo(float).max / (4 * max(n, d))) ** 0.5 * 0.999
+        # every entry at +-top, signs from the bits of the row index, so the
+        # rows differ: the largest differences and variances
+        signs = 2.0 * ((np.arange(n)[:, None] >> np.arange(d)) & 1) - 1.0
+        X = DataMatrix(points=top * signs)
+        assert np.all(np.isfinite(pairwise_distances(X.points)))
+        pcoa(X, 1)
+        assert np.all(np.isfinite(build_clique_array(X, knn_graph(X, 2)).B))
 
 
 class TestPairwiseDistances:

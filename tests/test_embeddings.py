@@ -302,6 +302,14 @@ class TestLleWeights:
         with pytest.raises(ParameterError):
             lle_weights(X, knn_graph(X, 2), reg=-1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("reg", [float("nan"), float("inf")])
+    def test_non_finite_reg_rejected(self, rng, reg):
+        # nan gave "LLE weights are not finite" (exit 3), inf a RuntimeWarning first
+        X = DataMatrix(points=rng.random((10, 3)))
+        with pytest.raises(ParameterError, match="reg must be finite and >= 0"):
+            lle_weights(X, knn_graph(X, 2), reg=reg)
+
     @pytest.mark.parametrize("k, d", [(8, 3), (4, 10)])
     def test_rows_match_per_row_solve(self, rng, k, d):
         # with k > d the local Gram is singular and the ridge sets the weights

@@ -222,6 +222,18 @@ class TestEstimateParameters:
         with pytest.raises(ParameterError):
             estimate_parameters(train, rng.random(3), k=3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("reg", [-1.0, float("nan"), float("inf")])
+    def test_bad_reg_rejected(self, rng, reg):
+        # lle_oose and estimate_parameters solve the same weights as lle_weights
+        train = DataMatrix(points=rng.random((10, 3)), params=rng.random((10, 2)))
+        Y = Embedding(Y=rng.random((10, 2)), eigenvalues=np.ones(2))
+        x = rng.random(3)
+        with pytest.raises(ParameterError, match="reg must be finite and >= 0"):
+            estimate_parameters(train, x, k=3, reg=reg)
+        with pytest.raises(ParameterError, match="reg must be finite and >= 0"):
+            lle_oose(train, Y, x, k=3, reg=reg)
+
 
 class TestLleFoldWeights:
     @settings(max_examples=100, deadline=None)

@@ -66,3 +66,40 @@ def test_only_embeddings_reaches_scipy_linalg(module):
     """embeddings._eigenpairs is the package's one symmetric eigensolver, so
     no other module reaches SciPy's dense linear algebra."""
     assert scipy_linalg_references(module.read_text(encoding="utf-8")) == []
+
+
+def module_level_scipy_imports(source: str) -> list[int]:
+    """Lines of statements that import SciPy when the module is imported:
+    any outside a function body."""
+    lines, stack = [], list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # its body runs only when it is called
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            lines.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+def test_finds_module_level_scipy_imports():
+    source = (
+        "import scipy.sparse\nfrom scipy import linalg\nimport numpy\n"
+        "try:\n    import scipy\nexcept ImportError:\n    pass\n"
+        "def f():\n    import scipy.linalg\n"
+        "class C:\n    def g(self):\n        from scipy import sparse\n    import scipy.sparse\n"
+    )
+    assert module_level_scipy_imports(source) == [1, 2, 5, 13]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_import(module):
+    """SciPy is imported on first use: at module level it would take about
+    half of every command's start-up."""
+    assert module_level_scipy_imports(module.read_text(encoding="utf-8")) == []
