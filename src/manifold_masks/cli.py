@@ -12,6 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# _cpus is read through the module, so patching masks._cpus reaches both
+# kinds of forked worker: the scoring pool's and maps_local's helpers
+from . import masks as _masks
 from .data import DataMatrix, load_dataset, read_key_values, synth_dataset
 from .embeddings import _scipy, lle_embed
 from .errors import (
@@ -74,6 +77,8 @@ class RunConfig:
             raise ParameterError(f"mask sizes must be strictly increasing, got {self.sizes}")
         if self.trials < 1:
             raise ParameterError(f"trials must be at least 1, got {self.trials}")
+        if not 0 <= self.reg < math.inf:  # a NaN fails this too
+            raise ParameterError(f"reg must be finite and >= 0, got {self.reg}")
         if self.p not in NORMS:
             raise ParameterError(f"unknown norm p={self.p!r}; choose from {NORMS}")
         for name in self.algorithms:
@@ -256,12 +261,6 @@ def full_references(cfg: RunConfig, X: DataMatrix) -> dict[int, Reference]:
     return refs
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on; 1 where the OS cannot say (macOS
-    and Windows, where fork is unsafe or missing)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 _SCORE = None  # the run's score function, which forked workers inherit
 
 
@@ -275,7 +274,7 @@ def _score_all(score, masks: list[Mask]) -> list[dict[tuple[str, str], float]]:
     worker per CPU, at most one per mask. The workers fork here, after every
     full-data reference is built, so they inherit them, and only masks and
     scores cross their pipes. Every worker is reaped before this returns."""
-    workers = min(_cpus(), len(masks))
+    workers = min(_masks._cpus(), len(masks))
     if workers < 2:
         return list(map(score, masks))
     # imported here: at module level they would add to every command's start-up

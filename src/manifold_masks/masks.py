@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -181,6 +182,99 @@ def maps_global(B: CliqueSecantArray, m: int, p: str = "L1") -> Mask:
     return Mask(selected=tuple(selected), d=d)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS cannot say (macOS
+    and Windows, where fork is unsafe or missing). Both kinds of forked
+    worker read it: ``maps_local``'s helpers and ``cli._score_all``'s."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class _LocalRows:
+    """``maps_local``'s similarity rows for the points ``[lo, hi)`` of its
+    point order: their two per-candidate constants, ``||B_j||^2`` and
+    ``<B_j, alpha>``, and the masked clique vectors ``theta``. A row reads
+    only its own point's clique, so rows computed in different processes
+    are bitwise the rows one process computes. ``S`` is the product matrix,
+    whose data this overwrites."""
+
+    def __init__(self, B: CliqueSecantArray, S, rows, alpha, alpha_norm, lo: int, hi: int):
+        self.store, self.S, self.rows = B.B, S, rows
+        self.alpha, self.alpha_norm = alpha, alpha_norm
+        self.lo, self.hi = lo, hi
+        # the squares go a column block at a time, never a second (P, d) array
+        self.b_sq = np.empty((hi - lo, B.d))
+        ones = S[lo:hi]
+        step = max(1, CHUNK_ENTRIES // len(B.B))
+        for j in range(0, B.d, step):
+            self.b_sq[:, j : j + step] = ones @ np.square(B.B[:, j : j + step])
+        S.data[:] = alpha.T.ravel()
+        self.cross_alpha = S[lo:hi] @ B.B
+        # theta spans every point, so its column sums add in the same order
+        # in every process; only the columns of [lo, hi) are kept up to date
+        self.theta = np.zeros((B.c, B.n))
+        self.empty = True
+
+    def start_step(self) -> None:
+        theta = self.theta
+        self.theta_alpha = np.sum(theta * self.alpha, axis=0)
+        self.theta_sq = np.sum(theta**2, axis=0)
+        self.S.data[:] = theta.T.ravel()
+
+    def similarities(self, a: int, b: int, out: np.ndarray) -> None:
+        """Cosine similarities of points [a, b) with every candidate added."""
+        lo, alpha_norm = self.lo, self.alpha_norm
+        if self.empty:
+            den = self.b_sq[a - lo : b - lo].copy()  # theta = 0
+        else:
+            # ||theta + B_j||^2 = ||theta||^2 + 2 <B_j, theta> + ||B_j||^2
+            den = self.S[a:b] @ self.store
+            den *= 2.0
+            den += self.theta_sq[a:b, None]
+            den += self.b_sq[a - lo : b - lo]
+        den[den <= 0.0] = np.inf  # an all-zero masked vector has similarity 0
+        np.sqrt(den, out=den)
+        den *= alpha_norm[a:b, None]
+        np.add(self.cross_alpha[a - lo : b - lo], self.theta_alpha[a:b, None], out=out)
+        out /= den
+
+    def add(self, choice: int) -> None:
+        lo, hi = self.lo, self.hi
+        self.theta[:, lo:hi] += self.store[self.rows[lo:hi], choice].T
+        self.empty = False
+
+
+def _fork_helper(serve, inherited: list[int], *args) -> tuple[int, int, int]:
+    """Fork a process that runs ``serve(*args, commands, replies)`` on the
+    read end of one pipe from this process and the write end of one pipe to
+    it, and then exits; returns its pid and this process's two ends. The helper
+    closes ``inherited``, the ends held for earlier helpers, so that each
+    helper sees end of file on its commands when this process closes them.
+
+    A fork, not a spawn: the helper reads this process's store in place.
+    That is safe with BLAS threads running, since a helper calls only NumPy
+    elementwise kernels and SciPy's sparse products, never BLAS."""
+    commands, to_helper = os.pipe()
+    from_helper, replies = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (commands, to_helper, from_helper, replies):
+            os.close(fd)
+        raise
+    if pid == 0:  # never returns: os._exit skips the caller's clean-up
+        status = 1
+        try:
+            for fd in (to_helper, from_helper, *inherited):
+                os.close(fd)
+            serve(*args, commands, replies)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(commands)
+    os.close(replies)
+    return pid, to_helper, from_helper
+
+
 def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     """Greedy selection maximizing summed cosine similarity between masked
     and full clique secant-norm vectors.
@@ -192,11 +286,21 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     Per-point sums over clique pairs are rows of the sparse product
     ``S @ B.B``: row i of the ``(n, P)`` matrix S puts point i's clique
     weights at its pairs' rows of the store, and the product sums each
-    point's pairs in clique order. Two per-candidate constants are held
-    whole, in the product's ``(n, d)`` layout; each step computes the
-    product, the similarities and their column sum over points one block
-    of points at a time (``_reduce_rows``). Points follow a cache-friendly
-    order, which changes only the order in which a score sums over points.
+    point's pairs in clique order. Two per-candidate constants are held in
+    the product's ``(n, d)`` layout; each step computes the product, the
+    similarities and their column sum over points one block of points at a
+    time (``_reduce_rows``). Points follow a cache-friendly order, which
+    changes only the order in which a score sums over points.
+
+    With several blocks and several CPUs (``_cpus``), the points split into
+    runs of whole blocks, at most one per CPU. This process computes the
+    first run and forks one helper for each later run. A helper keeps its
+    own points' constants, learns each step's choice through a pipe, and
+    writes its similarity rows into memory shared with this process, which
+    copies them into the column sum in point order. So the scores, and the
+    mask, are bitwise the same for any CPU count. A helper that ends before
+    its rows are done raises ``ChildProcessError``; every helper is reaped
+    before this returns or raises.
     """
     # imported here: at module level they would add to every command's start-up
     from scipy import sparse
@@ -216,43 +320,76 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     # copying into it, so it never shares memory with alpha or the store
     S = sparse.csr_matrix((np.ones(n * c), rows.ravel(), indptr), shape=(n, P))
 
-    # per-candidate constants ||B_j||^2 and <B_j, alpha>; the squares go a
-    # column block at a time, never a second (P, d) array
-    b_sq = np.empty((n, d))
-    step = max(1, CHUNK_ENTRIES // P)
-    for j in range(0, d, step):
-        b_sq[:, j : j + step] = S @ np.square(B.B[:, j : j + step])
-    S.data[:] = alpha.T.ravel()
-    cross_alpha = S @ B.B
+    h = max(1, CHUNK_ENTRIES // d)  # points per block, as in _reduce_rows
+    blocks = -(-n // h)
+    workers = min(_cpus(), blocks)
+    # the first point of each process's run of whole blocks; the later runs
+    # are the longer ones when they are uneven, since this process sums too
+    edges = [h * (w * blocks // workers) for w in range(workers)] + [n]
+    mine = edges[1]  # this process computes points [0, mine)
+    if workers > 1:
+        import mmap  # imported here, like SciPy
 
-    theta = np.zeros((c, n))
-    scores = np.empty(d)
-    selected: list[int] = []
+        # one step's rows of every helper, in point order
+        helper_rows = np.frombuffer(mmap.mmap(-1, (n - mine) * d * 8)).reshape(n - mine, d)
 
-    def similarities(a, b, out):  # cosine similarities of points [a, b)
-        if selected:
-            # ||theta + B_j||^2 = ||theta||^2 + 2 <B_j, theta> + ||B_j||^2
-            den = S[a:b] @ B.B
-            den *= 2.0
-            den += theta_sq[a:b, None]
-            den += b_sq[a:b]
-        else:
-            den = b_sq[a:b].copy()  # theta = 0
-        den[den <= 0.0] = np.inf  # an all-zero masked vector has similarity 0
-        np.sqrt(den, out=den)
-        den *= alpha_norm[a:b, None]
-        np.add(cross_alpha[a:b], theta_alpha[a:b, None], out=out)
-        out /= den
+    def serve(lo, hi, commands, replies):  # a helper's steps, points [lo, hi)
+        points = _LocalRows(B, S, rows, alpha, alpha_norm, lo, hi)
+        out = helper_rows[lo - mine : hi - mine]
+        while True:
+            points.start_step()
+            for a in range(lo, hi, h):
+                b = min(a + h, hi)
+                points.similarities(a, b, out[a - lo : b - lo])
+            os.write(replies, b"\0")  # this step's rows are in place
+            choice = os.read(commands, 8)
+            if not choice:  # end of file: no step follows
+                return
+            points.add(int.from_bytes(choice, "little"))
 
-    for _ in range(m):
-        theta_alpha = np.sum(theta * alpha, axis=0)
-        theta_sq = np.sum(theta**2, axis=0)
-        S.data[:] = theta.T.ravel()
-        _reduce_rows(np.add.reduce, similarities, n, scores)
-        scores[selected] = -np.inf
-        choice = int(np.argmax(scores))  # first max = lowest index on ties
-        selected.append(choice)
-        theta += B.B[rows, choice].T
+    helpers: list[tuple[int, int, int]] = []  # pid, pipe end to it, pipe end from it
+    replies: dict[int, tuple[int, int]] = {}  # first point: pipe end from it, last point
+    try:
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            inherited = [fd for _, *ends in helpers for fd in ends]
+            helpers.append(_fork_helper(serve, inherited, lo, hi))
+            replies[lo] = helpers[-1][2], hi
+        own = _LocalRows(B, S, rows, alpha, alpha_norm, 0, mine)
+
+        def similarities(a, b, out):  # this process's rows, or a copy of a helper's
+            if b <= mine:
+                own.similarities(a, b, out)
+                return
+            if a in replies:  # a helper's first block: wait for its rows
+                fd, hi = replies[a]
+                if not os.read(fd, 1):
+                    raise ChildProcessError(
+                        f"maps_local helper for points [{a}, {hi}) of {n} ended "
+                        "before its rows were done"
+                    )
+            np.copyto(out, helper_rows[a - mine : b - mine])
+
+        scores = np.empty(d)
+        selected: list[int] = []
+        for step in range(m):
+            own.start_step()
+            _reduce_rows(np.add.reduce, similarities, n, scores)
+            scores[selected] = -np.inf
+            choice = int(np.argmax(scores))  # first max = lowest index on ties
+            selected.append(choice)
+            if step < m - 1:
+                for _, to_helper, _ in helpers:
+                    try:
+                        os.write(to_helper, choice.to_bytes(8, "little"))
+                    except BrokenPipeError:  # it has ended: its next reply fails
+                        pass
+                own.add(choice)
+    finally:
+        for _, to_helper, from_helper in helpers:
+            os.close(to_helper)  # end of file: the helper exits
+            os.close(from_helper)
+        for pid, *_ in helpers:
+            os.waitpid(pid, 0)
     return Mask(selected=tuple(selected), d=d)
 
 

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,19 @@ def image_blob():
     1 MB blocks (d=576), with its k=8 graph."""
     X = synth_dataset("translating_blob", 400, seed=1, g=24)
     return X, knn_graph(X, 8)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per os.fork call of the test's process."""
+    calls, fork = [], os.fork
+
+    def counting():
+        calls.append("fork")  # before forking, so only this process counts
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
 
 
 # bytes in one block of the selector-side work: CHUNK_ENTRIES float64

@@ -22,6 +22,7 @@ from manifold_masks.embeddings import (
 )
 from manifold_masks.masks import (
     Mask,
+    _cpus,
     apply_mask,
     exact_mask_global,
     load_mask,
@@ -45,6 +46,17 @@ from conftest import fail_eigensolver
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def fresh_python(code, cwd, timeout=None):
+    """``code`` run to exit in a fresh interpreter importing this checkout."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True,
+        timeout=timeout,
+    )
 
 
 class TestSynthCommand:
@@ -139,6 +151,42 @@ class TestMaskCommand:
             ) == 0
         assert (out1 / "mask_3.json").read_bytes() == (out2 / "mask_3.json").read_bytes()
         assert load_mask(out1 / "mask_3.json").selected == random_mask(64, 3, 7).selected
+
+    @pytest.mark.parametrize(
+        "failure", ['raise RuntimeError("helper failed")', "os._exit(1)"], ids=["raise", "exit"]
+    )
+    def test_maps_local_helper_failure_exit_code(self, tmp_path, failure):
+        # a fresh interpreter, so that every line the command and its helper
+        # write to stderr is seen; the helper fails on its first choice
+        code = f"""
+import os, sys
+from manifold_masks import masks
+from manifold_masks.cli import main
+
+masks.CHUNK_ENTRIES = 10 * 64  # the 40 points take 4 blocks
+masks._cpus = lambda: 2
+parent, add = os.getpid(), masks._LocalRows.add
+
+def failing(self, choice):
+    if os.getpid() != parent:
+        {failure}
+    add(self, choice)
+
+masks._LocalRows.add = failing
+code = main(["mask", "--synth", "translating_blob:n=40,g=8,seed=1", "--algorithms",
+             "maps_local", "--sizes", "2,4", "--k", "6", "--out-dir", "masks"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:  # no child left
+    sys.exit(code)
+sys.exit(99)
+"""
+        proc = fresh_python(code, tmp_path, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: maps_local helper for points [20, 40) of 40 ended before its rows were done\n"
+        )
+        assert list((tmp_path / "masks").iterdir()) == []
 
     def test_exhaustive_search_capacity_exit_code(self, tmp_path):
         # C(64, 5) subsets is past the exhaustive-search budget
@@ -678,6 +726,34 @@ class TestNumbersOutOfRange:
         assert capsys.readouterr().err == f"error: reg must be finite and >= 0, got {reg}\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("reg", ["nan", "-1"])
+    @pytest.mark.parametrize(
+        "command, extra", [("evaluate", []), ("oose", ["--methods", "gaze"])]
+    )
+    def test_reg_checked_before_any_work(
+        self, tmp_path, monkeypatch, capsys, reg, command, extra
+    ):
+        # evaluate built the full-data graph, and oose selected every mask and
+        # forked its scoring workers, before the first weight solve failed;
+        # both left an empty out-dir
+        loads = []
+        monkeypatch.setattr(cli, "_load_for_masks", lambda *args: loads.append(args))
+        out = tmp_path / "e1"
+        code = run(
+            command,
+            "--synth", self.BLOB,
+            "--algorithms", "pcoa",
+            "--sizes", "3",
+            "--k", "6",
+            "--reg", reg,
+            "--out-dir", out,
+            *extra,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: reg must be finite and >= 0, got {float(reg)}\n"
+        assert loads == []
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("radius", ["1e300", "1e-300"])
     @pytest.mark.parametrize("command", ["synth", "mask"])
@@ -727,26 +803,14 @@ class TestNumbersOutOfRange:
 
 class TestForkedScoring:
     """evaluate and oose score a run's masks in one forked worker per CPU
-    (``cli._cpus``, patched here), and write the same bytes, exit code and
+    (``masks._cpus``, patched here), and write the same bytes, exit code and
     message whatever the count; no worker outlives the run."""
 
     SYNTH = "translating_blob:n=40,g=6,seed={seed}"
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """One entry per os.fork call of the test's process."""
-        calls, fork = [], os.fork
-
-        def counting():
-            calls.append("fork")  # before forking, so only this process counts
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting)
-        return calls
-
     @staticmethod
     def run_with(monkeypatch, cpus, *argv):
-        monkeypatch.setattr("manifold_masks.cli._cpus", lambda: cpus)
+        monkeypatch.setattr("manifold_masks.masks._cpus", lambda: cpus)
         return run(*argv)
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -846,7 +910,7 @@ class TestForkedScoring:
 
     def test_serial_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert cli._cpus() == 1
+        assert _cpus() == 1
 
 
 class TestStartUp:
@@ -855,7 +919,6 @@ class TestStartUp:
     scoring workers fork. Each check runs in a fresh interpreter: this one
     has loaded SciPy already."""
 
-    SRC = Path(__file__).resolve().parents[1] / "src"
     # prints the outcome of a main() call and then the SciPy modules loaded
     MAIN = """
 import sys
@@ -869,11 +932,7 @@ print(code, sorted(m for m in sys.modules if m.startswith("scipy")))
 
     def fresh(self, code, cwd):
         """What ``code`` prints in a fresh interpreter importing this checkout."""
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True
-        )
+        proc = fresh_python(code, cwd)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1]
 
@@ -903,6 +962,25 @@ print(code, sorted(m for m in sys.modules if m.startswith("scipy")))
     def test_command_loads_no_scipy(self, tmp_path, argv, expected):
         assert self.fresh(self.MAIN.format(argv=argv), tmp_path) == f"{expected} []"
 
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import manifold_masks.cli as cli; cli.make_parser()",
+            "from manifold_masks.cli import main; main(['mask', '--synth', "
+            "'translating_blob:n=20,g=3,seed=1', '--algorithms', 'maps_global', "
+            "'--sizes', '1,2', '--k', '4', '--out-dir', 'masks'])",
+        ],
+        ids=["make_parser", "mask_maps_global"],
+    )
+    def test_loads_no_process_modules(self, tmp_path, code):
+        # the modules of forked work are imported where a process forks
+        # (cli._score_all, masks.maps_local), never at start-up
+        loaded = (
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'mmap')))"
+        )
+        assert self.fresh(f"import sys; {code}; {loaded}", tmp_path) == "[]"
+
     def test_maps_local_loads_scipy_and_writes_the_same_masks(self, tmp_path):
         spec = "translating_blob:n=40,g=6,seed=1"
         argv = ["mask", "--synth", spec, "--algorithms", "maps_local",
@@ -919,11 +997,11 @@ print(code, sorted(m for m in sys.modules if m.startswith("scipy")))
     def test_scoring_workers_inherit_scipy(self, tmp_path):
         code = """
 import os, sys
-from manifold_masks import cli
+from manifold_masks import cli, masks
 from manifold_masks.masks import Mask
 
 parent = os.getpid()
-cli._cpus = lambda: 2
+masks._cpus = lambda: 2
 
 def score(mask):  # run in a worker, which has not imported SciPy itself
     return (

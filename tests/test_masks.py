@@ -1,6 +1,8 @@
 import json
+import os
+import signal
 import warnings
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from manifold_masks import masks
-from manifold_masks.data import DataMatrix, knn_graph
+from manifold_masks.data import DataMatrix, knn_graph, synth_dataset
 from manifold_masks.errors import CapacityError, ParameterError
 from manifold_masks.masks import (
     NORMS,
@@ -447,10 +449,14 @@ class TestBlockedSelectors:
             dense[:, 2, :4] = 0.0  # column 2 vanishes on the cliques of points 0-3
             dense[:, 5, 3:6] = 0.0
             B = store_from_dense(dense)
-        for h in block_rows(B.n).values():
+        # with several CPUs, the points split into runs of blocks, one per
+        # process, and the parent copies the helpers' rows into the column
+        # sum in point order
+        for h, cpus in product(block_rows(B.n).values(), (1, 2, 3)):
             with monkeypatch.context() as patch:
                 # b_sq's column blocks read the same constant, in both loops
                 patch.setattr(masks, "CHUNK_ENTRIES", h * B.d)
+                patch.setattr(masks, "_cpus", lambda: cpus)
                 _, steps = blocked_steps(patch, maps_local, B, 8)
                 want = unblocked_maps_local(B, 8)
             assert_steps_equal(steps, want)
@@ -466,6 +472,88 @@ class TestBlockedSelectors:
         assert_steps_equal(steps, unblocked_maps_global(B, 6, "L1"))
         _, steps = blocked_steps(monkeypatch, maps_local, B, 4)
         assert_steps_equal(steps, unblocked_maps_local(B, 4))
+
+
+class TestLocalHelpers:
+    """maps_local forks one helper per extra CPU (``masks._cpus``, patched
+    here), at most one per point block after the first; no helper outlives
+    the call, whether it returns or raises."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Every test here ends within 60 s, even if a helper hangs."""
+
+        def expire(*_):
+            raise TimeoutError("no result within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_image_scale_masks_any_cpu_count(self, monkeypatch, forks, seed):
+        # the benchmark's data: at d=1024 its 800 points take 7 blocks
+        X = synth_dataset("translating_blob", 800, seed=seed, g=32)
+        B = build_clique_array(X, knn_graph(X, 8))
+        chosen = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(masks, "_cpus", lambda: cpus)
+            chosen[cpus] = maps_local(B, 64)
+        assert chosen[2] == chosen[1]
+        assert len(forks) == 1
+        if seed == 1:  # the serial loop's mask, as perfbench/expected holds it
+            assert chosen[1].selected[:16] == (
+                661, 396, 353, 767, 105, 950, 97, 718, 549, 974, 837, 890, 1023, 293, 13, 335
+            )
+        self.assert_no_child()
+
+    @pytest.mark.parametrize(
+        "rows_per_block, cpus, helpers",
+        [(1, 3, 2), (1, 2, 1), (59, 5, 1), (60, 3, 0), (None, 3, 0), (1, 1, 0)],
+        ids=["one-row-3-cpus", "one-row-2-cpus", "two-blocks-5-cpus", "one-block",
+             "default-block", "one-cpu"],
+    )
+    def test_one_fork_per_helper(self, monkeypatch, forks, small_blob, rows_per_block, cpus,
+                                 helpers):
+        B = build_clique_array(small_blob, knn_graph(small_blob, 8))
+        assert B.n == 60
+        if rows_per_block is not None:
+            monkeypatch.setattr(masks, "CHUNK_ENTRIES", rows_per_block * B.d)
+        monkeypatch.setattr(masks, "_cpus", lambda: cpus)
+        maps_local(B, 5)
+        assert len(forks) == helpers
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_helper_failure(self, monkeypatch, small_blob, failure):
+        # a helper fails on its first choice, after its first step's rows
+        B = build_clique_array(small_blob, knn_graph(small_blob, 8))
+        monkeypatch.setattr(masks, "CHUNK_ENTRIES", 20 * B.d)
+        monkeypatch.setattr(masks, "_cpus", lambda: 3)
+        parent, add = os.getpid(), masks._LocalRows.add
+
+        def failing(self, choice):
+            if os.getpid() != parent:
+                if failure == "raise":
+                    raise RuntimeError("helper failed")
+                os._exit(1)
+            add(self, choice)
+
+        monkeypatch.setattr(masks._LocalRows, "add", failing)
+        with pytest.raises(ChildProcessError) as failed:
+            maps_local(B, 5)
+        # the first helper's rows are the first the parent waits for
+        assert str(failed.value) == (
+            "maps_local helper for points [20, 40) of 60 ended before its rows were done"
+        )
+        self.assert_no_child()
 
 
 class TestSelectorProperties:
