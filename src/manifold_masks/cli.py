@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # _cpus is read through the module, so patching masks._cpus reaches both
-# kinds of forked worker: the scoring pool's and maps_local's helpers
+# kinds of forked process: the scoring pool's and the greedy selectors' helpers
 from . import masks as _masks
 from .data import DataMatrix, load_dataset, read_key_values, synth_dataset
 from .embeddings import _scipy, lle_embed
@@ -171,9 +171,12 @@ def _synth_number(key: str, value: str) -> int | float:
     return number
 
 
-def _load_for_masks(cfg: RunConfig) -> tuple[DataMatrix, str]:
+def _load_for_masks(cfg: RunConfig, neighbors: dict[str, int]) -> tuple[DataMatrix, str]:
     """Load the dataset of ``mask``, ``evaluate`` or ``oose`` as (data,
-    dataset id), check that mask sizes were given, and create the out-dir."""
+    dataset id), and check that mask sizes were given and that each
+    neighborhood size in ``neighbors``, keyed by its flag, fits the data.
+    The out-dir is made later, once the command's output is ready to write,
+    so a command that fails leaves none."""
     if cfg.synth:
         X, dataset_id = _synth_from_spec(cfg.synth, cfg.seed), cfg.synth
     elif cfg.data:
@@ -183,7 +186,9 @@ def _load_for_masks(cfg: RunConfig) -> tuple[DataMatrix, str]:
         raise ParameterError("no dataset: provide data= or synth=")
     if not cfg.sizes:
         raise ParameterError("no mask sizes requested")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    for flag, k in neighbors.items():
+        if not 1 <= k <= X.n - 1:
+            raise ParameterError(f"{flag} must be in [1, {X.n - 1}], got {k}")
     return X, dataset_id
 
 
@@ -204,7 +209,9 @@ def mask_plan(cfg: RunConfig, ref: Reference, algorithm: str) -> list[tuple[int,
     elif algorithm == "pcoa":
         full = [pcoa(X, top)]
     else:
-        B = build_clique_array(X, ref.G)
+        # the global selectors read only the store's neighbor rows
+        global_only = algorithm in ("maps_global", "exact_global")
+        B = build_clique_array(X, ref.G, neighbors_only=global_only)
         if algorithm == "maps_global":
             full = [maps_global(B, top, cfg.p)]
         elif algorithm == "maps_local":
@@ -238,10 +245,14 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 def cmd_mask(cfg: RunConfig, args) -> int:
     if len(cfg.algorithms) != 1:
         raise ParameterError(f"mask takes one algorithm, got {','.join(cfg.algorithms)!r}")
-    X, _ = _load_for_masks(cfg)
+    algorithm = cfg.algorithms[0]
+    # pcoa and random read no graph, so they leave --k unchecked
+    X, _ = _load_for_masks(cfg, {} if algorithm in ("pcoa", "random") else {"--k": cfg.k})
     ref = Reference(X, cfg.k, cfg.l)
     # one draw: a random mask file is the one seeded cfg.seed
-    for m, [mask] in mask_plan(replace(cfg, trials=1), ref, cfg.algorithms[0]):
+    plan = mask_plan(replace(cfg, trials=1), ref, algorithm)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    for m, [mask] in plan:
         path = os.path.join(cfg.out_dir, f"mask_{m}.json")
         save_mask(path, mask)
         print(f"wrote {path}")
@@ -319,6 +330,7 @@ def _score_plans(cfg: RunConfig, ref: Reference, dataset_id: str, score, results
             if algorithm == "random":
                 row["stddev"] = float(np.std(values))
             rows.append(row)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     append_results(results, rows)
     print(f"wrote {results}")
     return 0
@@ -327,7 +339,9 @@ def _score_plans(cfg: RunConfig, ref: Reference, dataset_id: str, score, results
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     results = cfg.results or os.path.join(cfg.out_dir, "results.csv")
     check_results(results)  # another header fails before anything is built
-    X, dataset_id = _load_for_masks(cfg)
+    X, dataset_id = _load_for_masks(
+        cfg, {"--k": cfg.k, "--k-lle": cfg.k_lle, "--np-k": cfg.np_k}
+    )
     refs = full_references(cfg, X)
 
     def score(mask: Mask) -> dict[tuple[str, str], float]:
@@ -347,11 +361,10 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 def cmd_oose(cfg: RunConfig, args) -> int:
     results = cfg.results or os.path.join(cfg.out_dir, "oose_results.csv")
     check_results(results)  # another header fails before anything is built
-    X, dataset_id = _load_for_masks(cfg)
+    X, dataset_id = _load_for_masks(cfg, {"--k": cfg.k})
     if "gaze" in cfg.methods and X.params is None:
         raise ParameterError("gaze evaluation needs ground-truth params")
     ref = Reference(X, cfg.k, cfg.l, cfg.reg)
-    ref.G  # an out-of-range --k fails before any mask is selected
     # what the folds are scored against, built before scoring workers fork
     if "isomap" in cfg.methods:
         ref.isomap

@@ -6,7 +6,7 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -85,8 +85,14 @@ def global_objective(B: CliqueSecantArray, mask: Mask, p: str = "L1") -> float:
 def _clique_alpha(B: CliqueSecantArray) -> tuple[np.ndarray, np.ndarray]:
     """Full clique secant-norm vectors, (c, n), and their norms, (n,).
 
-    A point whose vector is all zero has no defined cosine similarity.
+    A point whose vector is all zero has no defined cosine similarity. A
+    store of the neighbor rows alone lacks the other clique pairs' rows.
     """
+    if B.rows.max(initial=-1) >= len(B.B):
+        raise ParameterError(
+            "the local objective reads every clique pair, and this store holds "
+            "only the neighbor pairs"
+        )
     alpha = B.B.sum(axis=1)[B.rows].T
     alpha_norm = np.linalg.norm(alpha, axis=0)
     if np.any(alpha_norm == 0.0):
@@ -140,6 +146,168 @@ def _reduce_rows(reduce, fill, rows: int, out: np.ndarray, weights=None) -> np.n
     return out
 
 
+def _choose(values: np.ndarray, selected: list[int], lowest: bool) -> int:
+    """The greedy step's choice, appended to ``selected``: the candidate of
+    the lowest (or highest) of ``values`` not selected yet, the lowest index
+    on ties. ``values`` holds every candidate's value of the step, and the
+    selected ones are overwritten."""
+    values[selected] = np.inf if lowest else -np.inf
+    choice = int(np.argmin(values) if lowest else np.argmax(values))
+    selected.append(choice)
+    return choice
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS cannot say (macOS
+    and Windows, where fork is unsafe or missing). Both kinds of forked
+    process read it: the greedy selectors' helpers and ``cli._score_all``'s
+    workers."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _shared(*shape: int) -> np.ndarray:
+    """An array of float64 zeros in memory that processes forked after this
+    call share with this process."""
+    import mmap  # imported here: only a selector that forks loads it
+
+    return np.frombuffer(mmap.mmap(-1, 8 * prod(shape))).reshape(shape)
+
+
+def _fork_helper(start, inherited: list[int], lo: int, hi: int) -> tuple[int, int, int]:
+    """Fork a helper for the run ``[lo, hi)`` of a greedy selector's work;
+    returns its pid, the write end of a pipe to it and the read end of a
+    pipe from it. The helper closes ``inherited``, the ends held for earlier
+    helpers, so that each helper sees end of file on its commands when this
+    process closes them.
+
+    The helper gets ``compute, add = start(lo, hi)``. Each step it calls
+    ``compute()``, which puts its part of the step in memory shared with
+    this process (``_shared``), writes one byte to this process, and reads
+    the step's choice, which it passes to ``add``. At end of file it exits,
+    always through ``os._exit``, which skips the caller's clean-up.
+
+    A fork, not a spawn: the helper reads this process's store in place.
+    That is safe with BLAS threads running, since a helper calls only NumPy
+    elementwise kernels, ``np.add.reduce``, ``np.maximum.reduce``,
+    ``np.einsum`` without ``optimize``, and SciPy's sparse products, never
+    BLAS."""
+    commands, to_helper = os.pipe()
+    from_helper, replies = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (commands, to_helper, from_helper, replies):
+            os.close(fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            for fd in (to_helper, from_helper, *inherited):
+                os.close(fd)
+            compute, add = start(lo, hi)
+            while True:
+                compute()
+                os.write(replies, b"\0")  # this step's part is in place
+                choice = os.read(commands, 8)
+                if not choice:  # end of file: no step follows
+                    break
+                add(int.from_bytes(choice, "little"))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(commands)
+    os.close(replies)
+    return pid, to_helper, from_helper
+
+
+class _Helpers:
+    """A greedy selector's forked helpers, used as a ``with`` block: this
+    process keeps the run ``edges[0:2]`` of the work, and the block forks
+    one helper (``_fork_helper``) for each later run ``[edges[r],
+    edges[r + 1])``, none when there is one run. On leaving the block, by
+    return or raise, this process closes its pipe ends, so every helper
+    sees end of file and exits, and reaps every helper.
+
+    ``label`` and ``part`` name a run's helper and its part of a step in
+    the error of a helper that ends early."""
+
+    def __init__(self, start, edges: list[int], label: str, part: str):
+        self.start, self.edges, self.label, self.part = start, edges, label, part
+        self.helpers: list[tuple[int, int, int]] = []  # pid, pipe end to it, pipe end from it
+
+    def __enter__(self) -> "_Helpers":
+        try:
+            for lo, hi in zip(self.edges[1:-1], self.edges[2:]):
+                inherited = [fd for _, *ends in self.helpers for fd in ends]
+                self.helpers.append(_fork_helper(self.start, inherited, lo, hi))
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def wait(self, lo: int) -> None:
+        """Wait until the helper of the run from ``lo`` has done its part of
+        this step; raise ``ChildProcessError`` if it has ended instead."""
+        r = self.edges.index(lo)
+        if not os.read(self.helpers[r - 1][2], 1):
+            raise ChildProcessError(
+                f"{self.label} [{lo}, {self.edges[r + 1]}) of {self.edges[-1]} ended "
+                f"before its {self.part} were done"
+            )
+
+    def send(self, choice: int) -> None:
+        """Tell every helper this step's choice."""
+        for _, to_helper, _ in self.helpers:
+            try:
+                os.write(to_helper, choice.to_bytes(8, "little"))
+            except BrokenPipeError:  # it has ended: its next reply fails
+                pass
+
+    def __exit__(self, *_) -> None:
+        for _, to_helper, from_helper in self.helpers:
+            os.close(to_helper)  # end of file: the helper exits
+            os.close(from_helper)
+        for pid, *_ in self.helpers:
+            os.waitpid(pid, 0)
+
+
+class _GlobalColumns:
+    """``maps_global``'s costs of the candidate columns ``[lo, hi)``, which
+    ``compute`` writes to ``costs[lo:hi]`` each step, with this process's
+    own running column sums of the neighbor rows. A column's cost adds the
+    rows one after another whatever other columns a process holds, so costs
+    computed in different processes are bitwise the costs one process
+    computes."""
+
+    def __init__(self, B: CliqueSecantArray, p: str, costs: np.ndarray, lo: int, hi: int):
+        S = len(B.sums)
+        self.store, self.sums, self.d, self.p = B.B[:S], B.sums, B.d, p
+        self.columns = self.store[:, lo:hi]  # read in place, strided
+        self.out, self.reduce = costs[lo:hi], _lp_reduce(p)
+        self.w = 1.0 / B.sums
+        self.running = np.zeros(S)
+        self.i = 1  # the step, 1-based
+
+    def residuals(self, a: int, b: int, out: np.ndarray) -> None:
+        """``|B_j + u|`` of neighbor rows [a, b), scaled by 1/s for Linf."""
+        # a copy, then an add in place: np.add reads a strided column run
+        # about 40% slower, and the sums are the same bits
+        np.copyto(out, self.columns[a:b])
+        out += self.shift[a:b, None]
+        np.abs(out, out=out)
+        if self.p == "Linf":
+            out *= self.w[a:b, None]
+
+    def compute(self) -> None:
+        self.shift = self.running - self.i / self.d * self.sums
+        weights = self.w if self.p == "L1" else None
+        _reduce_rows(self.reduce, self.residuals, len(self.sums), self.out, weights)
+
+    def add(self, choice: int) -> None:
+        self.running += self.store[:, choice]
+        self.i += 1
+
+
 def maps_global(B: CliqueSecantArray, m: int, p: str = "L1") -> Mask:
     """Greedy selection matching masked secant norms to their expectation.
 
@@ -156,37 +324,42 @@ def maps_global(B: CliqueSecantArray, m: int, p: str = "L1") -> Mask:
     (``_reduce_rows``), never as a whole ``(|S_k|, d)`` array: L1 sums them
     with weights ``1/s``, and Linf scales each block by ``1/s`` before its
     max.
+
+    With at least two blocks of neighbor rows and several CPUs (``_cpus``),
+    the candidate columns split into contiguous runs, at most one per CPU.
+    This process computes the first run's costs and forks one helper
+    (``_Helpers``) for each later run, which keeps its own running sums,
+    learns each step's choice through a pipe, and writes its costs into
+    memory shared with this process. So the costs, and the mask, are
+    bitwise the same for any CPU count. A helper that ends before its costs
+    are done raises ``ChildProcessError``; every helper is reaped before
+    this returns or raises.
     """
     d, S = B.d, len(B.sums)
     _check_m(m, d)
-    reduce = _lp_reduce(p)
-    secants = B.B[:S]  # the neighbor rows lead the store: a view, no gather
-    w = 1.0 / B.sums
-    running = np.zeros(S)
-    costs = np.empty(d)
+    _lp_reduce(p)  # an unknown norm fails before any fork
+    # a run is at least two columns wide: the einsum of a one-column run
+    # would add its rows in another order
+    workers = max(1, min(_cpus(), S * d // CHUNK_ENTRIES, d // 2))
+    edges = [r * d // workers for r in range(workers)] + [d]
+    costs = _shared(d) if workers > 1 else np.empty(d)
+
+    def start(lo, hi):
+        columns = _GlobalColumns(B, p, costs, lo, hi)
+        return columns.compute, columns.add
+
     selected: list[int] = []
-
-    def residuals(a, b, out):  # |B_j + u| of neighbor rows [a, b)
-        np.add(secants[a:b], shift[a:b, None], out=out)
-        np.abs(out, out=out)
-        if p == "Linf":
-            out *= w[a:b, None]
-
-    for i in range(1, m + 1):
-        shift = running - i / d * B.sums
-        _reduce_rows(reduce, residuals, S, costs, w if p == "L1" else None)
-        costs[selected] = np.inf
-        choice = int(np.argmin(costs))  # argmin keeps lowest index on ties
-        selected.append(choice)
-        running += secants[:, choice]
+    with _Helpers(start, edges, "maps_global helper for columns", "costs") as helpers:
+        compute, add = start(0, edges[1])
+        for step in range(m):
+            compute()
+            for lo in edges[1:-1]:
+                helpers.wait(lo)
+            choice = _choose(costs, selected, lowest=True)
+            if step < m - 1:
+                helpers.send(choice)
+                add(choice)
     return Mask(selected=tuple(selected), d=d)
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on; 1 where the OS cannot say (macOS
-    and Windows, where fork is unsafe or missing). Both kinds of forked
-    worker read it: ``maps_local``'s helpers and ``cli._score_all``'s."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 class _LocalRows:
@@ -243,38 +416,6 @@ class _LocalRows:
         self.empty = False
 
 
-def _fork_helper(serve, inherited: list[int], *args) -> tuple[int, int, int]:
-    """Fork a process that runs ``serve(*args, commands, replies)`` on the
-    read end of one pipe from this process and the write end of one pipe to
-    it, and then exits; returns its pid and this process's two ends. The helper
-    closes ``inherited``, the ends held for earlier helpers, so that each
-    helper sees end of file on its commands when this process closes them.
-
-    A fork, not a spawn: the helper reads this process's store in place.
-    That is safe with BLAS threads running, since a helper calls only NumPy
-    elementwise kernels and SciPy's sparse products, never BLAS."""
-    commands, to_helper = os.pipe()
-    from_helper, replies = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        for fd in (commands, to_helper, from_helper, replies):
-            os.close(fd)
-        raise
-    if pid == 0:  # never returns: os._exit skips the caller's clean-up
-        status = 1
-        try:
-            for fd in (to_helper, from_helper, *inherited):
-                os.close(fd)
-            serve(*args, commands, replies)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(commands)
-    os.close(replies)
-    return pid, to_helper, from_helper
-
-
 def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     """Greedy selection maximizing summed cosine similarity between masked
     and full clique secant-norm vectors.
@@ -294,13 +435,13 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
 
     With several blocks and several CPUs (``_cpus``), the points split into
     runs of whole blocks, at most one per CPU. This process computes the
-    first run and forks one helper for each later run. A helper keeps its
-    own points' constants, learns each step's choice through a pipe, and
-    writes its similarity rows into memory shared with this process, which
-    copies them into the column sum in point order. So the scores, and the
-    mask, are bitwise the same for any CPU count. A helper that ends before
-    its rows are done raises ``ChildProcessError``; every helper is reaped
-    before this returns or raises.
+    first run and forks one helper (``_Helpers``) for each later run. A
+    helper keeps its own points' constants, learns each step's choice
+    through a pipe, and writes its similarity rows into memory shared with
+    this process, which copies them into the column sum in point order. So
+    the scores, and the mask, are bitwise the same for any CPU count. A
+    helper that ends before its rows are done raises ``ChildProcessError``;
+    every helper is reaped before this returns or raises.
     """
     # imported here: at module level they would add to every command's start-up
     from scipy import sparse
@@ -328,68 +469,40 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     edges = [h * (w * blocks // workers) for w in range(workers)] + [n]
     mine = edges[1]  # this process computes points [0, mine)
     if workers > 1:
-        import mmap  # imported here, like SciPy
+        helper_rows = _shared(n - mine, d)  # one step's rows of every helper, in point order
 
-        # one step's rows of every helper, in point order
-        helper_rows = np.frombuffer(mmap.mmap(-1, (n - mine) * d * 8)).reshape(n - mine, d)
-
-    def serve(lo, hi, commands, replies):  # a helper's steps, points [lo, hi)
+    def start(lo, hi):  # a helper's points [lo, hi)
         points = _LocalRows(B, S, rows, alpha, alpha_norm, lo, hi)
         out = helper_rows[lo - mine : hi - mine]
-        while True:
+
+        def compute():
             points.start_step()
             for a in range(lo, hi, h):
                 b = min(a + h, hi)
                 points.similarities(a, b, out[a - lo : b - lo])
-            os.write(replies, b"\0")  # this step's rows are in place
-            choice = os.read(commands, 8)
-            if not choice:  # end of file: no step follows
-                return
-            points.add(int.from_bytes(choice, "little"))
 
-    helpers: list[tuple[int, int, int]] = []  # pid, pipe end to it, pipe end from it
-    replies: dict[int, tuple[int, int]] = {}  # first point: pipe end from it, last point
-    try:
-        for lo, hi in zip(edges[1:-1], edges[2:]):
-            inherited = [fd for _, *ends in helpers for fd in ends]
-            helpers.append(_fork_helper(serve, inherited, lo, hi))
-            replies[lo] = helpers[-1][2], hi
+        return compute, points.add
+
+    selected: list[int] = []
+    with _Helpers(start, edges, "maps_local helper for points", "rows") as helpers:
         own = _LocalRows(B, S, rows, alpha, alpha_norm, 0, mine)
 
         def similarities(a, b, out):  # this process's rows, or a copy of a helper's
             if b <= mine:
                 own.similarities(a, b, out)
                 return
-            if a in replies:  # a helper's first block: wait for its rows
-                fd, hi = replies[a]
-                if not os.read(fd, 1):
-                    raise ChildProcessError(
-                        f"maps_local helper for points [{a}, {hi}) of {n} ended "
-                        "before its rows were done"
-                    )
+            if a in edges:  # a helper's first block: wait for its rows
+                helpers.wait(a)
             np.copyto(out, helper_rows[a - mine : b - mine])
 
         scores = np.empty(d)
-        selected: list[int] = []
         for step in range(m):
             own.start_step()
             _reduce_rows(np.add.reduce, similarities, n, scores)
-            scores[selected] = -np.inf
-            choice = int(np.argmax(scores))  # first max = lowest index on ties
-            selected.append(choice)
+            choice = _choose(scores, selected, lowest=False)
             if step < m - 1:
-                for _, to_helper, _ in helpers:
-                    try:
-                        os.write(to_helper, choice.to_bytes(8, "little"))
-                    except BrokenPipeError:  # it has ended: its next reply fails
-                        pass
+                helpers.send(choice)
                 own.add(choice)
-    finally:
-        for _, to_helper, from_helper in helpers:
-            os.close(to_helper)  # end of file: the helper exits
-            os.close(from_helper)
-        for pid, *_ in helpers:
-            os.waitpid(pid, 0)
     return Mask(selected=tuple(selected), d=d)
 
 

@@ -29,9 +29,13 @@ class CliqueSecantArray:
     The first S rows are the distinct neighbor pairs (i, j), i in N(j) or
     j in N(i), and ``sums[r]`` is row r's sum, the squared norm of its
     secant: ``B[r] / sums[r]`` is the squared normalized neighbor secant.
+    A store of the neighbor rows alone (``build_clique_array(...,
+    neighbors_only=True)``) holds just those S rows; its ``rows`` still
+    number every clique pair, so the local objective, which reads them all,
+    can tell it apart and refuse it.
     """
 
-    B: np.ndarray  # (P, d)
+    B: np.ndarray  # (P, d); (S, d) for a store of the neighbor rows alone
     rows: np.ndarray  # (n, c), indices into B
     sums: np.ndarray  # (S,), row sums of B[:S]
 
@@ -48,14 +52,19 @@ class CliqueSecantArray:
         return self.rows.shape[1]
 
 
-def build_clique_array(X: DataMatrix, G: NeighborGraph) -> CliqueSecantArray:
+def build_clique_array(
+    X: DataMatrix, G: NeighborGraph, neighbors_only: bool = False
+) -> CliqueSecantArray:
     """Squared clique secants for every point, each distinct pair once.
 
     Point i's clique is itself plus its k neighbors; all C(k+1, 2) pairwise
     differences are squared entrywise, without normalization. The distinct
     neighbor pairs come first, then the other clique pairs, each group in
     the order of its pairs (lo, hi), lo < hi. The store is filled in place,
-    one block of ``CHUNK_ENTRIES`` entries at a time.
+    one block of ``CHUNK_ENTRIES`` entries at a time. With
+    ``neighbors_only``, the fill stops after the neighbor pairs, which are
+    all that the global objective reads: the rows it fills are bitwise the
+    full store's, and only a zero secant among them is an error.
     """
     n, d, k = X.n, X.d, G.k
     if n < k + 1:
@@ -71,17 +80,21 @@ def build_clique_array(X: DataMatrix, G: NeighborGraph) -> CliqueSecantArray:
     codes += n * n * ~np.isin(codes, edges)
     codes, rows = np.unique(codes, return_inverse=True)
     rows = rows.reshape(n, len(a))
-    lo, hi = np.divmod(codes % (n * n), n)
-    B = np.empty((codes.size, d), dtype=np.float64)
-    sums = np.empty(codes.size)
+    S = int(np.searchsorted(codes, n * n))
+    filled = S if neighbors_only else codes.size
+    lo, hi = np.divmod(codes[:filled] % (n * n), n)
+    B = np.empty((filled, d), dtype=np.float64)
+    sums = np.empty(filled)
     step = max(1, CHUNK_ENTRIES // d)
-    for start in range(0, codes.size, step):
+    for start in range(0, filled, step):
         part = slice(start, start + step)
         np.take(X.points, lo[part], axis=0, out=B[part])
         B[part] -= X.points[hi[part]]
         np.square(B[part], out=B[part])
         np.add.reduce(B[part], axis=1, out=sums[part])
-    zero = sums == 0.0  # a secant that squares to zero, if only by underflow
+    # a secant that squares to zero, if only by underflow; unfilled rows are not
+    zero = np.zeros(codes.size, dtype=bool)
+    zero[:filled] = sums == 0.0
     if zero.any():
         # the first point, then its first pair, with a zero secant
         i, ell = np.argwhere(zero[rows])[0]
@@ -89,4 +102,4 @@ def build_clique_array(X: DataMatrix, G: NeighborGraph) -> CliqueSecantArray:
             f"zero-norm clique secant ({lo[rows[i, ell]]}, {hi[rows[i, ell]]}) "
             f"in clique of point {i}"
         )
-    return CliqueSecantArray(B=B, rows=rows, sums=sums[: np.searchsorted(codes, n * n)])
+    return CliqueSecantArray(B=B, rows=rows, sums=sums[:S])

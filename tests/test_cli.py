@@ -186,7 +186,7 @@ sys.exit(99)
         assert proc.stderr == (
             "error: maps_local helper for points [20, 40) of 40 ended before its rows were done\n"
         )
-        assert list((tmp_path / "masks").iterdir()) == []
+        assert not (tmp_path / "masks").exists()
 
     def test_exhaustive_search_capacity_exit_code(self, tmp_path):
         # C(64, 5) subsets is past the exhaustive-search budget
@@ -229,7 +229,7 @@ sys.exit(99)
         )
         assert code == 1
         assert "zero-norm clique secant (0, 1)" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_more_than_one_algorithm_rejected(self, tmp_path):
         code = run(
@@ -799,6 +799,75 @@ class TestNumbersOutOfRange:
             "rescale the data\n"
         )
         assert not out.exists()
+
+
+class TestBadInputWritesNothing:
+    """A command that fails on its input exits 1 and leaves no out-dir: the
+    out-dir is made only when the first file is written to it. Each
+    neighborhood size is checked against n right after loading, before any
+    graph is built, and its error names the flag."""
+
+    BLOB = "translating_blob:n=20,g=4,seed=1"  # n=20, d=16
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mask", "--algorithms", "pcoa", "--sizes", "17", "--k", "4"],
+            ["mask", "--algorithms", "maps_global", "--sizes", "4", "--k", "0"],
+            ["evaluate", "--algorithms", "pcoa", "--sizes", "17", "--k", "4", "--np-k", "5"],
+            ["evaluate", "--algorithms", "pcoa", "--sizes", "4", "--k", "4"],
+            ["oose", "--algorithms", "pcoa", "--sizes", "17", "--k", "4"],
+            ["oose", "--algorithms", "pcoa", "--sizes", "4", "--k", "0"],
+        ],
+        ids=["mask-size", "mask-k", "evaluate-size", "evaluate-np-k", "oose-size", "oose-k"],
+    )
+    def test_no_out_dir(self, tmp_path, capsys, argv):
+        out = tmp_path / "y2"
+        assert run(*argv, "--synth", self.BLOB, "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [0, 20])
+    @pytest.mark.parametrize(
+        "command, flag, others",
+        [
+            ("mask", "--k", []),
+            ("evaluate", "--k", ["--k-lle", "4", "--np-k", "5"]),
+            ("evaluate", "--k-lle", ["--k", "4", "--np-k", "5"]),
+            ("evaluate", "--np-k", ["--k", "4", "--k-lle", "4"]),
+            ("oose", "--k", []),
+        ],
+    )
+    def test_neighborhood_size_names_its_flag(
+        self, tmp_path, monkeypatch, capsys, value, command, flag, others
+    ):
+        built = []
+        monkeypatch.setattr(cli, "Reference", lambda *args: built.append(args))
+        out = tmp_path / "out"
+        code = run(
+            command, "--synth", self.BLOB, "--algorithms", "maps_global", "--sizes", "4",
+            flag, value, *others, "--out-dir", out,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {flag} must be in [1, 19], got {value}\n"
+        assert built == []  # no graph built, no mask selected
+        assert not out.exists()
+
+    def test_np_k_default_named(self, tmp_path, capsys):
+        # the user gave --k 4: the value at fault is --np-k's default of 20
+        code = run("evaluate", "--synth", self.BLOB, "--algorithms", "pcoa", "--sizes", "4",
+                   "--k", "4", "--out-dir", tmp_path / "out")
+        assert code == 1
+        assert capsys.readouterr().err == "error: --np-k must be in [1, 19], got 20\n"
+
+    @pytest.mark.parametrize("algorithm", ["pcoa", "random"])
+    def test_mask_without_graph_ignores_k(self, tmp_path, algorithm):
+        # pcoa and random read no graph, so --k is not checked for them
+        out = tmp_path / "out"
+        code = run("mask", "--synth", self.BLOB, "--algorithms", algorithm, "--sizes", "4",
+                   "--k", "40", "--out-dir", out)
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["mask_4.json", "mask_4.pgm"]
 
 
 class TestForkedScoring:

@@ -159,17 +159,17 @@ def unblocked_maps_local(B, m):
 
 
 def blocked_steps(monkeypatch, selector, *args):
-    """A selector's mask and every step's score or cost vector, as
-    masks._reduce_rows returns it."""
+    """A selector's mask and every step's whole score or cost vector, as
+    the selector's process chooses from it (masks._choose), with the parts
+    of any helpers in place."""
     steps = []
-    reduce_rows = masks._reduce_rows
+    choose = masks._choose
 
-    def record(*call):
-        out = reduce_rows(*call)
-        steps.append(out.copy())
-        return out
+    def record(values, *rest, **options):
+        steps.append(values.copy())
+        return choose(values, *rest, **options)
 
-    monkeypatch.setattr(masks, "_reduce_rows", record)
+    monkeypatch.setattr(masks, "_choose", record)
     return selector(*args), steps
 
 
@@ -432,9 +432,12 @@ class TestBlockedSelectors:
         else:
             B = random_neighbor_store(rng, 25, 12)
         want = unblocked_maps_global(B, 10, p)
-        for h in block_rows(len(B.sums)).values():
+        # with several CPUs and blocks, the columns split into runs, one per
+        # process, and the parent chooses from the helpers' costs and its own
+        for h, cpus in product(block_rows(len(B.sums)).values(), (1, 2, 3)):
             with monkeypatch.context() as patch:
                 patch.setattr(masks, "CHUNK_ENTRIES", h * B.d)
+                patch.setattr(masks, "_cpus", lambda: cpus)
                 _, steps = blocked_steps(patch, maps_global, B, 10, p)
             assert_steps_equal(steps, want)
 
@@ -474,10 +477,9 @@ class TestBlockedSelectors:
         assert_steps_equal(steps, unblocked_maps_local(B, 4))
 
 
-class TestLocalHelpers:
-    """maps_local forks one helper per extra CPU (``masks._cpus``, patched
-    here), at most one per point block after the first; no helper outlives
-    the call, whether it returns or raises."""
+class HelperChecks:
+    """What the tests of a selector's forked helpers share: a deadline and
+    the check that no child is left."""
 
     @pytest.fixture(autouse=True)
     def deadline(self):
@@ -496,6 +498,12 @@ class TestLocalHelpers:
     def assert_no_child():
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestLocalHelpers(HelperChecks):
+    """maps_local forks one helper per extra CPU (``masks._cpus``, patched
+    here), at most one per point block after the first; no helper outlives
+    the call, whether it returns or raises."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_image_scale_masks_any_cpu_count(self, monkeypatch, forks, seed):
@@ -554,6 +562,131 @@ class TestLocalHelpers:
             "maps_local helper for points [20, 40) of 60 ended before its rows were done"
         )
         self.assert_no_child()
+
+
+class TestGlobalHelpers(HelperChecks):
+    """maps_global forks one helper per extra CPU (``masks._cpus``, patched
+    here), at most one per block of neighbor rows after the first and never
+    a run under two columns; no helper outlives the call, whether it
+    returns or raises."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_image_scale_masks_any_cpu_count(self, monkeypatch, forks, seed):
+        # the benchmark's data: at d=1024 its 3,660-odd neighbor rows take
+        # about 29 blocks
+        X = synth_dataset("translating_blob", 800, seed=seed, g=32)
+        B = build_clique_array(X, knn_graph(X, 8), neighbors_only=True)
+        chosen = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(masks, "_cpus", lambda: cpus)
+            chosen[cpus] = maps_global(B, 64)
+        assert chosen[2] == chosen[1]
+        assert len(forks) == 1
+        if seed == 1:  # the serial loop's mask, as perfbench/expected holds it
+            assert chosen[1].selected[:16] == (
+                17, 720, 515, 540, 133, 1009, 373, 808, 363, 826, 187, 586, 143, 628, 768, 27
+            )
+        self.assert_no_child()
+
+    @pytest.mark.parametrize(
+        "instance, rows_per_block, cpus, helpers",
+        [
+            # the stores of sweep_blob (1.8 blocks) and loo_oose (1.1 blocks)
+            ("sweep_blob", None, 4, 0),
+            ("loo_oose", None, 4, 0),
+            ("small_blob", 1, 3, 2),
+            ("small_blob", 1, 2, 1),
+            ("small_blob", 140, 5, 1),  # 281 rows: two whole blocks
+            ("small_blob", 141, 5, 0),  # one whole block and a part
+            ("small_blob", 281, 3, 0),
+            ("small_blob", None, 3, 0),
+            ("small_blob", 1, 1, 0),
+            ("random:5", 1, 3, 1),  # two runs of two or three columns
+            ("random:3", 1, 3, 0),  # two runs would leave one a column
+        ],
+        ids=["sweep_blob", "loo_oose", "one-row-3-cpus", "one-row-2-cpus", "two-blocks-5-cpus",
+             "under-two-blocks", "one-block", "default-block", "one-cpu", "five-columns",
+             "three-columns"],
+    )
+    def test_one_fork_per_helper(self, monkeypatch, forks, rng, small_blob, instance,
+                                 rows_per_block, cpus, helpers):
+        if instance.startswith("random"):
+            B = random_neighbor_store(rng, 40, int(instance[-1]))
+        else:
+            # the workloads' data at seed 1, with their k
+            n = {"sweep_blob": 200, "loo_oose": 120}.get(instance)
+            X = small_blob if n is None else synth_dataset("translating_blob", n, seed=1, g=16)
+            B = build_clique_array(X, knn_graph(X, 8), neighbors_only=True)
+            assert instance != "small_blob" or len(B.sums) == 281
+        if rows_per_block is not None:
+            monkeypatch.setattr(masks, "CHUNK_ENTRIES", rows_per_block * B.d)
+        monkeypatch.setattr(masks, "_cpus", lambda: cpus)
+        split = maps_global(B, 3)
+        assert len(forks) == helpers
+        monkeypatch.setattr(masks, "_cpus", lambda: 1)
+        assert maps_global(B, 3) == split
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_helper_failure(self, monkeypatch, small_blob, failure):
+        # a helper fails on its first choice, after its first step's costs
+        B = build_clique_array(small_blob, knn_graph(small_blob, 8), neighbors_only=True)
+        monkeypatch.setattr(masks, "CHUNK_ENTRIES", 20 * B.d)
+        monkeypatch.setattr(masks, "_cpus", lambda: 3)
+        parent, add = os.getpid(), masks._GlobalColumns.add
+
+        def failing(self, choice):
+            if os.getpid() != parent:
+                if failure == "raise":
+                    raise RuntimeError("helper failed")
+                os._exit(1)
+            add(self, choice)
+
+        monkeypatch.setattr(masks._GlobalColumns, "add", failing)
+        with pytest.raises(ChildProcessError) as failed:
+            maps_global(B, 5)
+        # the first helper's costs are the first the parent waits for
+        assert str(failed.value) == (
+            "maps_global helper for columns [21, 42) of 64 ended before its costs were done"
+        )
+        self.assert_no_child()
+
+
+class TestNeighborOnlyStore:
+    """The global selectors read only the store's neighbor rows, so they
+    pick the same masks from a store of those rows alone; the local
+    objective reads every clique pair, so it refuses such a store."""
+
+    @pytest.mark.parametrize("p", NORMS)
+    def test_global_selectors_same_masks(self, rng, small_blob, p):
+        G = knn_graph(small_blob, 8)
+        full = build_clique_array(small_blob, G)
+        neighbors = build_clique_array(small_blob, G, neighbors_only=True)
+        assert maps_global(neighbors, 32, p) == maps_global(full, 32, p)
+        X = DataMatrix(points=rng.random((12, 7)))
+        G = knn_graph(X, 3)
+        full = build_clique_array(X, G)
+        neighbors = build_clique_array(X, G, neighbors_only=True)
+        assert exact_mask_global(neighbors, 3, p) == exact_mask_global(full, 3, p)
+
+    @pytest.mark.parametrize(
+        "select",
+        [lambda B: maps_local(B, 2), lambda B: exact_mask_local(B, 2),
+         lambda B: local_objective(B, Mask((0,), B.d))],
+        ids=["maps_local", "exact_local", "local_objective"],
+    )
+    def test_local_objective_refuses_it(self, small_blob, select):
+        B = build_clique_array(small_blob, knn_graph(small_blob, 8), neighbors_only=True)
+        with pytest.raises(ParameterError, match="only the neighbor pairs"):
+            select(B)
+
+    def test_complete_when_every_clique_pair_is_a_neighbor_pair(self, rng):
+        # with k=1 each clique is one neighbor pair: nothing is left out
+        X = DataMatrix(points=rng.random((10, 4)))
+        G = knn_graph(X, 1)
+        assert maps_local(build_clique_array(X, G, neighbors_only=True), 3) == maps_local(
+            build_clique_array(X, G), 3
+        )
 
 
 class TestSelectorProperties:

@@ -171,6 +171,29 @@ class TestBuildCliqueArray:
         # of each subtraction, and O(n c) pair codes and row sums
         assert peak <= B.B.nbytes + B.rows.nbytes + 2 * BLOCK
 
+    def test_neighbors_only_is_the_leading_rows(self, monkeypatch, blob_and_graph):
+        # the global selectors' store: the full store's neighbor rows and
+        # sums, bitwise, and its row table, at any block size
+        X, G = blob_and_graph
+        full = build_clique_array(X, G)
+        S = len(full.sums)
+        assert S < full.B.shape[0]
+        for h in [None, *block_rows(S).values()]:
+            if h is not None:
+                monkeypatch.setattr(secants, "CHUNK_ENTRIES", h * X.d)
+            B = build_clique_array(X, G, neighbors_only=True)
+            assert B.B.shape == (S, X.d) and B.B.flags.c_contiguous
+            assert np.array_equal(B.B, full.B[:S])
+            assert np.array_equal(B.sums, full.sums)
+            assert np.array_equal(B.rows, full.rows)
+
+    def test_neighbors_only_zero_secant_error(self):
+        # the zero secant (1, 2) is a neighbor pair, so the neighbor rows
+        # alone name the same point and pair
+        X = make([[0.0], [5.0], [5.0], [6.0]])
+        with pytest.raises(DegenerateDataError, match=r"\(1, 2\) in clique of point 0"):
+            build_clique_array(X, knn_graph(X, 2), neighbors_only=True)
+
     def test_store_rows_distinct(self, blob_and_graph):
         X, G = blob_and_graph
         B = build_clique_array(X, G)
