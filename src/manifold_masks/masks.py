@@ -282,7 +282,8 @@ class _GlobalColumns:
     def __init__(self, B: CliqueSecantArray, p: str, costs: np.ndarray, lo: int, hi: int):
         S = len(B.sums)
         self.store, self.sums, self.d, self.p = B.B[:S], B.sums, B.d, p
-        self.columns = self.store[:, lo:hi]  # read in place, strided
+        self.columns = self.store[:, lo:hi]  # read in place, strided unless whole
+        self.strided = hi - lo < B.d
         self.out, self.reduce = costs[lo:hi], _lp_reduce(p)
         self.w = 1.0 / B.sums
         self.running = np.zeros(S)
@@ -290,10 +291,13 @@ class _GlobalColumns:
 
     def residuals(self, a: int, b: int, out: np.ndarray) -> None:
         """``|B_j + u|`` of neighbor rows [a, b), scaled by 1/s for Linf."""
-        # a copy, then an add in place: np.add reads a strided column run
-        # about 40% slower, and the sums are the same bits
-        np.copyto(out, self.columns[a:b])
-        out += self.shift[a:b, None]
+        if self.strided:
+            # a copy, then an add in place: np.add reads a strided column
+            # run about 40% slower, and the sums are the same bits
+            np.copyto(out, self.columns[a:b])
+            out += self.shift[a:b, None]
+        else:  # whole rows are contiguous: a copy would only add a pass
+            np.add(self.columns[a:b], self.shift[a:b, None], out=out)
         np.abs(out, out=out)
         if self.p == "Linf":
             out *= self.w[a:b, None]
