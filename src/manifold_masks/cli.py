@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# _cpus is read through the module, so patching masks._cpus reaches both
-# kinds of forked process: the scoring pool's and the greedy selectors' helpers
+# _cpus is read through the module, so patching masks._cpus reaches every
+# forked worker: the scoring workers and the greedy selectors' helpers
 from . import masks as _masks
 from .data import DataMatrix, load_dataset, read_key_values, synth_dataset
 from .embeddings import _scipy, lle_embed
@@ -272,64 +272,67 @@ def full_references(cfg: RunConfig, X: DataMatrix) -> dict[int, Reference]:
     return refs
 
 
-_SCORE = None  # the run's score function, which forked workers inherit
+def _score_all(score, masks: list[Mask], width: int) -> np.ndarray:
+    """The ``(width, len(masks))`` table whose column i holds the ``width``
+    values of ``score(masks[i])``; a failure is the first failing mask's.
 
+    The masks split into contiguous runs, one per CPU (``masks._cpus``) and
+    at most one per mask. This process scores the first run and forks one
+    worker (``masks._Helpers``) for each later run, which inherits every
+    full-data reference, writes its scores into shared memory and replies
+    with the end of what it scored: its run's end, or its first failing
+    mask, which this process scores again, with the rest of the run, and so
+    fails in the same way. A worker polls its command pipe before each mask,
+    and exits at end of file, once this process has raised or died."""
+    import select
 
-def _score_forked(mask: Mask) -> dict[tuple[str, str], float]:
-    return _SCORE(mask)
-
-
-def _score_all(score, masks: list[Mask]) -> list[dict[tuple[str, str], float]]:
-    """Every mask's scores, in order; a failure is the first failing mask's.
-    With more than one mask and more than one CPU, the masks go to one forked
-    worker per CPU, at most one per mask. The workers fork here, after every
-    full-data reference is built, so they inherit them, and only masks and
-    scores cross their pipes. Every worker is reaped before this returns."""
     workers = min(_masks._cpus(), len(masks))
-    if workers < 2:
-        return list(map(score, masks))
-    # imported here: at module level they would add to every command's start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    edges = [r * len(masks) // workers for r in range(workers)] + [len(masks)]
+    table = _masks._shared(width, len(masks)) if workers > 1 else np.empty((width, len(masks)))
+    if workers > 1:
+        _scipy()  # imported on first use: load it once here, not in every worker
 
-    global _SCORE
-    _SCORE = score
-    # SciPy is imported on first use: load it once here, or every worker
-    # would import it again. Fork, since forkserver and spawn would import
-    # it again too; the pool forks every worker before it starts its own
-    # thread
-    _scipy()
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        chunksize = max(1, len(masks) // (4 * workers))
-        return list(pool.map(_score_forked, masks, chunksize=chunksize))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-        _SCORE = None
+    def body(lo, hi, commands, replies):  # a worker's run [lo, hi)
+        for i in range(lo, hi):
+            if select.select([commands], [], [], 0)[0]:  # never written: end of file
+                return
+            try:
+                table[:, i] = score(masks[i])
+            except Exception:  # handed back: this process raises it in plan order
+                hi = i
+                break
+        os.write(replies, hi.to_bytes(8, "little"))
+
+    with _masks._Helpers(body, edges, "scoring worker for masks", "scores") as helpers:
+        for i in range(edges[1]):
+            table[:, i] = score(masks[i])
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            for i in range(int.from_bytes(helpers.wait(lo, 8), "little"), hi):
+                table[:, i] = score(masks[i])
+    return table
 
 
-def _score_plans(cfg: RunConfig, ref: Reference, dataset_id: str, score, results: str) -> int:
+def _score_plans(cfg: RunConfig, ref: Reference, dataset_id: str, keys, score, results) -> int:
     """Select every algorithm's masks, score them all, then write all rows
     to the results CSV ``results``: a run that fails writes none. ``score``
-    maps a mask to ``{(metric, method): value}``; each key makes one row per
-    size, the mean over the size's masks, with their spread when they are
-    random draws.
+    maps a mask to its values of ``keys``, the command's ``(metric, method)``
+    pairs, in order; each key makes one row per size, the mean over the
+    size's masks, with their spread when they are random draws.
 
     Rows follow the plan order. A failed selection stops the run before any
     mask is scored; otherwise a failure is the first failing mask's."""
     plans = [(a, m, masks) for a in cfg.algorithms for m, masks in mask_plan(cfg, ref, a)]
-    scores = iter(_score_all(score, [mask for *_, masks in plans for mask in masks]))
+    table = _score_all(score, [mask for *_, masks in plans for mask in masks], len(keys))
     base = {"dataset": dataset_id, "k": cfg.k, "l": cfg.l, "seed": cfg.seed}
-    rows = []
+    rows, start = [], 0
     for algorithm, m, masks in plans:
-        plan_scores = [next(scores) for _ in masks]
         context = {**base, "algorithm": algorithm, "m": m, "trials": len(masks)}
-        for metric, method in plan_scores[0]:
-            values = [s[metric, method] for s in plan_scores]
+        for (metric, method), values in zip(keys, table[:, start : start + len(masks)]):
             row = {**context, "metric": metric, "value": float(np.mean(values)), "method": method}
             if algorithm == "random":
                 row["stddev"] = float(np.std(values))
             rows.append(row)
+        start += len(masks)
     os.makedirs(cfg.out_dir, exist_ok=True)
     append_results(results, rows)
     print(f"wrote {results}")
@@ -344,18 +347,20 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     )
     refs = full_references(cfg, X)
 
-    def score(mask: Mask) -> dict[tuple[str, str], float]:
+    keys = [("residual_variance", ""), ("neighbor_preservation", ""), ("embedding_error", "")]
+
+    def score(mask: Mask) -> tuple[float, float, float]:
         Xm = apply_mask(X, mask)
         masked = {k: Reference(Xm, k, cfg.l, cfg.reg) for k in {cfg.k, cfg.k_lle}}
         Y_iso = masked[cfg.k].isomap
         Y_lle = lle_embed(masked[cfg.k_lle].weights, cfg.l)
-        return {
-            ("residual_variance", ""): residual_variance(refs[cfg.k].geodesics, Y_iso),
-            ("neighbor_preservation", ""): neighbor_preservation(refs[cfg.np_k].G, Y_iso),
-            ("embedding_error", ""): embedding_error(refs[cfg.k_lle].weights, Y_lle),
-        }
+        return (
+            residual_variance(refs[cfg.k].geodesics, Y_iso),
+            neighbor_preservation(refs[cfg.np_k].G, Y_iso),
+            embedding_error(refs[cfg.k_lle].weights, Y_lle),
+        )
 
-    return _score_plans(cfg, refs[cfg.k], dataset_id, score, results)
+    return _score_plans(cfg, refs[cfg.k], dataset_id, keys, score, results)
 
 
 def cmd_oose(cfg: RunConfig, args) -> int:
@@ -371,18 +376,17 @@ def cmd_oose(cfg: RunConfig, args) -> int:
     if "lle" in cfg.methods:
         ref.weights
 
-    def score(mask: Mask) -> dict[tuple[str, str], float]:
-        Xm = Reference(apply_mask(X, mask), cfg.k, cfg.l, cfg.reg)
-        return {
-            (METRICS[method], method): leave_one_out(Xm, method, ref, cfg.exact_folds)
-            for method in cfg.methods
-        }
+    keys = [(METRICS[method], method) for method in cfg.methods]
 
-    return _score_plans(cfg, ref, dataset_id, score, results)
+    def score(mask: Mask) -> list[float]:
+        Xm = Reference(apply_mask(X, mask), cfg.k, cfg.l, cfg.reg)
+        return [leave_one_out(Xm, method, ref, cfg.exact_folds) for method in cfg.methods]
+
+    return _score_plans(cfg, ref, dataset_id, keys, score, results)
 
 
 _LOADS = ("mask", "evaluate", "oose")
-_SCORES = ("evaluate", "oose")
+_SCORING = ("evaluate", "oose")
 
 # every flag, with the subcommands that read it; any other subcommand
 # rejects it as argparse rejects an unknown flag
@@ -399,10 +403,10 @@ FLAGS = (
     ("--k", _LOADS, dict(type=int, help="neighborhood size for the Isomap graph")),
     ("--p", _LOADS, dict(choices=NORMS, help="norm for the global selector")),
     ("--out-dir", _LOADS, dict(dest="out_dir")),
-    ("--l", _SCORES, dict(type=int, help="embedding dimension")),
-    ("--reg", _SCORES, dict(type=float, help="LLE regularization")),
-    ("--trials", _SCORES, dict(type=int, help="random-mask trial count")),
-    ("--results", _SCORES, dict(help="results CSV path")),
+    ("--l", _SCORING, dict(type=int, help="embedding dimension")),
+    ("--reg", _SCORING, dict(type=float, help="LLE regularization")),
+    ("--trials", _SCORING, dict(type=int, help="random-mask trial count")),
+    ("--results", _SCORING, dict(help="results CSV path")),
     ("--k-lle", ("evaluate",), dict(dest="k_lle", type=int, help="LLE neighborhood size")),
     ("--np-k", ("evaluate",), dict(dest="np_k", type=int, help="neighbor-preservation k")),
     ("--methods", ("oose",), dict(help="comma-separated OoSE methods (isomap,lle,gaze)")),

@@ -158,39 +158,32 @@ def _choose(values: np.ndarray, selected: list[int], lowest: bool) -> int:
 
 
 def _cpus() -> int:
-    """The CPUs this process may run on; 1 where the OS cannot say (macOS
-    and Windows, where fork is unsafe or missing). Both kinds of forked
-    process read it: the greedy selectors' helpers and ``cli._score_all``'s
-    workers."""
+    """The CPUs this process may run on, which bound every count of forked
+    helpers; 1 where the OS cannot say (macOS and Windows, where fork is
+    unsafe or missing)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _shared(*shape: int) -> np.ndarray:
     """An array of float64 zeros in memory that processes forked after this
     call share with this process."""
-    import mmap  # imported here: only a selector that forks loads it
+    import mmap  # imported here: only a process that forks loads it
 
     return np.frombuffer(mmap.mmap(-1, 8 * prod(shape))).reshape(shape)
 
 
-def _fork_helper(start, inherited: list[int], lo: int, hi: int) -> tuple[int, int, int]:
-    """Fork a helper for the run ``[lo, hi)`` of a greedy selector's work;
-    returns its pid, the write end of a pipe to it and the read end of a
-    pipe from it. The helper closes ``inherited``, the ends held for earlier
-    helpers, so that each helper sees end of file on its commands when this
-    process closes them.
+def _fork_helper(body, inherited: list[int], lo: int, hi: int) -> tuple[int, int, int]:
+    """Fork a helper that runs ``body(lo, hi, commands, replies)``, which
+    does the run ``[lo, hi)`` of the work into shared memory (``_shared``),
+    and then exits through ``os._exit``, which skips the caller's clean-up;
+    returns its pid, the write end of ``commands`` and the read end of
+    ``replies``. The helper closes ``inherited``, the ends held for earlier
+    helpers, so it sees end of file on its commands once this process
+    closes them or dies.
 
-    The helper gets ``compute, add = start(lo, hi)``. Each step it calls
-    ``compute()``, which puts its part of the step in memory shared with
-    this process (``_shared``), writes one byte to this process, and reads
-    the step's choice, which it passes to ``add``. At end of file it exits,
-    always through ``os._exit``, which skips the caller's clean-up.
-
-    A fork, not a spawn: the helper reads this process's store in place.
-    That is safe with BLAS threads running, since a helper calls only NumPy
-    elementwise kernels, ``np.add.reduce``, ``np.maximum.reduce``,
-    ``np.einsum`` without ``optimize``, and SciPy's sparse products, never
-    BLAS."""
+    A fork, not a spawn: the helper reads this process's data in place.
+    That is safe with BLAS threads running: a selector's helper never calls
+    BLAS, and OpenBLAS stops its threads before a fork (``pthread_atfork``)."""
     commands, to_helper = os.pipe()
     from_helper, replies = os.pipe()
     try:
@@ -204,14 +197,7 @@ def _fork_helper(start, inherited: list[int], lo: int, hi: int) -> tuple[int, in
         try:
             for fd in (to_helper, from_helper, *inherited):
                 os.close(fd)
-            compute, add = start(lo, hi)
-            while True:
-                compute()
-                os.write(replies, b"\0")  # this step's part is in place
-                choice = os.read(commands, 8)
-                if not choice:  # end of file: no step follows
-                    break
-                add(int.from_bytes(choice, "little"))
+            body(lo, hi, commands, replies)
             status = 0
         finally:
             os._exit(status)
@@ -220,40 +206,58 @@ def _fork_helper(start, inherited: list[int], lo: int, hi: int) -> tuple[int, in
     return pid, to_helper, from_helper
 
 
+def _steps(start):
+    """A greedy selector's helper body: with ``compute, add = start(lo,
+    hi)``, each step ``compute()``, a one-byte reply, and ``add`` of the
+    choice read from its commands, until end of file."""
+
+    def body(lo, hi, commands, replies):
+        compute, add = start(lo, hi)
+        while True:
+            compute()
+            os.write(replies, b"\0")  # this step's part is in place
+            choice = os.read(commands, 8)
+            if not choice:
+                return
+            add(int.from_bytes(choice, "little"))
+
+    return body
+
+
 class _Helpers:
-    """A greedy selector's forked helpers, used as a ``with`` block: this
-    process keeps the run ``edges[0:2]`` of the work, and the block forks
-    one helper (``_fork_helper``) for each later run ``[edges[r],
-    edges[r + 1])``, none when there is one run. On leaving the block, by
-    return or raise, this process closes its pipe ends, so every helper
-    sees end of file and exits, and reaps every helper.
+    """Forked helpers, used as a ``with`` block: this process keeps the run
+    ``edges[0:2]`` of the work, and the block forks one helper running
+    ``body`` (``_fork_helper``) for each later run ``[edges[r], edges[r +
+    1])``. On leaving the block, by return or raise, this process closes
+    its pipe ends, so every helper sees end of file, and reaps every helper.
+    ``label`` and ``part`` name a run's helper and its part of the work in
+    the error (``wait``) of a helper that ends early."""
 
-    ``label`` and ``part`` name a run's helper and its part of a step in
-    the error of a helper that ends early."""
-
-    def __init__(self, start, edges: list[int], label: str, part: str):
-        self.start, self.edges, self.label, self.part = start, edges, label, part
+    def __init__(self, body, edges: list[int], label: str, part: str):
+        self.body, self.edges, self.label, self.part = body, edges, label, part
         self.helpers: list[tuple[int, int, int]] = []  # pid, pipe end to it, pipe end from it
 
     def __enter__(self) -> "_Helpers":
         try:
             for lo, hi in zip(self.edges[1:-1], self.edges[2:]):
                 inherited = [fd for _, *ends in self.helpers for fd in ends]
-                self.helpers.append(_fork_helper(self.start, inherited, lo, hi))
+                self.helpers.append(_fork_helper(self.body, inherited, lo, hi))
         except BaseException:
             self.__exit__()
             raise
         return self
 
-    def wait(self, lo: int) -> None:
-        """Wait until the helper of the run from ``lo`` has done its part of
-        this step; raise ``ChildProcessError`` if it has ended instead."""
+    def wait(self, lo: int, size: int = 1) -> bytes:
+        """The next reply, ``size`` bytes written at once, of the helper of
+        the run from ``lo``; raise ``ChildProcessError`` if it ends instead."""
         r = self.edges.index(lo)
-        if not os.read(self.helpers[r - 1][2], 1):
+        reply = os.read(self.helpers[r - 1][2], size)
+        if not reply:
             raise ChildProcessError(
                 f"{self.label} [{lo}, {self.edges[r + 1]}) of {self.edges[-1]} ended "
                 f"before its {self.part} were done"
             )
+        return reply
 
     def send(self, choice: int) -> None:
         """Tell every helper this step's choice."""
@@ -330,14 +334,10 @@ def maps_global(B: CliqueSecantArray, m: int, p: str = "L1") -> Mask:
     max.
 
     With at least two blocks of neighbor rows and several CPUs (``_cpus``),
-    the candidate columns split into contiguous runs, at most one per CPU.
-    This process computes the first run's costs and forks one helper
-    (``_Helpers``) for each later run, which keeps its own running sums,
-    learns each step's choice through a pipe, and writes its costs into
-    memory shared with this process. So the costs, and the mask, are
-    bitwise the same for any CPU count. A helper that ends before its costs
-    are done raises ``ChildProcessError``; every helper is reaped before
-    this returns or raises.
+    the candidate columns split into contiguous runs, at most one per CPU,
+    each computed by this process or a helper (``_Helpers``) with its own
+    running sums. So the costs, and the mask, are bitwise the same for any
+    CPU count.
     """
     d, S = B.d, len(B.sums)
     _check_m(m, d)
@@ -353,7 +353,7 @@ def maps_global(B: CliqueSecantArray, m: int, p: str = "L1") -> Mask:
         return columns.compute, columns.add
 
     selected: list[int] = []
-    with _Helpers(start, edges, "maps_global helper for columns", "costs") as helpers:
+    with _Helpers(_steps(start), edges, "maps_global helper for columns", "costs") as helpers:
         compute, add = start(0, edges[1])
         for step in range(m):
             compute()
@@ -438,14 +438,10 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     changes only the order in which a score sums over points.
 
     With several blocks and several CPUs (``_cpus``), the points split into
-    runs of whole blocks, at most one per CPU. This process computes the
-    first run and forks one helper (``_Helpers``) for each later run. A
-    helper keeps its own points' constants, learns each step's choice
-    through a pipe, and writes its similarity rows into memory shared with
-    this process, which copies them into the column sum in point order. So
-    the scores, and the mask, are bitwise the same for any CPU count. A
-    helper that ends before its rows are done raises ``ChildProcessError``;
-    every helper is reaped before this returns or raises.
+    runs of whole blocks, at most one per CPU, each computed by this process
+    or a helper (``_Helpers``) with its own points' constants. This process
+    copies a helper's rows into the column sum in point order, so the
+    scores, and the mask, are bitwise the same for any CPU count.
     """
     # imported here: at module level they would add to every command's start-up
     from scipy import sparse
@@ -488,7 +484,7 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
         return compute, points.add
 
     selected: list[int] = []
-    with _Helpers(start, edges, "maps_local helper for points", "rows") as helpers:
+    with _Helpers(_steps(start), edges, "maps_local helper for points", "rows") as helpers:
         own = _LocalRows(B, S, rows, alpha, alpha_norm, 0, mine)
 
         def similarities(a, b, out):  # this process's rows, or a copy of a helper's

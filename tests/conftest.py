@@ -35,6 +35,12 @@ def image_blob():
     return X, knn_graph(X, 8)
 
 
+def assert_no_child():
+    """Check that this process has no child left, reaped or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """One entry per os.fork call of the test's process."""
@@ -57,6 +63,11 @@ def traced_peak(f, *args):
     """``f(*args)`` and the most memory it held at once beyond what was
     allocated when it was called, in bytes, by tracemalloc (which sees
     NumPy's buffers). The memory that the result holds counts too."""
+    # np.unique, which np.isin calls in secants.build_clique_array, imports
+    # numpy.ma on its first call (np.ma.is_masked): load it first, so that
+    # its module objects (about 1 MB) do not count towards the first call
+    import numpy.ma  # noqa: F401
+
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -1,10 +1,11 @@
 import csv
 import importlib
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -41,21 +42,27 @@ from manifold_masks.metrics import (
 from manifold_masks.oose import METRICS, Reference, leave_one_out
 from manifold_masks.secants import build_clique_array
 
-from conftest import fail_eigensolver
+from conftest import assert_no_child, fail_eigensolver
 
 
 def run(*argv):
     return main([str(a) for a in argv])
 
 
-def fresh_python(code, cwd, timeout=None):
-    """``code`` run to exit in a fresh interpreter importing this checkout."""
+def fresh_env():
+    """The environment of a fresh interpreter importing this checkout, with
+    one BLAS thread."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def fresh_python(code, cwd, timeout=None):
+    """``code`` run to exit in a fresh interpreter importing this checkout."""
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True,
-        timeout=timeout,
+        [sys.executable, "-c", code], env=fresh_env(), cwd=cwd, capture_output=True,
+        text=True, timeout=timeout,
     )
 
 
@@ -871,9 +878,10 @@ class TestBadInputWritesNothing:
 
 
 class TestForkedScoring:
-    """evaluate and oose score a run's masks in one forked worker per CPU
-    (``masks._cpus``, patched here), and write the same bytes, exit code and
-    message whatever the count; no worker outlives the run."""
+    """evaluate and oose split a run's masks into one contiguous run per CPU
+    (``masks._cpus``, patched here): the command's process scores the first
+    and forks one worker for each later run. They write the same bytes,
+    exit code and message whatever the count; no worker outlives the run."""
 
     SYNTH = "translating_blob:n=40,g=6,seed={seed}"
 
@@ -908,9 +916,9 @@ class TestForkedScoring:
             assert self.run_with(monkeypatch, cpus, *argv, "--out-dir", out) == 0
             written[cpus] = (out / results).read_bytes()
         assert written[2] == written[3] == written[1]
-        # 2 sizes x (1 + 1 + 3) masks, so every CPU gets a worker
-        assert len(forks) == 2 + 3
-        assert multiprocessing.active_children() == []
+        # 2 sizes x (1 + 1 + 3) masks, so every CPU but the first gets a worker
+        assert len(forks) == 1 + 2
+        assert_no_child()
 
     @pytest.mark.parametrize(
         "command, extra",
@@ -940,8 +948,31 @@ class TestForkedScoring:
         assert outcomes[1] == outcomes[0]
         assert outcomes[0][0] == 3
         assert "eigendecomposition failed" in outcomes[0][1]
-        assert len(forks) == 2
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_first_failure_in_a_worker_run(self, tmp_path, monkeypatch, capsys, forks):
+        # this process scores the maps_global mask; the worker's pcoa mask
+        # has a disconnected k-NN graph, and this process raises its error
+        argv = [
+            "evaluate",
+            "--synth", "swiss_roll:n=300,seed=2",
+            "--algorithms", "maps_global,pcoa",
+            "--sizes", "2",
+            "--k", "10",
+            "--out-dir", tmp_path,
+        ]
+        outcomes = []
+        for cpus in (1, 2):
+            outcomes.append((self.run_with(monkeypatch, cpus, *argv), capsys.readouterr().err))
+        assert outcomes[1] == outcomes[0] == (
+            1,
+            "error: geodesic distances are not all finite: the k-NN graph is "
+            "disconnected; increase k\n",
+        )
+        assert len(forks) == 1
+        assert not list(tmp_path.iterdir())
+        assert_no_child()
 
     def test_selection_failure_stops_the_run_before_scoring(
         self, tmp_path, monkeypatch, capsys, forks
@@ -962,7 +993,35 @@ class TestForkedScoring:
             assert "oracle limit" in capsys.readouterr().err
         assert forks == []
         assert not list(tmp_path.iterdir())
-        assert multiprocessing.active_children() == []
+        assert_no_child()
+
+    def test_dead_worker(self, tmp_path, monkeypatch, capsys, forks):
+        # the worker of masks [3, 6) exits on its first LLE embedding
+        parent, embed = os.getpid(), cli.lle_embed
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return embed(*args)
+
+        monkeypatch.setattr(cli, "lle_embed", dying)
+        out = tmp_path / "out"
+        code = self.run_with(
+            monkeypatch, 2,
+            "evaluate",
+            "--synth", self.SYNTH.format(seed=1),
+            "--algorithms", "pcoa,random",
+            "--sizes", "8,16",
+            "--k", "6", "--trials", "2",
+            "--out-dir", out,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: scoring worker for masks [3, 6) of 6 ended before its scores were done\n"
+        )
+        assert not out.exists()
+        assert len(forks) == 1
+        assert_no_child()
 
     def test_one_mask_forks_nothing(self, tmp_path, monkeypatch, forks):
         code = self.run_with(
@@ -980,6 +1039,82 @@ class TestForkedScoring:
     def test_serial_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert _cpus() == 1
+
+
+class TestKilledCommand:
+    """A command killed while it works leaves no process behind: each forked
+    worker sees end of file on its command pipe once the command's process
+    has died, and exits within one mask or step. Each command runs in a
+    fresh interpreter, in its own session, with two CPUs (``masks._cpus``)
+    so that it forks."""
+
+    CODE = """
+import os, sys
+from manifold_masks import masks
+from manifold_masks.cli import main
+
+fork = os.fork
+
+def announcing():  # tell the test once a worker has forked
+    pid = fork()
+    if pid:
+        print("forked", flush=True)
+    return pid
+
+os.fork = announcing
+masks._cpus = lambda: 2
+sys.exit(main({argv!r}))
+"""
+
+    @pytest.mark.parametrize(
+        "argv, signum",
+        [
+            # sweep_blob's settings, whose selectors do not fork, so the
+            # first fork is the first scoring worker's; its run of 1,504
+            # masks takes far longer than the deadline
+            *[
+                (["evaluate", "--synth", "translating_blob:n=200,g=16,seed=1", "--algorithms",
+                  "maps_global,maps_local,pcoa,random", "--sizes", "16,32,64", "--k", "8",
+                  "--k-lle", "8", "--np-k", "20", "--l", "2", "--reg", "1e-2", "--trials",
+                  "1000"], signum)
+                for signum in (signal.SIGKILL, signal.SIGTERM)
+            ],
+            *[
+                # 512 greedy steps: seconds of work after the fork
+                (["mask", "--synth", "translating_blob:n=800,g=32,seed=1", "--algorithms",
+                  algorithm, "--sizes", "16,512", "--k", "8"], signal.SIGKILL)
+                for algorithm in ("maps_local", "maps_global")
+            ],
+        ],
+        ids=["evaluate-kill", "evaluate-term", "maps_local-kill", "maps_global-kill"],
+    )
+    def test_no_process_left(self, tmp_path, argv, signum):
+        code = self.CODE.format(argv=[*argv, "--out-dir", "out"])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code], env=fresh_env(), cwd=tmp_path, start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        pgid = proc.pid  # a new session's leader leads its process group
+        try:
+            assert proc.stdout.readline() == "forked\n"
+            time.sleep(0.2)  # into the work
+            os.kill(proc.pid, signum)
+            assert proc.wait(timeout=10) == -signum
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a worker outlived its command"
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+            proc.stdout.close()
 
 
 class TestStartUp:
@@ -1032,23 +1167,32 @@ print(code, sorted(m for m in sys.modules if m.startswith("scipy")))
         assert self.fresh(self.MAIN.format(argv=argv), tmp_path) == f"{expected} []"
 
     @pytest.mark.parametrize(
-        "code",
+        "code, expected",
         [
-            "import manifold_masks.cli as cli; cli.make_parser()",
-            "from manifold_masks.cli import main; main(['mask', '--synth', "
-            "'translating_blob:n=20,g=3,seed=1', '--algorithms', 'maps_global', "
-            "'--sizes', '1,2', '--k', '4', '--out-dir', 'masks'])",
+            ("import manifold_masks.cli as cli; cli.make_parser()", "[]"),
+            ("from manifold_masks.cli import main; main(['mask', '--synth', "
+             "'translating_blob:n=20,g=3,seed=1', '--algorithms', 'maps_global', "
+             "'--sizes', '1,2', '--k', '4', '--out-dir', 'masks'])", "[]"),
+            # SciPy imports numpy.testing, which loads concurrent.futures on
+            # NumPy 2: it is loaded first, so only the command's loads count
+            ("import numpy.testing; before = set(sys.modules); "
+             "from manifold_masks import masks; masks._cpus = lambda: 2; "
+             "from manifold_masks.cli import main; assert main(['evaluate', '--synth', "
+             "'translating_blob:n=20,g=3,seed=1', '--algorithms', 'pcoa,random', "
+             "'--sizes', '1,2', '--k', '4', '--np-k', '4', '--trials', '2', '--out-dir', 'out']) == 0",
+             "['mmap']"),
         ],
-        ids=["make_parser", "mask_maps_global"],
+        ids=["make_parser", "mask_maps_global", "evaluate_forked"],
     )
-    def test_loads_no_process_modules(self, tmp_path, code):
-        # the modules of forked work are imported where a process forks
-        # (cli._score_all, masks.maps_local), never at start-up
+    def test_loads_no_process_modules(self, tmp_path, code, expected):
+        # no process pool module loads at all, and mmap only where a process
+        # forks its workers (masks._shared), never at start-up
         loaded = (
-            "print(sorted(m for m in sys.modules "
+            "print(sorted(m for m in set(sys.modules) - before "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'mmap')))"
         )
-        assert self.fresh(f"import sys; {code}; {loaded}", tmp_path) == "[]"
+        prefix = "import sys; before = set(sys.modules)"
+        assert self.fresh(f"{prefix}; {code}; {loaded}", tmp_path) == expected
 
     def test_maps_local_loads_scipy_and_writes_the_same_masks(self, tmp_path):
         spec = "translating_blob:n=40,g=6,seed=1"
@@ -1072,15 +1216,15 @@ from manifold_masks.masks import Mask
 parent = os.getpid()
 masks._cpus = lambda: 2
 
-def score(mask):  # run in a worker, which has not imported SciPy itself
+def score(mask):  # masks 2 and 3 run in a worker, which has not imported SciPy itself
     return (
         os.getpid() != parent,
         "scipy.linalg" in sys.modules and "scipy.sparse.csgraph" in sys.modules,
     )
 
-print(cli._score_all(score, [Mask((j,), 4) for j in range(4)]))
+print(cli._score_all(score, [Mask((j,), 4) for j in range(4)], 2).tolist())
 """
-        assert self.fresh(code, tmp_path) == str([(True, True)] * 4)
+        assert self.fresh(code, tmp_path) == str([[0.0, 0.0, 1.0, 1.0], [1.0] * 4])
 
 
 class TestConfigMerging:

@@ -34,6 +34,7 @@ from manifold_masks.secants import build_clique_array
 
 from conftest import (
     BLOCK,
+    assert_no_child,
     block_rows,
     dense_clique_array,
     loop_neighbor_pairs,
@@ -478,8 +479,7 @@ class TestBlockedSelectors:
 
 
 class HelperChecks:
-    """What the tests of a selector's forked helpers share: a deadline and
-    the check that no child is left."""
+    """What the tests of a selector's forked helpers share: a deadline."""
 
     @pytest.fixture(autouse=True)
     def deadline(self):
@@ -493,11 +493,6 @@ class HelperChecks:
         yield
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-    @staticmethod
-    def assert_no_child():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
 
 class TestLocalHelpers(HelperChecks):
@@ -520,7 +515,7 @@ class TestLocalHelpers(HelperChecks):
             assert chosen[1].selected[:16] == (
                 661, 396, 353, 767, 105, 950, 97, 718, 549, 974, 837, 890, 1023, 293, 13, 335
             )
-        self.assert_no_child()
+        assert_no_child()
 
     @pytest.mark.parametrize(
         "rows_per_block, cpus, helpers",
@@ -537,7 +532,7 @@ class TestLocalHelpers(HelperChecks):
         monkeypatch.setattr(masks, "_cpus", lambda: cpus)
         maps_local(B, 5)
         assert len(forks) == helpers
-        self.assert_no_child()
+        assert_no_child()
 
     @pytest.mark.parametrize("failure", ["raise", "exit"])
     def test_helper_failure(self, monkeypatch, small_blob, failure):
@@ -561,7 +556,7 @@ class TestLocalHelpers(HelperChecks):
         assert str(failed.value) == (
             "maps_local helper for points [20, 40) of 60 ended before its rows were done"
         )
-        self.assert_no_child()
+        assert_no_child()
 
 
 class TestGlobalHelpers(HelperChecks):
@@ -586,7 +581,7 @@ class TestGlobalHelpers(HelperChecks):
             assert chosen[1].selected[:16] == (
                 17, 720, 515, 540, 133, 1009, 373, 808, 363, 826, 187, 586, 143, 628, 768, 27
             )
-        self.assert_no_child()
+        assert_no_child()
 
     @pytest.mark.parametrize(
         "instance, rows_per_block, cpus, helpers",
@@ -625,7 +620,7 @@ class TestGlobalHelpers(HelperChecks):
         assert len(forks) == helpers
         monkeypatch.setattr(masks, "_cpus", lambda: 1)
         assert maps_global(B, 3) == split
-        self.assert_no_child()
+        assert_no_child()
 
     @pytest.mark.parametrize("failure", ["raise", "exit"])
     def test_helper_failure(self, monkeypatch, small_blob, failure):
@@ -649,7 +644,7 @@ class TestGlobalHelpers(HelperChecks):
         assert str(failed.value) == (
             "maps_global helper for columns [21, 42) of 64 ended before its costs were done"
         )
-        self.assert_no_child()
+        assert_no_child()
 
 
 class TestNeighborOnlyStore:
