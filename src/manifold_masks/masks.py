@@ -384,6 +384,9 @@ class _LocalRows:
         step = max(1, CHUNK_ENTRIES // len(B.B))
         for j in range(0, B.d, step):
             self.b_sq[:, j : j + step] = ones @ np.square(B.B[:, j : j + step])
+        # every term of a denominator below is >= 0, so it is 0 only where
+        # ||B_j||^2 is: without such a zero, similarities() skips its guard
+        self.guarded = not self.b_sq.all()
         S.data[:] = alpha.T.ravel()
         self.cross_alpha = S[lo:hi] @ B.B
         # theta spans every point, so its column sums add in the same order
@@ -408,7 +411,8 @@ class _LocalRows:
             den *= 2.0
             den += self.theta_sq[a:b, None]
             den += self.b_sq[a - lo : b - lo]
-        den[den <= 0.0] = np.inf  # an all-zero masked vector has similarity 0
+        if self.guarded:  # an all-zero masked vector has similarity 0
+            den[den <= 0.0] = np.inf
         np.sqrt(den, out=den)
         den *= alpha_norm[a:b, None]
         np.add(self.cross_alpha[a - lo : b - lo], self.theta_alpha[a:b, None], out=out)
@@ -418,6 +422,36 @@ class _LocalRows:
         lo, hi = self.lo, self.hi
         self.theta[:, lo:hi] += self.store[self.rows[lo:hi], choice].T
         self.empty = False
+
+
+def _rcm(graph) -> np.ndarray:
+    """Reverse Cuthill-McKee order of a symmetric CSR graph, step for step
+    SciPy's ``reverse_cuthill_mckee(graph, symmetric_mode=True)``, so every
+    sum taken in the order is SciPy's: each search starts from the first
+    unvisited node in ``np.argsort`` order of degree, and the next level
+    takes each node's new neighbours in turn, stably sorted by degree."""
+    ind, ptr, n = graph.indices, graph.indptr, graph.shape[0]
+    lengths = np.diff(ptr)
+    rows = np.repeat(np.arange(n), lengths)
+    degree = lengths.astype(ind.dtype)  # SciPy's degree: the row's length, plus one
+    degree[rows[ind == rows]] += 1  # if it holds its diagonal (a fancy += adds once)
+    visited = np.zeros(n, dtype=bool)
+    order = []
+    for seed in np.argsort(degree):
+        if visited[seed]:
+            continue
+        level = np.array([seed])
+        while level.size:  # one level of the search a pass
+            visited[level] = True
+            order.append(level)
+            lengths = ptr[level + 1] - ptr[level]
+            starts = np.repeat(ptr[level] - np.cumsum(lengths) + lengths, lengths)
+            reached = ind[starts + np.arange(len(starts))]  # the level's rows, in storage order
+            _, first = np.unique(reached, return_index=True)
+            first = np.sort(first[~visited[reached[first]]])  # new nodes, where first reached
+            new, parent = reached[first], np.repeat(np.arange(level.size), lengths)[first]
+            level = new[np.lexsort((degree[new], parent))]  # by parent, then degree
+    return np.concatenate(order)[::-1]
 
 
 def maps_local(B: CliqueSecantArray, m: int) -> Mask:
@@ -443,9 +477,7 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     copies a helper's rows into the column sum in point order, so the
     scores, and the mask, are bitwise the same for any CPU count.
     """
-    # imported here: at module level they would add to every command's start-up
-    from scipy import sparse
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    from scipy import sparse  # here: at module level it would add to every start-up
 
     n, c, d = B.n, B.c, B.d
     _check_m(m, d)
@@ -455,7 +487,7 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     # points in reverse Cuthill-McKee order of the pairs their cliques share,
     # so each product finds most of a clique's store rows still in cache
     shared = sparse.csr_matrix((np.ones(n * c), B.rows.ravel(), indptr), shape=(n, P))
-    order = reverse_cuthill_mckee((shared @ shared.T).tocsr(), symmetric_mode=True)
+    order = _rcm((shared @ shared.T).tocsr())
     rows, alpha, alpha_norm = B.rows[order], alpha[:, order], alpha_norm[order]
     # one (n, P) CSR for every product; only its data changes, and always by
     # copying into it, so it never shares memory with alpha or the store

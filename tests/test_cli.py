@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib
 import json
@@ -1199,7 +1200,10 @@ print(code, sorted(m for m in sys.modules if m.startswith("scipy")))
         argv = ["mask", "--synth", spec, "--algorithms", "maps_local",
                 "--sizes", "4,8", "--k", "6", "--out-dir", "masks"]
         code, loaded = self.fresh(self.MAIN.format(argv=argv), tmp_path).split(" ", 1)
-        assert code == "0" and "'scipy.sparse.csgraph'" in loaded
+        loaded = ast.literal_eval(loaded)
+        assert code == "0" and "scipy.sparse" in loaded
+        # its point order is the package's own: no graph or linear algebra module
+        assert not {"scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"} & set(loaded)
         X = synth_dataset("translating_blob", 40, seed=1, g=6)
         expected = maps_local(build_clique_array(X, knn_graph(X, 6)), 8)
         # the mask written when the package imported SciPy at start-up

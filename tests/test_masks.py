@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -115,16 +115,25 @@ def normalized_maps_global(A, m, p):
     return tuple(selected)
 
 
+def clique_sharing_graph(B):
+    """The graph whose reverse Cuthill-McKee order maps_local takes: points
+    joined by the store rows their cliques share, as a sparse product
+    leaves it (self-loops, unsorted column indices)."""
+    n, c = B.n, B.c
+    indptr = np.arange(0, n * c + 1, c)
+    shared = sparse.csr_matrix((np.ones(n * c), B.rows.ravel(), indptr), shape=(n, B.B.shape[0]))
+    return (shared @ shared.T).tocsr()
+
+
 def unblocked_maps_local(B, m):
     """Every step's scores of maps_local, computed whole: each step's
     product S @ B.B and similarities as (n, d) arrays, summed over axis 0,
-    with the points in the same reverse Cuthill-McKee order."""
+    with the points in SciPy's reverse Cuthill-McKee order."""
     n, c, d = B.n, B.c, B.d
     alpha, alpha_norm = masks._clique_alpha(B)
     P = B.B.shape[0]
     indptr = np.arange(0, n * c + 1, c)
-    shared = sparse.csr_matrix((np.ones(n * c), B.rows.ravel(), indptr), shape=(n, P))
-    order = reverse_cuthill_mckee((shared @ shared.T).tocsr(), symmetric_mode=True)
+    order = reverse_cuthill_mckee(clique_sharing_graph(B), symmetric_mode=True)
     rows, alpha, alpha_norm = B.rows[order], alpha[:, order], alpha_norm[order]
     S = sparse.csr_matrix((np.ones(n * c), rows.ravel(), indptr), shape=(n, P))
     b_sq = np.empty((n, d))
@@ -397,6 +406,58 @@ class TestMapsLocal:
         assert maps_local(B, 12) == first
 
 
+def symmetric_graph(n, kind, seed):
+    """A symmetric CSR graph on n nodes: random edges, self-loops among
+    them ("edges"); a ring lattice, whose degrees all tie but at the ends of
+    a few extra edges ("lattice"); or a sparse product, with self-loops and
+    unsorted column indices ("product"). The random edges and the product
+    leave isolated nodes and several components."""
+    rng = np.random.default_rng(seed)
+    if kind == "product":
+        M = sparse.random(n, max(1, n // 2), density=min(1.0, 2.0 / n), random_state=rng, format="csr")
+        return (M @ M.T).tocsr()
+    if kind == "lattice":
+        k = int(rng.integers(1, 4))
+        i = np.repeat(np.arange(n), k)
+        j = (i + np.tile(np.arange(1, k + 1), n)) % n
+        extra = rng.integers(0, n, (int(rng.integers(0, 4)), 2))
+        i, j = np.r_[i, extra[:, 0]], np.r_[j, extra[:, 1]]
+    else:
+        i, j = rng.integers(0, n, (2, int(rng.integers(0, 2 * n))))
+    A = sparse.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    return (A + A.T).tocsr()
+
+
+class TestRcm:
+    """maps_local's point order is masks._rcm's, which must be SciPy's
+    reverse Cuthill-McKee order node for node: the order sets each score's
+    summation order, and so the masks. NumPy's argsort may dispatch to SIMD
+    code that breaks ties its own way, so the graphs are tie-heavy."""
+
+    # the benchmark's image-scale blob at two seeds, and the small blob
+    @pytest.mark.parametrize("n, g, seed", [(800, 32, 1), (800, 32, 2), (60, 8, 11)])
+    def test_clique_sharing_graph(self, n, g, seed):
+        X = synth_dataset("translating_blob", n, seed=seed, g=g)
+        graph = clique_sharing_graph(build_clique_array(X, knn_graph(X, 8)))
+        assert not graph.has_sorted_indices
+        want = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        assert np.array_equal(masks._rcm(graph), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        kind=st.sampled_from(["edges", "lattice", "product"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, kind="edges", seed=0)  # no edge
+    @example(n=1, kind="lattice", seed=0)  # a self-loop
+    @example(n=600, kind="lattice", seed=3)
+    def test_any_symmetric_graph(self, n, kind, seed):
+        graph = symmetric_graph(n, kind, seed)
+        want = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        assert np.array_equal(masks._rcm(graph), want)
+
+
 class TestBlockedSelectors:
     """Both selectors stream blocks of rows through masks._reduce_rows; every
     step's vector is bitwise the whole-array loop's at any block size,
@@ -453,6 +514,15 @@ class TestBlockedSelectors:
             dense[:, 2, :4] = 0.0  # column 2 vanishes on the cliques of points 0-3
             dense[:, 5, 3:6] = 0.0
             B = store_from_dense(dense)
+        # the zero ||B_j||^2 of zero_cliques are why similarities() guards
+        # its denominators; without one it skips the guard
+        guarded = []
+        init = masks._LocalRows.__init__
+
+        def record(self, *args):
+            init(self, *args)
+            guarded.append(self.guarded)  # in this process alone
+
         # with several CPUs, the points split into runs of blocks, one per
         # process, and the parent copies the helpers' rows into the column
         # sum in point order
@@ -461,9 +531,11 @@ class TestBlockedSelectors:
                 # b_sq's column blocks read the same constant, in both loops
                 patch.setattr(masks, "CHUNK_ENTRIES", h * B.d)
                 patch.setattr(masks, "_cpus", lambda: cpus)
+                patch.setattr(masks._LocalRows, "__init__", record)
                 _, steps = blocked_steps(patch, maps_local, B, 8)
                 want = unblocked_maps_local(B, 8)
             assert_steps_equal(steps, want)
+        assert any(guarded) == (instance == "zero_cliques")
 
     def test_default_blocks(self, monkeypatch, image_blob):
         # at d=576 a default block holds 227 rows: the secants take several
