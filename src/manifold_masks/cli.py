@@ -81,6 +81,10 @@ class RunConfig:
             raise ParameterError(f"reg must be finite and >= 0, got {self.reg}")
         if self.p not in NORMS:
             raise ParameterError(f"unknown norm p={self.p!r}; choose from {NORMS}")
+        if not self.algorithms:
+            raise ParameterError("no algorithms requested")
+        if not self.methods:
+            raise ParameterError("no leave-one-out methods requested")
         for name in self.algorithms:
             if name not in SELECTORS:
                 raise ParameterError(f"unknown algorithm {name!r}; choose from {SELECTORS}")

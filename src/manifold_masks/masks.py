@@ -206,24 +206,6 @@ def _fork_helper(body, inherited: list[int], lo: int, hi: int) -> tuple[int, int
     return pid, to_helper, from_helper
 
 
-def _steps(start):
-    """A greedy selector's helper body: with ``compute, add = start(lo,
-    hi)``, each step ``compute()``, a one-byte reply, and ``add`` of the
-    choice read from its commands, until end of file."""
-
-    def body(lo, hi, commands, replies):
-        compute, add = start(lo, hi)
-        while True:
-            compute()
-            os.write(replies, b"\0")  # this step's part is in place
-            choice = os.read(commands, 8)
-            if not choice:
-                return
-            add(int.from_bytes(choice, "little"))
-
-    return body
-
-
 class _Helpers:
     """Forked helpers, used as a ``with`` block: this process keeps the run
     ``edges[0:2]`` of the work, and the block forks one helper running
@@ -275,6 +257,39 @@ class _Helpers:
             os.waitpid(pid, 0)
 
 
+def _greedy(start, edges: list[int], m: int, d: int, values, lowest: bool, label: str,
+            part: str) -> Mask:
+    """Both selectors' greedy loop over the runs ``[edges[r], edges[r + 1])``
+    of their work: this process keeps the first run and forks a helper for
+    each later one (``_Helpers``, named by ``label`` and ``part``). Every
+    process sets up with ``compute, add = start(lo, hi)``; each step, every
+    process ``compute``s, this process waits for every helper and chooses
+    from ``values()`` (``_choose``), and every process ``add``s the choice."""
+
+    def body(lo, hi, commands, replies):  # a helper's run
+        compute, add = start(lo, hi)
+        while True:
+            compute()
+            os.write(replies, b"\0")  # this step's part is in place
+            choice = os.read(commands, 8)
+            if not choice:
+                return
+            add(int.from_bytes(choice, "little"))
+
+    selected: list[int] = []
+    with _Helpers(body, edges, label, part) as helpers:
+        compute, add = start(edges[0], edges[1])
+        for step in range(m):
+            compute()
+            for lo in edges[1:-1]:
+                helpers.wait(lo)
+            choice = _choose(values(), selected, lowest)
+            if step < m - 1:
+                helpers.send(choice)
+                add(choice)
+    return Mask(selected=tuple(selected), d=d)
+
+
 class _GlobalColumns:
     """``maps_global``'s costs of the candidate columns ``[lo, hi)``, which
     ``compute`` writes to ``costs[lo:hi]`` each step, with this process's
@@ -286,8 +301,7 @@ class _GlobalColumns:
     def __init__(self, B: CliqueSecantArray, p: str, costs: np.ndarray, lo: int, hi: int):
         S = len(B.sums)
         self.store, self.sums, self.d, self.p = B.B[:S], B.sums, B.d, p
-        self.columns = self.store[:, lo:hi]  # read in place, strided unless whole
-        self.strided = hi - lo < B.d
+        self.columns = self.store[:, lo:hi]  # read in place
         self.out, self.reduce = costs[lo:hi], _lp_reduce(p)
         self.w = 1.0 / B.sums
         self.running = np.zeros(S)
@@ -295,13 +309,9 @@ class _GlobalColumns:
 
     def residuals(self, a: int, b: int, out: np.ndarray) -> None:
         """``|B_j + u|`` of neighbor rows [a, b), scaled by 1/s for Linf."""
-        if self.strided:
-            # a copy, then an add in place: np.add reads a strided column
-            # run about 40% slower, and the sums are the same bits
-            np.copyto(out, self.columns[a:b])
-            out += self.shift[a:b, None]
-        else:  # whole rows are contiguous: a copy would only add a pass
-            np.add(self.columns[a:b], self.shift[a:b, None], out=out)
+        # a copy, then an add in place: np.add reads a column run ~40% slower
+        np.copyto(out, self.columns[a:b])
+        out += self.shift[a:b, None]
         np.abs(out, out=out)
         if self.p == "Linf":
             out *= self.w[a:b, None]
@@ -335,7 +345,7 @@ def maps_global(B: CliqueSecantArray, m: int, p: str = "L1") -> Mask:
 
     With at least two blocks of neighbor rows and several CPUs (``_cpus``),
     the candidate columns split into contiguous runs, at most one per CPU,
-    each computed by this process or a helper (``_Helpers``) with its own
+    each computed by this process or a helper (``_greedy``) with its own
     running sums. So the costs, and the mask, are bitwise the same for any
     CPU count.
     """
@@ -352,18 +362,8 @@ def maps_global(B: CliqueSecantArray, m: int, p: str = "L1") -> Mask:
         columns = _GlobalColumns(B, p, costs, lo, hi)
         return columns.compute, columns.add
 
-    selected: list[int] = []
-    with _Helpers(_steps(start), edges, "maps_global helper for columns", "costs") as helpers:
-        compute, add = start(0, edges[1])
-        for step in range(m):
-            compute()
-            for lo in edges[1:-1]:
-                helpers.wait(lo)
-            choice = _choose(costs, selected, lowest=True)
-            if step < m - 1:
-                helpers.send(choice)
-                add(choice)
-    return Mask(selected=tuple(selected), d=d)
+    label = "maps_global helper for columns"
+    return _greedy(start, edges, m, d, lambda: costs, True, label, "costs")
 
 
 class _LocalRows:
@@ -392,7 +392,6 @@ class _LocalRows:
         # theta spans every point, so its column sums add in the same order
         # in every process; only the columns of [lo, hi) are kept up to date
         self.theta = np.zeros((B.c, B.n))
-        self.empty = True
 
     def start_step(self) -> None:
         theta = self.theta
@@ -403,14 +402,12 @@ class _LocalRows:
     def similarities(self, a: int, b: int, out: np.ndarray) -> None:
         """Cosine similarities of points [a, b) with every candidate added."""
         lo, alpha_norm = self.lo, self.alpha_norm
-        if self.empty:
-            den = self.b_sq[a - lo : b - lo].copy()  # theta = 0
-        else:
-            # ||theta + B_j||^2 = ||theta||^2 + 2 <B_j, theta> + ||B_j||^2
-            den = self.S[a:b] @ self.store
-            den *= 2.0
-            den += self.theta_sq[a:b, None]
-            den += self.b_sq[a - lo : b - lo]
+        # ||theta + B_j||^2 = ||theta||^2 + 2 <B_j, theta> + ||B_j||^2, which
+        # is bitwise ||B_j||^2 while theta = 0
+        den = self.S[a:b] @ self.store
+        den *= 2.0
+        den += self.theta_sq[a:b, None]
+        den += self.b_sq[a - lo : b - lo]
         if self.guarded:  # an all-zero masked vector has similarity 0
             den[den <= 0.0] = np.inf
         np.sqrt(den, out=den)
@@ -421,7 +418,6 @@ class _LocalRows:
     def add(self, choice: int) -> None:
         lo, hi = self.lo, self.hi
         self.theta[:, lo:hi] += self.store[self.rows[lo:hi], choice].T
-        self.empty = False
 
 
 def _rcm(graph) -> np.ndarray:
@@ -473,9 +469,10 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
 
     With several blocks and several CPUs (``_cpus``), the points split into
     runs of whole blocks, at most one per CPU, each computed by this process
-    or a helper (``_Helpers``) with its own points' constants. This process
-    copies a helper's rows into the column sum in point order, so the
-    scores, and the mask, are bitwise the same for any CPU count.
+    or a helper with its own points' constants (``_greedy``). The helpers
+    write their rows into a shared table after this process's sum, and one
+    axis-0 sum adds them in point order, so the scores, and the mask, are
+    bitwise the same for any CPU count.
     """
     from scipy import sparse  # here: at module level it would add to every start-up
 
@@ -500,42 +497,33 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     # are the longer ones when they are uneven, since this process sums too
     edges = [h * (w * blocks // workers) for w in range(workers)] + [n]
     mine = edges[1]  # this process computes points [0, mine)
-    if workers > 1:
-        helper_rows = _shared(n - mine, d)  # one step's rows of every helper, in point order
+    scores = np.empty(d)
+    # row 0 carries this process's sum and the helpers' rows follow it in
+    # point order, so one axis-0 sum adds the points one after another
+    table = _shared(n - mine + 1, d) if workers > 1 else None
 
-    def start(lo, hi):  # a helper's points [lo, hi)
+    def start(lo, hi):
         points = _LocalRows(B, S, rows, alpha, alpha_norm, lo, hi)
-        out = helper_rows[lo - mine : hi - mine]
 
         def compute():
             points.start_step()
-            for a in range(lo, hi, h):
+            if lo == 0:  # this process sums its own rows
+                _reduce_rows(np.add.reduce, points.similarities, hi, scores)
+                return
+            for a in range(lo, hi, h):  # a helper writes its rows
                 b = min(a + h, hi)
-                points.similarities(a, b, out[a - lo : b - lo])
+                points.similarities(a, b, table[a - mine + 1 : b - mine + 1])
 
         return compute, points.add
 
-    selected: list[int] = []
-    with _Helpers(_steps(start), edges, "maps_local helper for points", "rows") as helpers:
-        own = _LocalRows(B, S, rows, alpha, alpha_norm, 0, mine)
+    def values():
+        if table is not None:
+            table[0] = scores
+            np.add.reduce(table, axis=0, out=scores)
+        return scores
 
-        def similarities(a, b, out):  # this process's rows, or a copy of a helper's
-            if b <= mine:
-                own.similarities(a, b, out)
-                return
-            if a in edges:  # a helper's first block: wait for its rows
-                helpers.wait(a)
-            np.copyto(out, helper_rows[a - mine : b - mine])
-
-        scores = np.empty(d)
-        for step in range(m):
-            own.start_step()
-            _reduce_rows(np.add.reduce, similarities, n, scores)
-            choice = _choose(scores, selected, lowest=False)
-            if step < m - 1:
-                helpers.send(choice)
-                own.add(choice)
-    return Mask(selected=tuple(selected), d=d)
+    label = "maps_local helper for points"
+    return _greedy(start, edges, m, d, values, False, label, "rows")
 
 
 def pcoa(X: DataMatrix, m: int) -> Mask:

@@ -1272,7 +1272,15 @@ class TestConfigMerging:
 
     @pytest.mark.parametrize(
         "command, flag, names",
-        [("evaluate", "--algorithms", "pcoa,bogus"), ("oose", "--methods", "isomap,bogus")],
+        [
+            ("evaluate", "--algorithms", "pcoa,bogus"),
+            ("oose", "--methods", "isomap,bogus"),
+            # none: evaluate built every full-data reference, then died with
+            # an IndexError; oose with no methods wrote a header-only CSV
+            ("evaluate", "--algorithms", ""),
+            ("oose", "--algorithms", ""),
+            ("oose", "--methods", ""),
+        ],
     )
     def test_unknown_name_rejected_before_any_work(self, tmp_path, command, flag, names):
         code = run(
@@ -1285,6 +1293,23 @@ class TestConfigMerging:
         )
         assert code == 1
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["evaluate", "oose"])
+    def test_empty_algorithms_in_config_rejected(self, tmp_path, capsys, command):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("algorithms=\n")
+        out = tmp_path / "out"
+        code = run(
+            command,
+            "--config", cfg_file,
+            "--synth", "translating_blob:n=40,g=5,seed=1",
+            "--sizes", "3",
+            "--k", "6",
+            "--out-dir", out,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: no algorithms requested\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "value, expected", [("false", False), ("OFF", False), ("0", False), ("True", True), ("yes", True)]

@@ -464,12 +464,17 @@ class TestBlockedSelectors:
     however the last block falls."""
 
     def test_axis0_sum_adds_rows_in_sequence(self, rng):
-        # why a sum carried from block to block is the whole array's
-        X = rng.random((50, 37)) * 10.0 ** rng.integers(-8, 8, (50, 1))
-        running = X[0].copy()
-        for row in X[1:]:
-            running += row
-        assert np.array_equal(np.add.reduce(X, axis=0), running)
+        # why a sum carried from block to block is the whole array's, and
+        # why maps_local's one sum over its helper table (a carried row 0,
+        # then the helpers' rows: 416 on 2 CPUs at n=800, d=1024) adds the
+        # points in sequence
+        for rows, d in [(50, 37), (421, 1024)]:
+            X = rng.random((rows, d)) * 10.0 ** rng.integers(-8, 8, (rows, 1))
+            running = X[0].copy()
+            for row in X[1:]:
+                running += row
+            assert np.array_equal(np.add.reduce(X, axis=0), running)
+            assert np.array_equal(np.add.reduce(X, axis=0, out=np.empty(d)), running)
 
     def test_weighted_sum_adds_rows_in_sequence(self, rng):
         # why a weighted sum carried from block to block, with weight 1 on
@@ -524,8 +529,8 @@ class TestBlockedSelectors:
             guarded.append(self.guarded)  # in this process alone
 
         # with several CPUs, the points split into runs of blocks, one per
-        # process, and the parent copies the helpers' rows into the column
-        # sum in point order
+        # process, and the parent sums its own rows, then the helpers' in
+        # point order
         for h, cpus in product(block_rows(B.n).values(), (1, 2, 3)):
             with monkeypatch.context() as patch:
                 # b_sq's column blocks read the same constant, in both loops
