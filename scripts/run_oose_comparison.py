@@ -3,8 +3,11 @@
 
 For each selector and mask size, every point is held out in turn, the mask
 is applied, the remaining points are embedded, and the held-out point is
-extended back in. The isomap method reports alignment error against the
-full-data embedding; gaze reports mean parameter-estimation error.
+extended back in. The isomap and isomap_exact methods report alignment
+error against the full-data embedding (isomap slices each fold's geodesics
+from the mask's, isomap_exact builds each fold's own graph); lle reports
+reconstruction error under the full-data weights; gaze reports mean
+parameter-estimation error.
 
 Usage:
     python3 scripts/run_oose_comparison.py --out-dir results/oose [--n 120]

@@ -70,7 +70,6 @@ class RunConfig:
     methods: tuple[str, ...] = ("isomap",)
     out_dir: str = "."
     results: str | None = None
-    exact_folds: bool = False
 
     def __post_init__(self):
         if self.sizes and list(self.sizes) != sorted(set(self.sizes)):
@@ -81,18 +80,17 @@ class RunConfig:
             raise ParameterError(f"reg must be finite and >= 0, got {self.reg}")
         if self.p not in NORMS:
             raise ParameterError(f"unknown norm p={self.p!r}; choose from {NORMS}")
-        if not self.algorithms:
-            raise ParameterError("no algorithms requested")
-        if not self.methods:
-            raise ParameterError("no leave-one-out methods requested")
-        for name in self.algorithms:
-            if name not in SELECTORS:
-                raise ParameterError(f"unknown algorithm {name!r}; choose from {SELECTORS}")
-        for name in self.methods:
-            if name not in METRICS:
-                raise ParameterError(
-                    f"unknown leave-one-out method {name!r}; choose from {tuple(METRICS)}"
-                )
+        for kind, names, known in (
+            ("algorithm", self.algorithms, SELECTORS),
+            ("leave-one-out method", self.methods, tuple(METRICS)),
+        ):
+            if not names:
+                raise ParameterError(f"no {kind}s requested")
+            for i, name in enumerate(names):
+                if name not in known:
+                    raise ParameterError(f"unknown {kind} {name!r}; choose from {known}")
+                if name in names[:i]:
+                    raise ParameterError(f"{kind} {name!r} is given more than once")
 
 
 def _coerce(key: str, value):
@@ -112,11 +110,6 @@ def _coerce(key: str, value):
     except ValueError:
         kind = "a number" if key == "reg" else "integers" if key == "sizes" else "an integer"
         raise ParameterError(f"{key} must be {kind}, got {value!r}") from None
-    if key == "exact_folds":
-        flag = value.lower()
-        if flag not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-            raise ParameterError(f"exact_folds must be true or false, got {value!r}")
-        return flag in ("1", "true", "yes", "on")
     return value
 
 
@@ -375,7 +368,7 @@ def cmd_oose(cfg: RunConfig, args) -> int:
         raise ParameterError("gaze evaluation needs ground-truth params")
     ref = Reference(X, cfg.k, cfg.l, cfg.reg)
     # what the folds are scored against, built before scoring workers fork
-    if "isomap" in cfg.methods:
+    if {"isomap", "isomap_exact"} & set(cfg.methods):
         ref.isomap
     if "lle" in cfg.methods:
         ref.weights
@@ -384,7 +377,7 @@ def cmd_oose(cfg: RunConfig, args) -> int:
 
     def score(mask: Mask) -> list[float]:
         Xm = Reference(apply_mask(X, mask), cfg.k, cfg.l, cfg.reg)
-        return [leave_one_out(Xm, method, ref, cfg.exact_folds) for method in cfg.methods]
+        return [leave_one_out(Xm, method, ref) for method in cfg.methods]
 
     return _score_plans(cfg, ref, dataset_id, keys, score, results)
 
@@ -413,8 +406,7 @@ FLAGS = (
     ("--results", _SCORING, dict(help="results CSV path")),
     ("--k-lle", ("evaluate",), dict(dest="k_lle", type=int, help="LLE neighborhood size")),
     ("--np-k", ("evaluate",), dict(dest="np_k", type=int, help="neighbor-preservation k")),
-    ("--methods", ("oose",), dict(help="comma-separated OoSE methods (isomap,lle,gaze)")),
-    ("--exact-folds", ("oose",), dict(dest="exact_folds", action="store_const", const=True)),
+    ("--methods", ("oose",), dict(help=f"comma-separated OoSE methods ({','.join(METRICS)})")),
     ("--out", ("synth",), dict(required=True, help="output basename (.csv/.meta)")),
 )
 

@@ -257,9 +257,8 @@ def synth_dataset(kind: str, n: int, seed: int, **options) -> DataMatrix:
         raise ParameterError(f"need n >= 2, got {n}")
     rng = np.random.default_rng(seed)
     if kind == "swiss_roll":
-        unknown = set(options) - set()
-        if unknown:
-            raise ParameterError(f"swiss_roll takes no options, got {sorted(unknown)}")
+        if options:
+            raise ParameterError(f"swiss_roll takes no options, got {sorted(options)}")
         # sample uniformly in arc length so the outer windings are as dense
         # as the inner ones (uniform-in-angle sampling leaves the rim sparse
         # enough for k-NN shortcuts across windings)

@@ -35,10 +35,8 @@ class Mask:
         object.__setattr__(self, "d", _integer("d", self.d))
         if len(set(sel)) != len(sel):
             raise ParameterError(f"duplicate indices in mask: {sel}")
-        if sel and not all(0 <= j < self.d for j in sel):
+        if not all(0 <= j < self.d for j in sel):
             raise ParameterError(f"mask indices out of [0, {self.d}): {sel}")
-        if len(sel) > self.d:
-            raise ParameterError(f"mask of size {len(sel)} exceeds d={self.d}")
 
     @property
     def m(self) -> int:

@@ -27,7 +27,8 @@ from .errors import ParameterError
 from .metrics import oose_embedding_error, oose_error_isomap, procrustes_align
 
 # the metric each leave-one-out method reports, as its results rows name it
-METRICS = {"isomap": "oose_error", "lle": "oose_embedding_error", "gaze": "gaze_error"}
+METRICS = {"isomap": "oose_error", "isomap_exact": "oose_error",
+           "lle": "oose_embedding_error", "gaze": "gaze_error"}
 FOLD_ITERATIONS = 60  # block iteration steps before a fold is solved densely
 
 
@@ -279,9 +280,7 @@ def _isomap_folds(D: GeodesicDistances, ell: int) -> Embedding:
     return Embedding(Y=Y, eigenvalues=evals)
 
 
-def leave_one_out(
-    X: Reference, method: str, ref: Reference, exact_folds: bool = False
-) -> float:
+def leave_one_out(X: Reference, method: str, ref: Reference) -> float:
     """Score masked data ``X`` by leave-one-out out-of-sample extension:
     the value of ``METRICS[method]``.
 
@@ -294,8 +293,8 @@ def leave_one_out(
     ``isomap``: per fold, embed the masked training set, extend to the
     held-out masked point, align the assembled embedding to the full-data
     Isomap embedding, and report the mean per-point distance. Folds sliced
-    from ``X``'s geodesics are embedded together by ``_isomap_folds``; with
-    ``exact_folds`` each fold builds its own graph and is embedded densely.
+    from ``X``'s geodesics are embedded together by ``_isomap_folds``;
+    ``isomap_exact`` builds each fold's own graph and embeds it densely.
     Either way, extension and alignment run once over all folds.
 
     ``lle``: per fold, run LLE on the masked training set, extend to the
@@ -307,12 +306,12 @@ def leave_one_out(
     """
     n, k, ell, points, params = X.n, X.k, X.ell, X.X.points, X.X.params
 
-    if method == "isomap":
+    if method in ("isomap", "isomap_exact"):
         Y_ref, nn = ref.isomap, X.G.neighbors
         dists = np.linalg.norm(points[nn] - points[:, None], axis=-1)
         # fold i's arrays have a slot for every point; slot i is the held-out one
         folds = np.arange(n)
-        if exact_folds:
+        if method == "isomap_exact":
             Y_folds, evals = np.zeros((n, n, ell)), np.empty((n, ell))
             col_means, d_test = np.zeros((n, n)), np.zeros((n, n))
             for i in folds:

@@ -459,6 +459,28 @@ class TestOoseCommand:
         assert by_method["lle"][idx["metric"]] == "oose_embedding_error"
         assert by_method["gaze"][idx["metric"]] == "gaze_error"
 
+    def test_both_isomap_fold_modes_in_one_run(self, tmp_path):
+        def rows(methods):
+            out = tmp_path / methods
+            code = run(
+                "oose",
+                "--synth", "translating_blob:n=40,g=6,seed=1",
+                "--algorithms", "maps_global,pcoa,random",
+                "--sizes", "8,16",
+                "--k", "6", "--trials", "2",
+                "--methods", methods,
+                "--out-dir", out,
+            )
+            assert code == 0
+            return (out / "oose_results.csv").read_text().splitlines()[1:]
+
+        both = rows("isomap,isomap_exact")
+        cells = list(csv.DictReader(both, fieldnames=RESULTS_HEADER))
+        # per (algorithm, m): the sliced row, then the exact one
+        assert [row["method"] for row in cells] == ["isomap", "isomap_exact"] * 6
+        assert {row["metric"] for row in cells} == {"oose_error"}
+        assert both[::2] == rows("isomap")
+
     def test_gaze_without_params_rejected_before_any_work(self, tmp_path, line_files):
         data, _ = line_files  # without the sidecar, no column holds params
         code = run(
@@ -559,10 +581,18 @@ class TestOneRunOneGraph:
         assert full_graphs == [6]
 
     @pytest.fixture
-    def full_builds(self, monkeypatch):
-        """The name of every geodesics and lle_weights call on the full
-        64-pixel data, spied on at every module binding."""
-        full_graphs, calls = [], []
+    def full_builds(self, monkeypatch, tmp_path):
+        """A function that lists the name of every geodesics and lle_weights
+        call on the full 64-pixel data, spied on at every module binding.
+        The run has two CPUs (``masks._cpus``), so it forks a scoring worker;
+        the spies append to a file, so the worker's calls count too, each
+        named ``worker``."""
+        full_graphs, log, parent = [], tmp_path / "builds.txt", os.getpid()
+        monkeypatch.setattr("manifold_masks.masks._cpus", lambda: 2)
+
+        def record(name):
+            with open(log, "a") as fh:
+                fh.write(f"{name if os.getpid() == parent else 'worker'}\n")
 
         def graph(X, k):
             G = knn_graph(X, k)
@@ -572,19 +602,24 @@ class TestOneRunOneGraph:
 
         def geo(G):
             if any(G is F for F in full_graphs):
-                calls.append("geodesics")
+                record("geodesics")
             return geodesics(G)
 
         def weights(X, G, reg=1e-3):
             if X.d == 64:
-                calls.append("lle_weights")
+                record("lle_weights")
             return lle_weights(X, G, reg)
 
         self.spy(monkeypatch, knn_graph=graph, geodesics=geo, lle_weights=weights)
-        return calls
+        return lambda: log.read_text().splitlines() if log.exists() else []
 
     @pytest.mark.parametrize(
-        "methods, built", [("isomap,lle,gaze", ["geodesics", "lle_weights"]), ("gaze", [])]
+        "methods, built",
+        [
+            ("isomap,lle,gaze", ["geodesics", "lle_weights"]),
+            ("gaze", []),
+            ("isomap_exact", ["geodesics"]),
+        ],
     )
     def test_oose_builds_references_once(self, tmp_path, full_builds, methods, built):
         code = run(
@@ -597,7 +632,7 @@ class TestOneRunOneGraph:
             "--out-dir", tmp_path,
         )
         assert code == 0
-        assert sorted(full_builds) == built
+        assert sorted(full_builds()) == built
 
     def test_oose_builds_masked_data_once(self, tmp_path, monkeypatch):
         """Each mask's k-NN graph and LLE weights are built once and shared by
@@ -897,7 +932,7 @@ class TestForkedScoring:
         [
             ("evaluate", "results.csv", ["--k-lle", "7", "--np-k", "5"]),
             ("oose", "oose_results.csv", ["--methods", "isomap,lle,gaze"]),
-            ("oose", "oose_results.csv", ["--methods", "isomap", "--exact-folds"]),
+            ("oose", "oose_results.csv", ["--methods", "isomap,isomap_exact"]),
         ],
     )
     def test_same_bytes_for_any_worker_count(
@@ -1045,9 +1080,10 @@ class TestForkedScoring:
 class TestKilledCommand:
     """A command killed while it works leaves no process behind: each forked
     worker sees end of file on its command pipe once the command's process
-    has died, and exits within one mask or step. Each command runs in a
-    fresh interpreter, in its own session, with two CPUs (``masks._cpus``)
-    so that it forks."""
+    has died, and exits within one mask or step, well within 2 s. The
+    process group empties only once the worker's new parent reaps it,
+    which may take longer. Each command runs in a fresh interpreter, in its
+    own session, with two CPUs (``masks._cpus``) so that it forks."""
 
     CODE = """
 import os, sys
@@ -1056,16 +1092,26 @@ from manifold_masks.cli import main
 
 fork = os.fork
 
-def announcing():  # tell the test once a worker has forked
+def announcing():  # tell the test once a worker has forked, and its pid
     pid = fork()
     if pid:
-        print("forked", flush=True)
+        print("forked", pid, flush=True)
     return pid
 
 os.fork = announcing
 masks._cpus = lambda: 2
 sys.exit(main({argv!r}))
 """
+
+    @staticmethod
+    def running(pid):
+        """Whether process ``pid`` exists and has not exited: an exited one
+        that its new parent has not reaped yet is in state Z."""
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rpartition(")")[2].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
 
     @pytest.mark.parametrize(
         "argv, signum",
@@ -1097,10 +1143,16 @@ sys.exit(main({argv!r}))
         )
         pgid = proc.pid  # a new session's leader leads its process group
         try:
-            assert proc.stdout.readline() == "forked\n"
+            announced, child = proc.stdout.readline().split()
+            assert announced == "forked"
             time.sleep(0.2)  # into the work
             os.kill(proc.pid, signum)
             assert proc.wait(timeout=10) == -signum
+            # the worker exits within 2 s; its reaper may take longer
+            deadline = time.monotonic() + 2
+            while self.running(child):
+                assert time.monotonic() < deadline, "a worker went on working"
+                time.sleep(0.01)
             deadline = time.monotonic() + 10
             while True:
                 try:
@@ -1294,6 +1346,35 @@ class TestConfigMerging:
         assert code == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, key, names, message",
+        [
+            ("evaluate", "algorithms", "pcoa,maps_global,pcoa", "algorithm 'pcoa'"),
+            ("oose", "algorithms", "pcoa,pcoa", "algorithm 'pcoa'"),
+            ("oose", "methods", "gaze,isomap,gaze", "leave-one-out method 'gaze'"),
+        ],
+    )
+    def test_repeated_name_rejected_before_any_work(
+        self, tmp_path, capsys, command, key, names, message, spelling
+    ):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key}={names}\n" if spelling == "config" else "")
+        given = ["--" + key, names] if spelling == "flag" else []
+        out = tmp_path / "out"
+        code = run(
+            command,
+            "--config", cfg_file,
+            "--synth", "translating_blob:n=40,g=6,seed=1",
+            "--sizes", "8",
+            "--k", "6",
+            *given,
+            "--out-dir", out,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message} is given more than once\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "oose"])
     def test_empty_algorithms_in_config_rejected(self, tmp_path, capsys, command):
         cfg_file = tmp_path / "run.cfg"
@@ -1310,14 +1391,6 @@ class TestConfigMerging:
         assert code == 1
         assert capsys.readouterr().err == "error: no algorithms requested\n"
         assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "value, expected", [("false", False), ("OFF", False), ("0", False), ("True", True), ("yes", True)]
-    )
-    def test_exact_folds_spellings(self, tmp_path, value, expected):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"exact_folds={value}\n")
-        assert build_config(self.parse("oose", "--config", cfg_file)).exact_folds is expected
 
     @pytest.mark.parametrize(
         "key, value, kind",
@@ -1339,20 +1412,18 @@ class TestConfigMerging:
         assert capsys.readouterr().err == f"error: {key} must be {kind}, got {value!r}\n"
         assert not out.exists()
 
-    def test_exact_folds_typo_rejected(self, tmp_path):
+    def test_exact_folds_is_a_method_not_an_option(self, tmp_path, capsys):
+        args = ["--synth", "translating_blob:n=20,g=8,seed=1", "--algorithms", "pcoa",
+                "--sizes", "2", "--out-dir", tmp_path / "out"]
+        with pytest.raises(SystemExit) as exc:
+            run("oose", *args, "--exact-folds")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --exact-folds" in capsys.readouterr().err
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("exact_folds=ture\n")
-        out = tmp_path / "out"
-        code = run(
-            "oose",
-            "--config", cfg_file,
-            "--synth", "translating_blob:n=20,g=8,seed=1",
-            "--algorithms", "pcoa",
-            "--sizes", "2",
-            "--out-dir", out,
-        )
-        assert code == 1
-        assert not out.exists()
+        cfg_file.write_text("exact_folds=true\n")
+        assert run("oose", "--config", cfg_file, *args) == 1
+        assert capsys.readouterr().err == "error: unknown config key 'exact_folds'\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "oose"])
     def test_bad_norm_in_config_rejected_before_any_work(self, tmp_path, command):
@@ -1375,7 +1446,7 @@ class TestConfigMerging:
         "command, flags",
         [
             ("evaluate", ["--methods", "isomap,lle,gaze"]),
-            ("evaluate", ["--exact-folds"]),
+            ("evaluate", ["--methods", "isomap_exact"]),
             ("oose", ["--k-lle", "4"]),
             ("oose", ["--np-k", "5"]),
             ("mask", ["--trials", "3"]),
@@ -1398,7 +1469,7 @@ class TestConfigMerging:
     @pytest.mark.parametrize(
         "command, keys, results",
         [
-            ("evaluate", {"methods": "isomap,gaze", "exact_folds": "true"}, "results.csv"),
+            ("evaluate", {"methods": "isomap,gaze"}, "results.csv"),
             ("oose", {"k_lle": "4", "np_k": "5"}, "oose_results.csv"),
         ],
     )
@@ -1421,7 +1492,7 @@ class TestConfigMerging:
 
     def test_config_of_read_keys_prints_nothing(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("k=4\nseed=11\nmethods=isomap,lle\nexact_folds=false\nreg=0.01\n")
+        cfg_file.write_text("k=4\nseed=11\nmethods=isomap,lle\nreg=0.01\n")
         build_config(self.parse("oose", "--config", cfg_file))
         assert capsys.readouterr().err == ""
 

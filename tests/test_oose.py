@@ -274,7 +274,7 @@ class TestLeaveOneOut:
         # k=3 keeps every fold's graph connected when a point is dropped
         ref = Reference(X, 3, ell=1)
         fast = leave_one_out(ref, "isomap", ref)
-        exact = leave_one_out(ref, "isomap", ref, exact_folds=True)
+        exact = leave_one_out(ref, "isomap_exact", ref)
         assert exact == pytest.approx(fast, abs=1e-8)
 
     def test_isomap_exact_folds_need_no_connected_masked_graph(self):
@@ -284,7 +284,7 @@ class TestLeaveOneOut:
         masked = Reference(apply_mask(X, Mask(selected=(0,), d=2)), 2, ell=1)
         with pytest.raises(DisconnectedGraphError):
             masked.geodesics
-        value = leave_one_out(masked, "isomap", Reference(X, 2, ell=1), exact_folds=True)
+        value = leave_one_out(masked, "isomap_exact", Reference(X, 2, ell=1))
         assert value == pytest.approx(1.4923, abs=1e-4)
 
     def test_lle_reports_nonnegative(self, rng):
@@ -335,7 +335,7 @@ class TestLeaveOneOut:
             return knn_graph(data, k)
 
         monkeypatch.setattr("manifold_masks.oose.knn_graph", spy)
-        leave_one_out(masked, "isomap", Reference(X, 3, ell=1), exact_folds=True)
+        leave_one_out(masked, "isomap_exact", Reference(X, 3, ell=1))
         # the full and masked graphs, then one graph per fold
         assert len(built) == X.n + 2
         for i, (points, k) in enumerate(built[2:]):
@@ -387,7 +387,10 @@ class TestLeaveOneOut:
     def test_metric_names(self):
         # the metric column of each method's results rows
         assert METRICS == {
-            "isomap": "oose_error", "lle": "oose_embedding_error", "gaze": "gaze_error"
+            "isomap": "oose_error",
+            "isomap_exact": "oose_error",
+            "lle": "oose_embedding_error",
+            "gaze": "gaze_error",
         }
 
     def test_masked_isomap_still_accurate_on_line(self, line_dataset):
