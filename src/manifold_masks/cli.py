@@ -44,7 +44,7 @@ from .metrics import (
     residual_variance,
 )
 from .oose import METRICS, Reference, leave_one_out
-from .secants import build_clique_array
+from .secants import CliqueSecantArray, build_clique_array
 
 SELECTORS = ("maps_global", "maps_local", "pcoa", "random", "exact_global", "exact_local")
 
@@ -189,34 +189,44 @@ def _load_for_masks(cfg: RunConfig, neighbors: dict[str, int]) -> tuple[DataMatr
     return X, dataset_id
 
 
-def mask_plan(cfg: RunConfig, ref: Reference, algorithm: str) -> list[tuple[int, list[Mask]]]:
-    """The masks to use at each of ``cfg.sizes``, as ``(m, masks)`` pairs;
-    the secant selectors read a clique secant store on ``ref.G``, the run's
-    full-data ``cfg.k`` graph. The store is built per call, not kept on
-    ``ref``, so the forked scoring workers never inherit it.
+def _selector_input(ref: Reference, algorithm: str) -> DataMatrix | CliqueSecantArray:
+    """What ``algorithm`` selects from: the data ``ref.X`` for ``pcoa`` and
+    ``random``, else a clique secant store on ``ref.G``, the run's full-data
+    ``--k`` graph. The store holds no reference to the data, so a caller
+    that drops its own selects with the store alone. The store is built per
+    call, not kept on ``ref``, so the forked scoring workers never inherit
+    it."""
+    if algorithm in ("pcoa", "random"):
+        return ref.X
+    # the global selectors read only the store's neighbor rows
+    global_only = algorithm in ("maps_global", "exact_global")
+    return build_clique_array(ref.X, ref.G, neighbors_only=global_only)
+
+
+def mask_plan(
+    cfg: RunConfig, source: DataMatrix | CliqueSecantArray, algorithm: str
+) -> list[tuple[int, list[Mask]]]:
+    """The masks to use at each of ``cfg.sizes``, as ``(m, masks)`` pairs,
+    selected from ``source = _selector_input(ref, algorithm)``.
 
     The greedy selectors, ``pcoa`` and ``random`` are nested, so each runs
     once at the largest size and every size takes prefixes: ``random`` makes
     ``cfg.trials`` draws seeded ``cfg.seed + trial``, the others one mask.
     The exhaustive oracles search once per size.
     """
-    top, X = max(cfg.sizes), ref.X
+    top = max(cfg.sizes)
     if algorithm == "random":
-        full = [random_mask(X.d, top, cfg.seed + trial) for trial in range(cfg.trials)]
+        full = [random_mask(source.d, top, cfg.seed + trial) for trial in range(cfg.trials)]
     elif algorithm == "pcoa":
-        full = [pcoa(X, top)]
-    else:
-        # the global selectors read only the store's neighbor rows
-        global_only = algorithm in ("maps_global", "exact_global")
-        B = build_clique_array(X, ref.G, neighbors_only=global_only)
-        if algorithm == "maps_global":
-            full = [maps_global(B, top, cfg.p)]
-        elif algorithm == "maps_local":
-            full = [maps_local(B, top)]
-        elif algorithm == "exact_global":
-            return [(m, [exact_mask_global(B, m, cfg.p)[0]]) for m in cfg.sizes]
-        else:  # exact_local
-            return [(m, [exact_mask_local(B, m)[0]]) for m in cfg.sizes]
+        full = [pcoa(source, top)]
+    elif algorithm == "maps_global":
+        full = [maps_global(source, top, cfg.p)]
+    elif algorithm == "maps_local":
+        full = [maps_local(source, top)]
+    elif algorithm == "exact_global":
+        return [(m, [exact_mask_global(source, m, cfg.p)[0]]) for m in cfg.sizes]
+    else:  # exact_local
+        return [(m, [exact_mask_local(source, m)[0]]) for m in cfg.sizes]
     return [(m, [mask.prefix(m) for mask in full]) for m in cfg.sizes]
 
 
@@ -245,17 +255,20 @@ def cmd_mask(cfg: RunConfig, args) -> int:
     algorithm = cfg.algorithms[0]
     # pcoa and random read no graph, so they leave --k unchecked
     X, _ = _load_for_masks(cfg, {} if algorithm in ("pcoa", "random") else {"--k": cfg.k})
-    ref = Reference(X, cfg.k, cfg.l)
+    image_shape = X.image_shape
+    source = _selector_input(Reference(X, cfg.k, cfg.l), algorithm)
+    # the secant selectors, and the helpers they fork, run without the data
+    del X
     # one draw: a random mask file is the one seeded cfg.seed
-    plan = mask_plan(replace(cfg, trials=1), ref, algorithm)
+    plan = mask_plan(replace(cfg, trials=1), source, algorithm)
     os.makedirs(cfg.out_dir, exist_ok=True)
     for m, [mask] in plan:
         path = os.path.join(cfg.out_dir, f"mask_{m}.json")
         save_mask(path, mask)
         print(f"wrote {path}")
-        if X.image_shape is not None:
+        if image_shape is not None:
             pgm = os.path.join(cfg.out_dir, f"mask_{m}.pgm")
-            mask_to_pgm(pgm, mask, X.image_shape)
+            mask_to_pgm(pgm, mask, image_shape)
             print(f"wrote {pgm}")
     return 0
 
@@ -318,7 +331,8 @@ def _score_plans(cfg: RunConfig, ref: Reference, dataset_id: str, keys, score, r
 
     Rows follow the plan order. A failed selection stops the run before any
     mask is scored; otherwise a failure is the first failing mask's."""
-    plans = [(a, m, masks) for a in cfg.algorithms for m, masks in mask_plan(cfg, ref, a)]
+    plans = [(a, m, masks) for a in cfg.algorithms
+             for m, masks in mask_plan(cfg, _selector_input(ref, a), a)]
     table = _score_all(score, [mask for *_, masks in plans for mask in masks], len(keys))
     base = {"dataset": dataset_id, "k": cfg.k, "l": cfg.l, "seed": cfg.seed}
     rows, start = [], 0
@@ -415,6 +429,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="manifold-masks",
         description="Select and evaluate structure-preserving pixel masks",
+        allow_abbrev=False,  # a prefix of a flag is an unknown flag, not that flag
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
@@ -424,7 +439,7 @@ def make_parser() -> argparse.ArgumentParser:
         "oose": ("leave-one-out out-of-sample evaluation", cmd_oose),
     }
     for command, (help_text, handler) in commands.items():
-        p_cmd = sub.add_parser(command, help=help_text)
+        p_cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for flag, readers, options in FLAGS:
             if command in readers:
                 p_cmd.add_argument(flag, **options)

@@ -465,12 +465,14 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
     time (``_reduce_rows``). Points follow a cache-friendly order, which
     changes only the order in which a score sums over points.
 
-    With several blocks and several CPUs (``_cpus``), the points split into
-    runs of whole blocks, at most one per CPU, each computed by this process
-    or a helper with its own points' constants (``_greedy``). The helpers
-    write their rows into a shared table after this process's sum, and one
-    axis-0 sum adds them in point order, so the scores, and the mask, are
-    bitwise the same for any CPU count.
+    When a step's product, ``n * c * d`` multiply-adds, takes at least two
+    blocks and the process has several CPUs (``_cpus``), the points split
+    into runs, at most one per CPU: runs of whole blocks where there are as
+    many blocks as runs, else even runs of points. This process or a helper
+    computes each run with its own points' constants (``_greedy``). The
+    helpers write their rows into a shared table after this process's sum,
+    and one axis-0 sum adds them in point order, so the scores, and the
+    mask, are bitwise the same for any CPU count.
     """
     from scipy import sparse  # here: at module level it would add to every start-up
 
@@ -490,10 +492,16 @@ def maps_local(B: CliqueSecantArray, m: int) -> Mask:
 
     h = max(1, CHUNK_ENTRIES // d)  # points per block, as in _reduce_rows
     blocks = -(-n // h)
-    workers = min(_cpus(), blocks)
-    # the first point of each process's run of whole blocks; the later runs
-    # are the longer ones when they are uneven, since this process sums too
-    edges = [h * (w * blocks // workers) for w in range(workers)] + [n]
+    # a step's product is n * c * d multiply-adds: split it, as maps_global
+    # splits its S * d entries, once it takes two blocks, at most a point a run
+    workers = max(1, min(_cpus(), n * c * d // CHUNK_ENTRIES, n))
+    # the first point of each process's run: whole blocks while there are
+    # enough, else an even split of the points; the later runs are the
+    # longer ones when they are uneven, since this process sums too
+    if blocks >= workers:
+        edges = [h * (w * blocks // workers) for w in range(workers)] + [n]
+    else:
+        edges = [w * n // workers for w in range(workers)] + [n]
     mine = edges[1]  # this process computes points [0, mine)
     scores = np.empty(d)
     # row 0 carries this process's sum and the helpers' rows follow it in

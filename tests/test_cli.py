@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,34 @@ sys.exit(99)
             "error: maps_local helper for points [20, 40) of 40 ended before its rows were done\n"
         )
         assert not (tmp_path / "masks").exists()
+
+    @pytest.mark.parametrize("algorithm", ["maps_global", "maps_local"])
+    def test_data_is_freed_before_selection(self, monkeypatch, tmp_path, algorithm):
+        # a secant selector, and any helper it forks, runs with the store alone
+        points, alive = [], []
+        synth, select = cli._synth_from_spec, getattr(cli, algorithm)
+
+        def loading(*args):
+            X = synth(*args)
+            points.append(weakref.ref(X.points))
+            return X
+
+        def selecting(*args):
+            alive.append(points[0]() is not None)
+            return select(*args)
+
+        monkeypatch.setattr(cli, "_synth_from_spec", loading)
+        monkeypatch.setattr(cli, algorithm, selecting)
+        code = run(
+            "mask",
+            "--synth", "translating_blob:n=40,g=8,seed=1",
+            "--algorithms", algorithm,
+            "--sizes", "2,4",
+            "--k", "6",
+            "--out-dir", tmp_path,
+        )
+        assert code == 0
+        assert alive == [False]
 
     def test_exhaustive_search_capacity_exit_code(self, tmp_path):
         # C(64, 5) subsets is past the exhaustive-search budget
@@ -1450,6 +1479,7 @@ class TestConfigMerging:
             ("oose", ["--k-lle", "4"]),
             ("oose", ["--np-k", "5"]),
             ("mask", ["--trials", "3"]),
+            ("evaluate", ["--out", "elsewhere"]),  # synth's flag, a prefix of --out-dir
         ],
     )
     def test_flag_of_another_command_is_a_usage_error(self, tmp_path, capsys, command, flags):
@@ -1465,6 +1495,25 @@ class TestConfigMerging:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["synth", "mask", "evaluate", "oose"])
+    def test_flag_prefix_is_a_usage_error(self, capsys, command):
+        # argparse would read a unique prefix as its flag: evaluate --out DIR
+        # as --out-dir DIR, say
+        readers = [flag for flag, commands, _ in cli.FLAGS if command in commands]
+        required = ["--out", "base"] if command == "synth" else []
+        codes = {}
+        for flag in readers:
+            for end in range(3, len(flag)):
+                if flag[:end] in readers:  # --k of --k-lle is a flag itself
+                    continue
+                try:
+                    make_parser().parse_args([command, *required, flag[:end], "1"])
+                    codes[flag[:end]] = 0
+                except SystemExit as exc:
+                    codes[flag[:end]] = exc.code
+        capsys.readouterr()
+        assert codes and set(codes.values()) == {2}, codes
 
     @pytest.mark.parametrize(
         "command, keys, results",

@@ -528,9 +528,9 @@ class TestBlockedSelectors:
             init(self, *args)
             guarded.append(self.guarded)  # in this process alone
 
-        # with several CPUs, the points split into runs of blocks, one per
-        # process, and the parent sums its own rows, then the helpers' in
-        # point order
+        # with several CPUs, the points split into runs of blocks, or of
+        # points where there are fewer blocks than runs, one per process, and
+        # the parent sums its own rows, then the helpers' in point order
         for h, cpus in product(block_rows(B.n).values(), (1, 2, 3)):
             with monkeypatch.context() as patch:
                 # b_sq's column blocks read the same constant, in both loops
@@ -555,6 +555,19 @@ class TestBlockedSelectors:
         assert_steps_equal(steps, unblocked_maps_local(B, 4))
 
 
+def record_runs(monkeypatch) -> list[list[int]]:
+    """The edges of the runs of every greedy loop from here on, one list per
+    loop, as it hands them to ``masks._Helpers``."""
+    runs, helpers = [], masks._Helpers
+
+    def recording(body, edges, *names):
+        runs.append(list(edges))
+        return helpers(body, edges, *names)
+
+    monkeypatch.setattr(masks, "_Helpers", recording)
+    return runs
+
+
 class HelperChecks:
     """What the tests of a selector's forked helpers share: a deadline."""
 
@@ -574,19 +587,22 @@ class HelperChecks:
 
 class TestLocalHelpers(HelperChecks):
     """maps_local forks one helper per extra CPU (``masks._cpus``, patched
-    here), at most one per point block after the first; no helper outlives
-    the call, whether it returns or raises."""
+    here) once a step's product takes two blocks, at most one per point
+    after the first; no helper outlives the call, whether it returns or
+    raises."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_image_scale_masks_any_cpu_count(self, monkeypatch, forks, seed):
-        # the benchmark's data: at d=1024 its 800 points take 7 blocks
+        # the benchmark's data: at d=1024 its 800 points take 7 blocks, and
+        # two CPUs split them into runs of 3 and 4 whole blocks
         X = synth_dataset("translating_blob", 800, seed=seed, g=32)
         B = build_clique_array(X, knn_graph(X, 8))
-        chosen = {}
+        seen, chosen = record_runs(monkeypatch), {}
         for cpus in (1, 2):
             monkeypatch.setattr(masks, "_cpus", lambda: cpus)
             chosen[cpus] = maps_local(B, 64)
         assert chosen[2] == chosen[1]
+        assert seen == [[0, 800], [0, 384, 800]]
         assert len(forks) == 1
         if seed == 1:  # the serial loop's mask, as perfbench/expected holds it
             assert chosen[1].selected[:16] == (
@@ -595,20 +611,41 @@ class TestLocalHelpers(HelperChecks):
         assert_no_child()
 
     @pytest.mark.parametrize(
-        "rows_per_block, cpus, helpers",
-        [(1, 3, 2), (1, 2, 1), (59, 5, 1), (60, 3, 0), (None, 3, 0), (1, 1, 0)],
-        ids=["one-row-3-cpus", "one-row-2-cpus", "two-blocks-5-cpus", "one-block",
-             "default-block", "one-cpu"],
+        "instance, rows_per_block, cpus, runs",
+        [
+            # sweep_blob's store at seed 1: its 200 points fit one block, and
+            # a step's 200 * 36 * 256 multiply-adds take 14 blocks, so the
+            # points split into even runs
+            ("sweep_blob", None, 2, [0, 100, 200]),
+            ("sweep_blob", None, 3, [0, 66, 133, 200]),
+            # the small blob's step is 60 * 36 * d multiply-adds: 2,160 one-row blocks
+            ("small_blob", 1, 3, [0, 20, 40, 60]),
+            ("small_blob", 1, 2, [0, 30, 60]),
+            ("small_blob", 59, 5, [0, 12, 24, 36, 48, 60]),  # two blocks of points, five runs
+            ("small_blob", 60, 3, [0, 20, 40, 60]),  # one block of points, three runs
+            ("small_blob", None, 3, [0, 60]),  # a step of 138,240 multiply-adds: 1.05 blocks
+            ("small_blob", 1, 1, [0, 60]),
+        ],
+        ids=["sweep_blob-2-cpus", "sweep_blob-3-cpus", "one-row-3-cpus", "one-row-2-cpus",
+             "two-blocks-5-cpus", "one-block", "default-block", "one-cpu"],
     )
-    def test_one_fork_per_helper(self, monkeypatch, forks, small_blob, rows_per_block, cpus,
-                                 helpers):
-        B = build_clique_array(small_blob, knn_graph(small_blob, 8))
-        assert B.n == 60
+    def test_one_fork_per_helper(self, monkeypatch, forks, small_blob, instance, rows_per_block,
+                                 cpus, runs):
+        if instance == "sweep_blob":
+            X, m = synth_dataset("translating_blob", 200, seed=1, g=16), 64
+        else:
+            X, m = small_blob, 5
+        B = build_clique_array(X, knn_graph(X, 8))
+        assert B.n == len(X.points) and B.c == 36
         if rows_per_block is not None:
             monkeypatch.setattr(masks, "CHUNK_ENTRIES", rows_per_block * B.d)
         monkeypatch.setattr(masks, "_cpus", lambda: cpus)
-        maps_local(B, 5)
-        assert len(forks) == helpers
+        seen = record_runs(monkeypatch)
+        split = maps_local(B, m)
+        assert seen == [runs]
+        assert len(forks) == len(runs) - 2
+        monkeypatch.setattr(masks, "_cpus", lambda: 1)
+        assert maps_local(B, m) == split
         assert_no_child()
 
     @pytest.mark.parametrize("failure", ["raise", "exit"])
